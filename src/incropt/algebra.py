@@ -11,6 +11,17 @@ that can satisfy the property.
 Conventions baked in here:
 
 * bushy enumeration over connected partitions only (no cross products);
+* partitions come from connected-complement enumeration over relation
+  bitmasks: the connected subsets of at most half the expression (grown
+  DPccp-style, Moerkotte & Neumann, VLDB 2006) whose complement is
+  connected too; no subset of the expression is scanned;
+* partitions are ordered by the size of the smaller side, then by its
+  lexicographic relation tuple; with equal halves only the lexicographically
+  smaller side (the one holding the expression's first relation) is kept.
+  Alternative indexes, and with them the ``(cost, index, phy_op)``
+  tie-break, follow this order;
+* ``SearchUniverse`` computes each expression's partitions once and hands
+  them to ``split`` for every property of that expression;
 * symmetric operators (hash, merge) are emitted once in canonical side
   order, the asymmetric indexed nested-loop join is emitted once per
   indexed inner side, with the indexed inner on the left;
@@ -20,10 +31,10 @@ Conventions baked in here:
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
-from .catalog import Catalog, JoinPredicate
+from .catalog import Catalog
 from .errors import NoAlternatives, ParseError, ValidationError
 
 LOG_JOIN = "join"
@@ -209,40 +220,119 @@ def is_leaf(e: ExprSig) -> bool:
     return e.is_leaf
 
 
-def _is_connected(rels: tuple[str, ...], cat: Catalog) -> bool:
-    if len(rels) <= 1:
-        return True
-    remaining = set(rels)
-    stack = [rels[0]]
-    remaining.discard(rels[0])
-    while stack:
-        cur = stack.pop()
-        for nxt in cat.adjacency.get(cur, ()):
-            if nxt in remaining:
-                remaining.discard(nxt)
-                stack.append(nxt)
-    return not remaining
-
-
-def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
-    """All subsets of the query inducing a connected join subgraph.
-
-    Brute-force subset scan; intended for queries small enough to exhaust.
-    """
-    out: set[ExprSig] = set()
-    rels = query.rels
-    for size in range(1, len(rels) + 1):
-        for combo in combinations(rels, size):
-            if _is_connected(combo, cat):
-                out.add(ExprSig.of(combo))
+def _neighbours(mask: int, adj: tuple[int, ...]) -> int:
+    """Union of the adjacency masks of every relation in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
-def _pred_sides(pred: JoinPredicate, left_side: set[str]) -> tuple[str, str]:
-    """Return (attr on left side, attr on right side), qualified."""
-    if pred.left_relation in left_side:
-        return pred.left, pred.right
-    return pred.right, pred.left
+def _mask_connected(mask: int, adj: tuple[int, ...]) -> bool:
+    """Flood fill from the lowest bit; true when it reaches all of ``mask``."""
+    reached = frontier = mask & -mask
+    while frontier:
+        frontier = _neighbours(frontier, adj) & mask & ~reached
+        reached |= frontier
+    return reached == mask
+
+
+def _connected_subsets(mask: int, adj: tuple[int, ...], limit: int) -> list[int]:
+    """Every connected subset of ``mask`` with at most ``limit`` members, once each.
+
+    EnumerateCsg (Moerkotte & Neumann, VLDB 2006): a subset is grown from
+    its lowest bit only, by adding neighbours above that bit which earlier
+    steps of the same growth have not already offered.
+    """
+    out: list[int] = []
+
+    def grow(s: int, excluded: int) -> None:
+        frontier = _neighbours(s, adj) & mask & ~excluded
+        if not frontier:
+            return
+        room = limit - s.bit_count()
+        grown = []
+        sub = frontier
+        while sub:
+            if sub.bit_count() <= room:
+                grown.append(s | sub)
+            sub = (sub - 1) & frontier
+        out.extend(grown)
+        excluded |= frontier
+        for t in grown:
+            if t.bit_count() < limit:
+                grow(t, excluded)
+
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(low)
+        grow(low, (low << 1) - 1)
+        rest ^= low
+    return out
+
+
+def _expr_mask(e: ExprSig, cat: Catalog) -> int:
+    bits = cat.relation_bits
+    mask = 0
+    for r in e.rels:
+        mask |= bits[r]
+    return mask
+
+
+def _sig_of(mask: int, e: ExprSig, cat: Catalog) -> ExprSig:
+    bits = cat.relation_bits
+    return ExprSig(tuple(r for r in e.rels if bits[r] & mask))
+
+
+def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
+    """All subsets of the query inducing a connected join subgraph."""
+    full = _expr_mask(query, cat)
+    return {_sig_of(s, query, cat)
+            for s in _connected_subsets(full, cat.adjacency_masks, len(query))}
+
+
+# (side a, side b, one (sorted on side a's attribute, sorted on side b's
+# attribute) pair per crossing predicate)
+Partition = tuple[ExprSig, ExprSig, tuple[tuple[PropertySpec, PropertySpec], ...]]
+
+
+def partitions(e: ExprSig, cat: Catalog) -> tuple[Partition, ...]:
+    """The connected-complement partitions of composite ``e``, in ``split`` order.
+
+    Side a is a connected subset of at most half of ``e`` whose complement,
+    side b, is connected too and linked to it by at least one predicate.
+    When the halves are equal, side a is the one holding ``e``'s first
+    relation.  Ordered by the size of side a, then by its relation tuple:
+    the order in which ``itertools.combinations`` would list side a.
+    """
+    full = _expr_mask(e, cat)
+    adj = cat.adjacency_masks
+    first = cat.relation_bits[e.rels[0]]
+    # the sort orders are built once per predicate, so every merge join of
+    # every property of ``e`` shares them
+    preds = []
+    for lbit, rbit, pred in cat.predicate_bits:
+        if lbit & full and rbit & full:
+            left, right = PropertySpec.sorted_on(pred.left), PropertySpec.sorted_on(pred.right)
+            preds.append((lbit, rbit, (left, right), (right, left)))
+    n = len(e)
+    out: list[Partition] = []
+    for s in _connected_subsets(full, adj, n // 2):
+        if 2 * s.bit_count() == n and not s & first:
+            continue
+        rest = full ^ s
+        if not _mask_connected(rest, adj):
+            continue
+        crossing = tuple(fwd if lbit & s else rev
+                         for lbit, rbit, fwd, rev in preds
+                         if bool(lbit & s) != bool(rbit & s))
+        if crossing:
+            out.append((_sig_of(s, e, cat), _sig_of(rest, e, cat), crossing))
+    out.sort(key=lambda part: (len(part[0]), part[0].rels))
+    return tuple(out)
 
 
 def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alternative]:
@@ -263,62 +353,46 @@ def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alterna
     return []
 
 
-def split(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alternative]:
+def split(e: ExprSig, p: PropertySpec, cat: Catalog,
+          parts: tuple[Partition, ...] | None = None) -> list[Alternative]:
     """Enumerate join alternatives for composite ``e`` under output property ``p``.
 
-    Deterministic: partitions in lexicographic order of the smaller side,
-    operators in phy_op order within each partition, 1-based indexes in
-    emission order.  Raises NoAlternatives when no operator can satisfy
-    ``p`` over any connected partition.
+    ``parts`` is ``partitions(e, cat)``, computed here when not given.
+    Deterministic: partitions ordered by the size of the smaller side, then
+    by its relation tuple (with equal halves, only the lexicographically
+    smaller side is side a); operators in a fixed order within each
+    partition; 1-based indexes in emission order.  Raises NoAlternatives
+    when no operator can satisfy ``p`` over any connected partition.
     """
     if e.is_leaf:
         raise ValidationError(f"split called on leaf {e}")
-    rels = e.rels
+    if parts is None:
+        parts = partitions(e, cat)
     out: list[Alternative] = []
-    seen_partitions: set[frozenset[str]] = set()
-    counter = 1
 
     def emit(phy_op: str, l_expr: ExprSig, l_prop: PropertySpec,
              r_expr: ExprSig, r_prop: PropertySpec) -> None:
-        nonlocal counter
-        out.append(Alternative(counter, LOG_JOIN, phy_op, l_expr, l_prop, r_expr, r_prop))
-        counter += 1
+        out.append(Alternative(len(out) + 1, LOG_JOIN, phy_op, l_expr, l_prop, r_expr, r_prop))
 
-    for size in range(1, len(rels) // 2 + 1):
-        for combo in combinations(rels, size):
-            side_a = frozenset(combo)
-            if side_a in seen_partitions:
-                continue
-            side_b_rels = tuple(r for r in rels if r not in side_a)
-            seen_partitions.add(side_a)
-            seen_partitions.add(frozenset(side_b_rels))
-            if not _is_connected(combo, cat) or not _is_connected(side_b_rels, cat):
-                continue
-            crossing = cat.crossing_predicates(combo, side_b_rels)
-            if not crossing:
-                continue
-            a_sig, b_sig = ExprSig.of(combo), ExprSig.of(side_b_rels)
-            a_set = set(combo)
-
-            if p.is_none:
-                emit(HASH_JOIN, a_sig, PropertySpec.none(), b_sig, PropertySpec.none())
-                for pred in crossing:
-                    attr_a, attr_b = _pred_sides(pred, a_set)
-                    for inner_sig, inner_attr, outer_sig in (
-                        (a_sig, attr_a, b_sig),
-                        (b_sig, attr_b, a_sig),
-                    ):
-                        if not inner_sig.is_leaf:
-                            continue
-                        rel_name, _, bare = inner_attr.partition(".")
-                        if bare in cat.relation(rel_name).indexed_on:
-                            emit(INDEX_NL_JOIN, inner_sig, PropertySpec.index_on(inner_attr),
-                                 outer_sig, PropertySpec.none())
-            for pred in crossing:
-                attr_a, attr_b = _pred_sides(pred, a_set)
-                if p.is_none or (p.kind == PROP_SORTED and p.attr in (attr_a, attr_b)):
-                    emit(MERGE_JOIN, a_sig, PropertySpec.sorted_on(attr_a),
-                         b_sig, PropertySpec.sorted_on(attr_b))
+    none = p.is_none
+    sorted_attr = p.attr if p.kind == PROP_SORTED else None
+    for a_sig, b_sig, crossing in parts:
+        if none:
+            emit(HASH_JOIN, a_sig, PropertySpec.none(), b_sig, PropertySpec.none())
+            for sort_a, sort_b in crossing:
+                for inner_sig, inner_attr, outer_sig in (
+                    (a_sig, sort_a.attr, b_sig),
+                    (b_sig, sort_b.attr, a_sig),
+                ):
+                    if not inner_sig.is_leaf:
+                        continue
+                    rel_name, _, bare = inner_attr.partition(".")
+                    if bare in cat.relation(rel_name).indexed_on:
+                        emit(INDEX_NL_JOIN, inner_sig, PropertySpec.index_on(inner_attr),
+                             outer_sig, PropertySpec.none())
+        for sort_a, sort_b in crossing:
+            if none or sorted_attr in (sort_a.attr, sort_b.attr):
+                emit(MERGE_JOIN, a_sig, sort_a, b_sig, sort_b)
     if not out:
         raise NoAlternatives(f"no operator yields {p} for {e}")
     return out
@@ -327,15 +401,17 @@ def split(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alternative]:
 class SearchUniverse:
     """The reachable (expr, prop) group universe for one (catalog, query) pair.
 
-    Memoizes split output, filters alternatives down to the buildable ones
-    (every child group can produce at least one plan), and exposes the
-    full-space totals used as pruning/update-ratio denominators.
+    Memoizes each expression's partitions and each group's split output,
+    filters alternatives down to the buildable ones (every child group can
+    produce at least one plan), and exposes the full-space totals used as
+    pruning/update-ratio denominators.
     """
 
     def __init__(self, cat: Catalog, query: Query):
         self.catalog = cat
         self.query = query
         self.root: GroupKey = (query.sig, PropertySpec.none())
+        self._parts: dict[ExprSig, tuple[Partition, ...]] = {}
         self._raw: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._alts: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._buildable: dict[GroupKey, bool] = {}
@@ -348,8 +424,11 @@ class SearchUniverse:
             if e.is_leaf:
                 got = tuple(leaf_alternatives(e, p, self.catalog))
             else:
+                parts = self._parts.get(e)
+                if parts is None:
+                    parts = self._parts[e] = partitions(e, self.catalog)
                 try:
-                    got = tuple(split(e, p, self.catalog))
+                    got = tuple(split(e, p, self.catalog, parts))
                 except NoAlternatives:
                     got = ()
             self._raw[group] = got
@@ -384,9 +463,9 @@ class SearchUniverse:
         if self._groups is None:
             order: list[GroupKey] = []
             seen = {self.root}
-            frontier = [self.root]
+            frontier = deque([self.root])
             while frontier:
-                g = frontier.pop(0)
+                g = frontier.popleft()
                 order.append(g)
                 for alt in self.alternatives(g):
                     for child in alt.children():

@@ -41,11 +41,11 @@ class JoinPredicate:
     right: str
     selectivity: float
 
-    @property
+    @cached_property
     def left_relation(self) -> str:
         return self.left.split(".", 1)[0]
 
-    @property
+    @cached_property
     def right_relation(self) -> str:
         return self.right.split(".", 1)[0]
 
@@ -98,12 +98,30 @@ class Catalog:
         return {k: tuple(v) for k, v in idx.items()}
 
     @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {r.name: set() for r in self.relations}
-        for p in self.predicates:
-            adj[p.left_relation].add(p.right_relation)
-            adj[p.right_relation].add(p.left_relation)
-        return {k: frozenset(v) for k, v in adj.items()}
+    def _sorted_predicates(self) -> tuple[JoinPredicate, ...]:
+        return tuple(sorted(self.predicates, key=lambda p: (p.left, p.right)))
+
+    @cached_property
+    def relation_bits(self) -> dict[str, int]:
+        """One bit per relation, in declaration order: relation sets as masks."""
+        return {r.name: 1 << i for i, r in enumerate(self.relations)}
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per bit position, the mask of relations sharing a predicate with it."""
+        adj = [0] * len(self.relations)
+        for lbit, rbit, _ in self.predicate_bits:
+            adj[lbit.bit_length() - 1] |= rbit
+            adj[rbit.bit_length() - 1] |= lbit
+        return tuple(adj)
+
+    @cached_property
+    def predicate_bits(self) -> tuple[tuple[int, int, JoinPredicate], ...]:
+        """``(left relation bit, right relation bit, predicate)`` in canonical
+        (left, right) order."""
+        bits = self.relation_bits
+        return tuple((bits[p.left_relation], bits[p.right_relation], p)
+                     for p in self._sorted_predicates)
 
     def relation(self, name: str) -> RelationMeta:
         try:
@@ -122,13 +140,11 @@ class Catalog:
         products are reproducible.
         """
         lset, rset = set(left), set(right)
-        out = [
-            p for p in self.predicates
+        return tuple(
+            p for p in self._sorted_predicates
             if (p.left_relation in lset and p.right_relation in rset)
             or (p.left_relation in rset and p.right_relation in lset)
-        ]
-        out.sort(key=lambda p: (p.left, p.right))
-        return tuple(out)
+        )
 
     def to_dict(self) -> dict:
         return {

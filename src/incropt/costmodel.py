@@ -25,9 +25,6 @@ from .algebra import Alternative, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, 
 from .catalog import Catalog
 from .errors import ParseError
 
-INFINITE_COST = math.inf
-
-
 @dataclass(frozen=True)
 class Summary:
     """Estimated output rows of a subexpression; identical for all its plans."""
@@ -151,9 +148,6 @@ class CostContext:
             if not (set(e.rels) & affected):
                 ctx._summaries[e] = s
         return ctx
-
-
-BestMap = dict[GroupKey, tuple[float, tuple[int, str]]]
 
 
 def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,

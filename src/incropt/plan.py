@@ -30,9 +30,6 @@ class PlanNode:
             "children": [c.to_dict() for c in self.children],
         }
 
-    def total_cost(self) -> float:
-        return self.cost
-
     def structure(self) -> tuple:
         """Operator tree shape without cost annotations; two plans with the
         same structure execute identically."""

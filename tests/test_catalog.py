@@ -96,6 +96,20 @@ def test_symmetric_predicate_lookup():
     assert cat.predicates_between("C", "O")[0].selectivity == 0.001
 
 
+def test_crossing_predicates_in_canonical_order():
+    data = json.loads(json.dumps(THREE_REL))
+    # a second C-O predicate, declared first but sorting last
+    data["relations"][0]["attributes"].append("x")
+    data["relations"][1]["attributes"].append("x")
+    data["predicates"].insert(0, {"left": "O.x", "right": "C.x", "selectivity": 0.5})
+    cat = catalog_from_dict(data)
+    got = cat.crossing_predicates(("O",), ("C",))
+    assert [p.name for p in got] == ["C.ck=O.ck", "O.x=C.x"]
+    assert cat.crossing_predicates(("C",), ("L",)) == ()
+    assert [p.name for p in cat.crossing_predicates(("O",), ("C", "L"))] == [
+        "C.ck=O.ck", "O.ok=L.ok", "O.x=C.x"]
+
+
 def test_apply_scan_cost_update():
     cat = catalog_from_dict(THREE_REL)
     out = apply_update(cat, StatUpdate("scan_cost", "L", 8.0))

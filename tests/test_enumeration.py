@@ -1,0 +1,223 @@
+"""Connected-complement enumeration against the brute-force subset scan.
+
+``reference_split`` is the original enumerator: every ``combinations`` subset
+of at most half the expression, kept when both halves pass a set-based
+connectivity test.  The production ``split`` must emit exactly its
+alternatives, indexes included, because the ``(cost, index, phy_op)``
+tie-break depends on them.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+from incropt import algebra
+from incropt.algebra import (
+    HASH_JOIN, INDEX_NL_JOIN, LOG_JOIN, MERGE_JOIN, PROP_SORTED, Alternative,
+    ExprSig, PropertySpec, Query, SearchUniverse,
+)
+from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
+from incropt.errors import NoAlternatives, ValidationError
+from incropt.fixtures import q3s, q5s, q8joins
+from incropt.workload import make_workload
+
+
+def _adjacency(cat: Catalog) -> dict[str, set[str]]:
+    adj: dict[str, set[str]] = {r.name: set() for r in cat.relations}
+    for p in cat.predicates:
+        a, b = p.left.split(".", 1)[0], p.right.split(".", 1)[0]
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _is_connected(rels, adj) -> bool:
+    remaining = set(rels)
+    stack = [rels[0]]
+    remaining.discard(rels[0])
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt in remaining:
+                remaining.discard(nxt)
+                stack.append(nxt)
+    return not remaining
+
+
+def _crossing(cat: Catalog, left, right):
+    lset, rset = set(left), set(right)
+    out = []
+    for p in cat.predicates:
+        a, b = p.left.split(".", 1)[0], p.right.split(".", 1)[0]
+        if (a in lset and b in rset) or (a in rset and b in lset):
+            out.append(p)
+    out.sort(key=lambda p: (p.left, p.right))
+    return out
+
+
+def reference_split(e: ExprSig, p: PropertySpec, cat: Catalog,
+                    parts=None) -> list[Alternative]:
+    """The subset-scan enumerator; ``parts`` is accepted and ignored."""
+    if e.is_leaf:
+        raise ValidationError(f"split called on leaf {e}")
+    adj = _adjacency(cat)
+    rels = e.rels
+    out: list[Alternative] = []
+    seen: set[frozenset[str]] = set()
+
+    def emit(phy_op, l_expr, l_prop, r_expr, r_prop):
+        out.append(Alternative(len(out) + 1, LOG_JOIN, phy_op, l_expr, l_prop, r_expr, r_prop))
+
+    for size in range(1, len(rels) // 2 + 1):
+        for combo in combinations(rels, size):
+            side_a = frozenset(combo)
+            if side_a in seen:
+                continue
+            side_b = tuple(r for r in rels if r not in side_a)
+            seen.add(side_a)
+            seen.add(frozenset(side_b))
+            if not _is_connected(combo, adj) or not _is_connected(side_b, adj):
+                continue
+            crossing = _crossing(cat, combo, side_b)
+            if not crossing:
+                continue
+            a_sig, b_sig = ExprSig.of(combo), ExprSig.of(side_b)
+            sides = [(q.left, q.right) if q.left.split(".", 1)[0] in side_a
+                     else (q.right, q.left) for q in crossing]
+            if p.is_none:
+                emit(HASH_JOIN, a_sig, PropertySpec.none(), b_sig, PropertySpec.none())
+                for attr_a, attr_b in sides:
+                    for inner_sig, inner_attr, outer_sig in ((a_sig, attr_a, b_sig),
+                                                             (b_sig, attr_b, a_sig)):
+                        rel_name, _, bare = inner_attr.partition(".")
+                        if inner_sig.is_leaf and bare in cat.relation(rel_name).indexed_on:
+                            emit(INDEX_NL_JOIN, inner_sig, PropertySpec.index_on(inner_attr),
+                                 outer_sig, PropertySpec.none())
+            for attr_a, attr_b in sides:
+                if p.is_none or (p.kind == PROP_SORTED and p.attr in (attr_a, attr_b)):
+                    emit(MERGE_JOIN, a_sig, PropertySpec.sorted_on(attr_a),
+                         b_sig, PropertySpec.sorted_on(attr_b))
+    if not out:
+        raise NoAlternatives(f"no operator yields {p} for {e}")
+    return out
+
+
+def _universe_rows(cat: Catalog, query: Query):
+    u = SearchUniverse(cat, query)
+    return [(g, u.alternatives(g)) for g in u.groups()]
+
+
+def assert_same_universe(cat: Catalog, query: Query, monkeypatch) -> None:
+    got = _universe_rows(cat, query)
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "split", reference_split)
+        want = _universe_rows(cat, query)
+    assert [g for g, _ in got] == [g for g, _ in want]
+    for (g, alts), (_, ref) in zip(got, want):
+        assert alts == ref, g
+
+
+def _rel(name, attrs, indexed=()):
+    return RelationMeta(name, 100.0, attrs, indexed_on=indexed)
+
+
+def _cat(relations, predicates) -> Catalog:
+    cat = Catalog(relations=tuple(relations),
+                  predicates=tuple(JoinPredicate(l, r, 0.01) for l, r in predicates))
+    validate_catalog(cat)
+    return cat
+
+
+def cycle_catalog() -> tuple[Catalog, Query]:
+    # A-B-C-D-E-A: every arc of the ring is connected, so are most complements
+    names = "ABCDE"
+    rels = [_rel(n, ("x", "y"), indexed=("x",)) for n in names]
+    preds = [(f"{names[i]}.y", f"{names[(i + 1) % 5]}.x") for i in range(5)]
+    return _cat(rels, preds), Query(tuple(names))
+
+
+def double_edge_catalog() -> tuple[Catalog, Query]:
+    # two predicates between A and B, declared out of canonical order
+    rels = [_rel("A", ("p", "q"), indexed=("q",)), _rel("B", ("p", "q"), indexed=("p",)),
+            _rel("C", ("z",), indexed=("z",))]
+    preds = [("A.q", "B.q"), ("B.p", "A.p"), ("B.q", "C.z")]
+    return _cat(rels, preds), Query(("A", "B", "C"))
+
+
+def chain4_catalog() -> tuple[Catalog, Query]:
+    # the 2|2 split {A,B}|{C,D} has both halves connected; {A,C}|{B,D} none
+    rels = [_rel(n, ("l", "r"), indexed=("l",)) for n in "ABCD"]
+    preds = [("A.r", "B.l"), ("B.r", "C.l"), ("C.r", "D.l")]
+    return _cat(rels, preds), Query(("A", "B", "C", "D"))
+
+
+SEEDED = [(shape, n, seed)
+          for shape, sizes in (("chain", (2, 3, 5, 6, 9)), ("star", (4, 6, 9)),
+                               ("clique", (3, 5, 8)))
+          for n in sizes for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("shape,n,seed", SEEDED)
+def test_seeded_universe_matches_subset_scan(shape, n, seed, monkeypatch):
+    assert_same_universe(*make_workload(shape, n, seed), monkeypatch)
+
+
+@pytest.mark.parametrize("fixture", [q3s, q5s, q8joins])
+def test_fixture_universe_matches_subset_scan(fixture, monkeypatch):
+    assert_same_universe(*fixture(), monkeypatch)
+
+
+@pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
+def test_edge_case_universe_matches_subset_scan(build, monkeypatch):
+    assert_same_universe(*build(), monkeypatch)
+
+
+@pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
+def test_split_matches_subset_scan_for_every_subexpression(build):
+    # raw split output, including unbuildable properties and NoAlternatives
+    cat, query = build()
+    props = [PropertySpec.none()] + [
+        PropertySpec.sorted_on(f"{r.name}.{a}") for r in cat.relations for a in r.attributes
+    ]
+    rels = query.sig.rels
+    for size in range(2, len(rels) + 1):
+        for combo in combinations(rels, size):
+            e = ExprSig.of(combo)
+            for p in props:
+                try:
+                    want = reference_split(e, p, cat)
+                except NoAlternatives:
+                    with pytest.raises(NoAlternatives):
+                        algebra.split(e, p, cat)
+                    continue
+                assert algebra.split(e, p, cat) == want, (e, p)
+
+
+def test_equal_halves_keep_the_side_with_the_first_relation():
+    cat, query = chain4_catalog()
+    parts = algebra.partitions(query.sig, cat)
+    assert [(a.rels, b.rels) for a, b, _ in parts] == [
+        (("A",), ("B", "C", "D")),
+        (("D",), ("A", "B", "C")),
+        (("A", "B"), ("C", "D")),
+    ]
+
+
+def test_partition_orients_each_crossing_predicate():
+    cat, query = double_edge_catalog()
+    parts = {(a.rels, b.rels): tuple((sa.attr, sb.attr) for sa, sb in crossing)
+             for a, b, crossing in algebra.partitions(query.sig, cat)}
+    # canonical (left, right) order puts A.q=B.q before B.p=A.p
+    assert parts[(("A",), ("B", "C"))] == (("A.q", "B.q"), ("A.p", "B.p"))
+    assert parts[(("C",), ("A", "B"))] == (("C.z", "B.q"),)
+
+
+@pytest.mark.parametrize("shape,n,seed,totals", [
+    ("chain", 16, 1, (166, 861)),
+    ("chain", 16, 2, (163, 843)),
+    ("chain", 16, 3, (159, 859)),
+    ("clique", 8, 1, (304, 5075)),
+])
+def test_universe_totals_are_pinned(shape, n, seed, totals):
+    cat, query = make_workload(shape, n, seed)
+    assert SearchUniverse(cat, query).totals() == totals
