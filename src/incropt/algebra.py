@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .catalog import Catalog
 from .errors import NoAlternatives, ParseError, ValidationError
@@ -51,11 +51,27 @@ PROP_SORTED = "sorted"
 PROP_INDEX = "index"
 
 
-@dataclass(frozen=True, order=True)
+# Group keys are hashed on every dict lookup of the fixpoint, so ExprSig and
+# PropertySpec compute their hash once, at construction, into a slot (a
+# per-instance dict would cost more memory than the hash saves).  Pickling
+# rebuilds through the constructor, because a str hash differs per process.
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class ExprSig:
     """Canonical signature of a subexpression: a sorted tuple of relations."""
 
     rels: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.rels,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ExprSig, (self.rels,)
 
     @classmethod
     def of(cls, names) -> "ExprSig":
@@ -82,12 +98,22 @@ class ExprSig:
         return "(" + ",".join(self.rels) + ")"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PropertySpec:
     """Physical property requirement/guarantee; ``attr`` is qualified ``"R.a"``."""
 
     kind: str = PROP_NONE
     attr: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.attr)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return PropertySpec, (self.kind, self.attr)
 
     @classmethod
     def none(cls) -> "PropertySpec":
@@ -404,7 +430,9 @@ class SearchUniverse:
     Memoizes each expression's partitions and each group's split output,
     filters alternatives down to the buildable ones (every child group can
     produce at least one plan), and exposes the full-space totals used as
-    pruning/update-ratio denominators.
+    pruning/update-ratio denominators.  A group's raw split output is
+    dropped once its buildable alternatives are known (an unbuildable group
+    memoizes none), so ``split`` still runs once per group.
     """
 
     def __init__(self, cat: Catalog, query: Query):
@@ -442,6 +470,9 @@ class SearchUniverse:
                 for alt in self.raw_alternatives(group)
             )
             self._buildable[group] = got
+            if not got:
+                self._alts[group] = ()
+                del self._raw[group]
         return got
 
     def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
@@ -452,6 +483,8 @@ class SearchUniverse:
                 if all(self.buildable(c) for c in a.children())
             )
             self._alts[group] = got
+            self._buildable[group] = bool(got)
+            del self._raw[group]
         return got
 
     @property

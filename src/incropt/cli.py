@@ -1,9 +1,10 @@
 """Command-line surface: optimize / reoptimize / bench / verify.
 
 Exit codes: 0 success; 1 parse/validation/state errors; 2 infeasible query;
-3 verification mismatch.  All commands are deterministic under a fixed seed
-(INCROPT_SEED overrides --seed); bench omits wall-clock columns unless
---timing is given so identical seeds produce byte-identical CSV.
+3 verification mismatch.  All commands are deterministic; bench and verify
+draw their workloads from --seed (INCROPT_SEED overrides it); bench omits
+wall-clock columns unless --timing is given so identical seeds produce
+byte-identical CSV.
 """
 from __future__ import annotations
 
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-plan", default=None)
     p.add_argument("--metrics", default=None)
     p.add_argument("--save-state", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("reoptimize", help="incrementally re-optimize from saved state")

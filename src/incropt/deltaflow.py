@@ -7,7 +7,9 @@ is visible iff its count is positive.  Counts may dip below zero while a
 deletion overtakes its insertion in the queue; at quiescence every count is
 non-negative.  Min groups retain every value they have ever been handed,
 including ones above the minimum, so the next-best is recoverable when the
-minimum is deleted or raised.
+minimum is deleted or raised.  Each group's minimum is cached beside its
+members: a change below it replaces it in O(1), and only deleting or raising
+the minimum member rescans that one group.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -110,22 +112,24 @@ class MinGroupState:
     the *retained* minimum ranges over every member (pruned ones included)
     while the *visible* minimum ranges over visible members only.  Ordering
     is lexicographic on (cost, member key) so ties resolve deterministically.
+
+    Invariant: ``_min[group]`` is the lexicographic minimum of
+    ``_costs[group]``, and a group has an entry in both or in neither.
+    ``update`` keeps it so in O(1) except when the minimum member is deleted
+    or raised, the only two cases that rescan, and only that one group.
     """
 
     def __init__(self, relation: str = "bestcost"):
         self.relation = relation
         self._costs: dict[Any, dict[Any, float]] = {}
+        self._min: dict[Any, tuple[float, Any]] = {}
         self._visible: dict[Any, set[Any]] = {}
 
     def members(self, group: Any) -> dict[Any, float]:
         return dict(self._costs.get(group, {}))
 
     def min_of(self, group: Any) -> tuple[float, Any] | None:
-        entries = self._costs.get(group)
-        if not entries:
-            return None
-        best_key = min(entries, key=lambda k: (entries[k], k))
-        return entries[best_key], best_key
+        return self._min.get(group)
 
     def visible_min(self, group: Any) -> tuple[float, Any] | None:
         entries = self._costs.get(group)
@@ -148,36 +152,51 @@ class MinGroupState:
     def update(self, group: Any, d: Delta) -> Delta | None:
         """Apply a member-level delta; report the change to the group minimum.
 
-        Implements the four incremental cases: an insertion may lower the
-        min; deleting the min promotes the next-best; an update raising the
-        min promotes min(new, next-best); an update lowering a value either
-        replaces the min or competes with it.
+        The cached minimum follows four cases: a value (inserted, or updated)
+        below the minimum replaces it; deleting the minimum member, or
+        raising it, rescans the group for the next-best; any other change
+        leaves it alone; the last delete drops the group.  An insert of a
+        member already present is an update of its value.
         """
-        before = self.min_of(group)
-        entries = self._costs.setdefault(group, {})
-        if d.op == INSERT:
-            member, cost = d.payload
+        before = self._min.get(group)
+        if d.op == INSERT or d.op == UPDATE:
+            member, cost = d.payload if d.op == INSERT else d.new
+            entries = self._costs.get(group)
+            if entries is None:
+                entries = self._costs[group] = {}
             entries[member] = cost
+            cand = (cost, member)
+            if before is None or cand < before:
+                after = self._min[group] = cand
+            elif before[1] == member and cost != before[0]:
+                after = self._min[group] = _lexmin(entries)
+            else:
+                return None
         elif d.op == DELETE:
             # visibility markers are owned by the row-visibility edges, so a
             # value deletion leaves them alone (the row may stay visible)
             member = d.payload[0] if isinstance(d.payload, tuple) else d.payload
-            entries.pop(member, None)
+            entries = self._costs.get(group)
+            if entries is None or member not in entries:
+                return None
+            del entries[member]
             if not entries:
-                self._costs.pop(group, None)
-        elif d.op == UPDATE:
-            member, cost = d.new
-            entries[member] = cost
+                del self._costs[group], self._min[group]
+                return Delta(self.relation, DELETE, (group, before))
+            if before[1] != member:
+                return None
+            after = self._min[group] = _lexmin(entries)
         else:
             raise ValidationError(f"unknown delta op {d.op!r}")
-        after = self.min_of(group)
-        if before == after:
-            return None
         if before is None:
             return Delta(self.relation, INSERT, (group, after))
-        if after is None:
-            return Delta(self.relation, DELETE, (group, before))
         return Delta(self.relation, UPDATE, group, old=before, new=after)
+
+
+def _lexmin(entries: dict[Any, float]) -> tuple[float, Any]:
+    """The (cost, member) minimum of a non-empty group, by full scan."""
+    best = min(entries, key=lambda k: (entries[k], k))
+    return entries[best], best
 
 
 DEFAULT_DELTA_CEILING = 10 ** 8

@@ -738,6 +738,13 @@ class DeclarativeOptimizer:
                     opt.mins.set_visible(g, ak, count > 0)
                     if a.cost is not None:
                         opt.mins.update(g, Delta("pc", INSERT, (ak, a.cost)))
+                best = gobj["best"]
+                stored = None if best is None else (
+                    best["cost"], (int(best["index"]), best["phy_op"]))
+                if stored != opt.mins.min_of(g):
+                    raise StateMismatch(
+                        f"snapshot best {stored} of group {g[0]}|{g[1]} is not "
+                        f"the minimum of its rows {opt.mins.min_of(g)}")
             # local costs and bound contributions are pure; rebuild directly
             for g, gs in opt.groups.items():
                 for ak, a in gs.alts.items():

@@ -38,3 +38,38 @@ def tiny_catalog() -> tuple[Catalog, Query]:
 @pytest.fixture()
 def co_fixture():
     return tiny_catalog()
+
+
+def _root_group(snap: dict) -> dict:
+    rels = sorted(snap["query"]["relations"])
+    return next(g for g in snap["groups"] if g["expr"] == rels and g["prop"] == "none")
+
+
+def _scale_root_best(snap: dict) -> None:
+    _root_group(snap)["best"]["cost"] *= 10
+
+
+def _null_root_best(snap: dict) -> None:
+    _root_group(snap)["best"]["cost"] = None
+
+
+def _lower_non_best_root_row(snap: dict) -> None:
+    root = _root_group(snap)
+    best = root["best"]
+    row = next(r for r in root["rows"] if r["cost"] is not None
+               and (r["index"], r["phy_op"]) != (best["index"], best["phy_op"]))
+    row["cost"] = best["cost"] / 2
+
+
+# saved-state corruptions that leave the snapshot well-formed and the catalog
+# hash intact: each must be reported as a state mismatch on load
+STATE_TAMPERS = {
+    "root-best-x10": _scale_root_best,
+    "root-best-null": _null_root_best,
+    "non-best-row-below-best": _lower_non_best_root_row,
+}
+
+
+@pytest.fixture(params=sorted(STATE_TAMPERS))
+def state_tamper(request):
+    return STATE_TAMPERS[request.param]

@@ -157,6 +157,27 @@ def test_reoptimize_corrupted_state(fixture_files, tmp_path):
     assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 1
 
 
+def test_reoptimize_tampered_best_exits_1(fixture_files, tmp_path, capsys, state_tamper):
+    state = _save_state(fixture_files, tmp_path, name="q3s")
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps([
+        {"kind": "scan_cost", "target": "lineitem", "factor": 2.0}]))
+    assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 0
+    snap = json.loads(state.read_text())
+    state_tamper(snap)
+    state.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 1
+    assert "is not the minimum of its rows" in capsys.readouterr().err
+
+
+def test_optimize_has_no_seed_flag(fixture_files):
+    assert run("optimize",
+               "--catalog", str(fixture_files / "q3s.catalog.json"),
+               "--query", str(fixture_files / "q3s.query.json"),
+               "--seed", "1") == 1
+
+
 def test_bench_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bench", "--shapes", "chain,star", "--sizes", "3,4", "--trials", "2",

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
+from incropt.algebra import ExprSig, PropertySpec
+from incropt.costmodel import lexmin
 from incropt.deltaflow import (
     CountedState, DELETE, Delta, FixpointEngine, INSERT, MinGroupState, UPDATE,
 )
@@ -125,6 +129,153 @@ class TestMinGroupState:
         m.set_visible("g", "a", False)
         assert m.visible_min("g") == (2.0, "b")
         assert m.min_of("g") == (1.0, "a")
+
+
+def _expected_event(group, before, after):
+    if before == after:
+        return None
+    if before is None:
+        return (INSERT, (group, after), None, None)
+    if after is None:
+        return (DELETE, (group, before), None, None)
+    return (UPDATE, group, before, after)
+
+
+def _shape(evt):
+    return None if evt is None else (evt.op, evt.payload, evt.old, evt.new)
+
+
+class TestMinGroupModel:
+    """The cached minimum against a brute-force lexmin after every step."""
+
+    MEMBERS = [(i, op) for i in (1, 2, 3) for op in ("hash_join", "merge_join")]
+    COSTS = (1.0, 2.0, 2.0, 3.0, 5.0)   # a repeated cost makes ties likely
+
+    def step(self, m, group, d):
+        before = lexmin((c, k) for k, c in m.members(group).items())
+        evt = m.update(group, d)
+        after = lexmin((c, k) for k, c in m.members(group).items())
+        assert m.min_of(group) == after
+        assert _shape(evt) == _expected_event(group, before, after)
+        return evt
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        m = MinGroupState()
+        groups = ("g1", "g2", "g3")
+        for _ in range(600):
+            g = rng.choice(groups)
+            member = rng.choice(self.MEMBERS)
+            cost = rng.choice(self.COSTS)
+            present = m.members(g)
+            roll = rng.random()
+            if roll < 0.4:
+                # inserting a member already present is an update
+                d = Delta("pc", INSERT, (member, cost))
+            elif roll < 0.7:
+                # deleting an absent member is a no-op
+                d = Delta("pc", DELETE, (member,))
+            elif present:
+                member = rng.choice(sorted(present))
+                old = present[member]
+                if cost == old:
+                    cost = old + 1.0
+                d = Delta("pc", UPDATE, None, old=(member, old), new=(member, cost))
+            else:
+                continue
+            self.step(m, g, d)
+        for g in groups:
+            assert m.min_of(g) == lexmin((c, k) for k, c in m.members(g).items())
+
+    def test_cost_tie_broken_by_member_key(self):
+        m = MinGroupState()
+        self.step(m, "g", Delta("pc", INSERT, ((2, "hash_join"), 1.0)))
+        evt = self.step(m, "g", Delta("pc", INSERT, ((1, "merge_join"), 1.0)))
+        assert evt.new == (1.0, (1, "merge_join"))
+        assert self.step(m, "g", Delta("pc", INSERT, ((3, "hash_join"), 1.0))) is None
+
+    def test_equal_cost_update_of_non_min_member(self):
+        m = MinGroupState()
+        self.step(m, "g", Delta("pc", INSERT, ((2, "a"), 1.0)))
+        self.step(m, "g", Delta("pc", INSERT, ((1, "a"), 4.0)))
+        self.step(m, "g", Delta("pc", INSERT, ((3, "a"), 4.0)))
+        # a larger key tying the minimum leaves it alone
+        assert self.step(m, "g", Delta("pc", UPDATE, None, old=((3, "a"), 4.0),
+                                       new=((3, "a"), 1.0))) is None
+        # a smaller key tying the minimum takes it over
+        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=((1, "a"), 4.0),
+                                      new=((1, "a"), 1.0)))
+        assert evt.new == (1.0, (1, "a"))
+
+    def test_raising_min_rescans_including_ties(self):
+        m = MinGroupState()
+        for key, c in (("a", 1.0), ("c", 2.0), ("b", 2.0)):
+            self.step(m, "g", Delta("pc", INSERT, (key, c)))
+        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=("a", 1.0), new=("a", 2.0)))
+        assert evt.new == (2.0, "a")
+        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=("a", 2.0), new=("a", 9.0)))
+        assert evt.new == (2.0, "b")
+
+    def test_deleting_min_and_last_delete(self):
+        m = MinGroupState()
+        self.step(m, "g", Delta("pc", INSERT, ("a", 1.0)))
+        self.step(m, "g", Delta("pc", INSERT, ("b", 3.0)))
+        assert self.step(m, "g", Delta("pc", DELETE, ("zz",))) is None
+        assert self.step(m, "g", Delta("pc", DELETE, ("a",))).new == (3.0, "b")
+        evt = self.step(m, "g", Delta("pc", DELETE, ("b",)))
+        assert evt.op == DELETE and m.min_of("g") is None and m.members("g") == {}
+        assert self.step(m, "g", Delta("pc", DELETE, ("b",))) is None
+        assert self.step(m, "g", Delta("pc", INSERT, ("b", 2.0))).op == INSERT
+
+    def test_reinserting_existing_member_is_an_update(self):
+        m = MinGroupState()
+        self.step(m, "g", Delta("pc", INSERT, ("a", 1.0)))
+        self.step(m, "g", Delta("pc", INSERT, ("b", 2.0)))
+        assert self.step(m, "g", Delta("pc", INSERT, ("a", 1.0))) is None
+        assert self.step(m, "g", Delta("pc", INSERT, ("a", 5.0))).new == (2.0, "b")
+        assert len(m.members("g")) == 2
+
+    def test_unknown_op_changes_nothing(self):
+        m = MinGroupState()
+        m.update("g", Delta("pc", INSERT, ("a", 1.0)))
+        with pytest.raises(ValidationError):
+            m.update("g", Delta("pc", "?", ("a", 0.5)))
+        assert m.min_of("g") == (1.0, "a") and m.members("g") == {"a": 1.0}
+
+
+class TestGroupKeys:
+    KEYS = [ExprSig.of(["b", "a"]), ExprSig.of(["c"]), PropertySpec.none(),
+            PropertySpec.sorted_on("a.x"), PropertySpec.index_on("b.y")]
+
+    def test_equal_values_hash_equal(self):
+        assert hash(ExprSig.of(["a", "b"])) == hash(ExprSig(("a", "b")))
+        assert ExprSig.of(["a", "b"]) == ExprSig(("a", "b"))
+        assert hash(PropertySpec("sorted", "a.x")) == hash(PropertySpec.sorted_on("a.x"))
+        assert PropertySpec.parse("none") == PropertySpec()
+        assert hash(PropertySpec.parse("none")) == hash(PropertySpec())
+        groups = {(ExprSig.of(["a", "b"]), PropertySpec.sorted_on("a.x")): 1}
+        assert groups[(ExprSig(("a", "b")), PropertySpec("sorted", "a.x"))] == 1
+
+    def test_order_and_repr_unchanged(self):
+        assert ExprSig(("a",)) < ExprSig(("a", "b")) < ExprSig(("b",))
+        assert PropertySpec("index", "z.z") < PropertySpec("none") < PropertySpec("sorted", "a.a")
+        assert repr(ExprSig.of(["b", "a"])) == "ExprSig(rels=('a', 'b'))"
+        assert repr(PropertySpec.sorted_on("a.x")) == "PropertySpec(kind='sorted', attr='a.x')"
+        assert str(ExprSig.of(["b", "a"])) == "(a,b)"
+
+    def test_no_instance_dict(self):
+        for key in self.KEYS:
+            assert not hasattr(key, "__dict__")
+
+    @pytest.mark.parametrize("clone", [lambda k: pickle.loads(pickle.dumps(k)),
+                                       copy.deepcopy, copy.copy])
+    def test_survive_pickle_and_copy(self, clone):
+        for key in self.KEYS:
+            back = clone(key)
+            assert back == key and hash(back) == hash(key) and repr(back) == repr(key)
+        group = (self.KEYS[0], self.KEYS[3])
+        assert clone({group: 1})[group] == 1
 
 
 class TestFixpointEngine:

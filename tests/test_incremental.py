@@ -5,6 +5,7 @@ import pytest
 from incropt.algebra import ExprSig
 from incropt.baselines import brute_force_optimize
 from incropt.catalog import StatUpdate, apply_update
+from incropt.fixtures import q3s
 from incropt.errors import UnknownTarget
 from incropt.incremental import ReoptSession, stat_to_deltas
 from incropt.optimizer import DeclarativeOptimizer, Strategies
@@ -186,3 +187,40 @@ def test_pruned_row_readmitted_when_it_becomes_viable(q5s_fixture):
     readmitted = after - before
     assert readmitted, "expected previously pruned rows to come back"
     assert opt.final_state_check()["ok"]
+
+
+def _update_stream(cat, seed):
+    """36 single updates; every third is followed at once by its inverse,
+    and the first six are undone in reverse order at the end."""
+    stream = []
+    for i, u in enumerate(make_update_batch(cat, 24, seed)):
+        stream.append(u)
+        if i % 3 == 2:
+            stream.append(u.inverse())
+    return stream + [u.inverse() for u in reversed(stream[:6])]
+
+
+_DIGEST_WORKLOADS = {
+    "q3s": q3s,
+    "chain-5": lambda: make_workload("chain", 5, 1),
+    "star-5": lambda: make_workload("star", 5, 2),
+    "clique-4": lambda: make_workload("clique", 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_WORKLOADS))
+def test_incremental_state_digest_equals_from_scratch(name):
+    """The whole maintained state, not just the plan, equals a from-scratch
+    run on the folded catalog, under FIFO and shuffled drains alike."""
+    cat, q = _DIGEST_WORKLOADS[name]()
+    for drain_seed in (None, 0, 1, 2):
+        order = "fifo" if drain_seed is None else "random"
+        opt, session = fresh_session(cat, q, drain_order=order, drain_seed=drain_seed)
+        stream = _update_stream(cat, 31 + (drain_seed or 0))
+        assert len(stream) >= 30
+        for k, u in enumerate(stream, 1):
+            session.add_updates([u])
+            session.reoptimize()
+            if k % 12 == 0 or k == len(stream):
+                fresh = DeclarativeOptimizer(opt.catalog, q).run()
+                assert opt.state_digest() == fresh.state_digest(), (name, drain_seed, k)

@@ -8,7 +8,7 @@ from incropt.algebra import ExprSig, PropertySpec, Query
 from incropt.baselines import brute_force_optimize
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
 from incropt.costmodel import CostConfig
-from incropt.errors import InfeasibleQuery, ValidationError
+from incropt.errors import InfeasibleQuery, StateMismatch, ValidationError
 from incropt.optimizer import DeclarativeOptimizer, Strategies
 
 ALL = Strategies.all()
@@ -278,6 +278,17 @@ def test_snapshot_roundtrip(q5s_fixture):
     back = DeclarativeOptimizer.from_snapshot(snap)
     assert back.state_digest() == opt.state_digest()
     assert back.best_plan() == opt.best_plan()
+
+
+def test_tampered_snapshot_best_is_a_state_mismatch(q3s_fixture, state_tamper):
+    cat, q = q3s_fixture
+    opt = DeclarativeOptimizer(cat, q).run()
+    snap = json.loads(json.dumps(opt.to_snapshot()))
+    back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
+    assert back.best_plan() == opt.best_plan()
+    state_tamper(snap)
+    with pytest.raises(StateMismatch, match="is not the minimum of its rows"):
+        DeclarativeOptimizer.from_snapshot(snap)
 
 
 def test_merge_join_wins_under_cheap_ordered_access():
