@@ -16,26 +16,19 @@ Run:  python3 demos/03_pruning_strategies.py
 """
 from incropt import DeclarativeOptimizer, Strategies, brute_force_optimize
 from incropt.fixtures import q8joins
+from incropt.optimizer import STRATEGY_SUBSETS
 
 cat, query = q8joins()
 ref, _ = brute_force_optimize(query, cat)
 print(f"oracle cost: {ref.cost:.2f}")
 
-subsets = [
-    ("none", Strategies.none()),
-    ("aggsel", Strategies(True, False, False)),
-    ("aggsel+refcount", Strategies(True, True, False)),
-    ("aggsel+bounding", Strategies(True, False, True)),
-    ("all three", Strategies.all()),
-]
-
-print(f"\n{'strategies':20s} {'groups':>8s} {'alts':>8s} {'pruned':>8s}  cost ok")
-for label, st in subsets:
+print(f"\n{'strategies':26s} {'groups':>8s} {'alts':>8s} {'pruned':>8s}  cost ok")
+for label, st in STRATEGY_SUBSETS.items():
     opt = DeclarativeOptimizer(cat, query, strategies=st).run()
     total_or, total_and = opt.universe.totals()
     vis_or, vis_and = opt.visible_counts()
     pruned = 1.0 - vis_and / total_and
-    print(f"{label:20s} {vis_or:>8d} {vis_and:>8d} {pruned:>7.0%}   "
+    print(f"{label:26s} {vis_or:>8d} {vis_and:>8d} {pruned:>7.0%}   "
           f"{opt.best_cost() == ref.cost}")
 
 # However much is pruned, the answer never changes; with everything on,

@@ -4,7 +4,7 @@ and exhaustive baselines sharing one cost model."""
 
 from .algebra import (
     Alternative, ExprSig, PropertySpec, Query, SearchUniverse,
-    connected_subexprs, is_leaf, leaf_alternatives, load_query, split,
+    connected_subexprs, leaf_alternatives, load_query, split,
 )
 from .baselines import (
     BaselineMetrics, brute_force_optimize, systemr_optimize, volcano_optimize,
@@ -30,8 +30,8 @@ __all__ = [
     "FixpointEngine", "JoinPredicate", "MinGroupState", "PlanNode",
     "PropertySpec", "Query", "RelationMeta", "ReoptMetrics", "ReoptSession",
     "SearchUniverse", "StatUpdate", "Strategies", "Summary", "apply_update",
-    "brute_force_optimize", "connected_subexprs", "is_leaf",
-    "leaf_alternatives", "load_catalog", "load_query", "load_updates",
-    "nonscan_cost", "nonscan_summary", "scan_cost", "scan_summary", "split",
-    "stat_to_deltas", "sum_cost", "systemr_optimize", "volcano_optimize",
+    "brute_force_optimize", "connected_subexprs", "leaf_alternatives",
+    "load_catalog", "load_query", "load_updates", "nonscan_cost",
+    "nonscan_summary", "scan_cost", "scan_summary", "split", "stat_to_deltas",
+    "sum_cost", "systemr_optimize", "volcano_optimize",
 ]

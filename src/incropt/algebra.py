@@ -88,9 +88,6 @@ class ExprSig:
     def sole(self) -> str:
         return self.rels[0]
 
-    def minus(self, other: "ExprSig") -> "ExprSig":
-        return ExprSig.of(set(self.rels) - set(other.rels))
-
     def __len__(self) -> int:
         return len(self.rels)
 
@@ -240,10 +237,6 @@ def load_query(path: str, cat: Catalog) -> Query:
     except json.JSONDecodeError as exc:
         raise ParseError(f"query file {path} is not valid JSON: {exc}") from exc
     return query_from_dict(data, cat)
-
-
-def is_leaf(e: ExprSig) -> bool:
-    return e.is_leaf
 
 
 def _neighbours(mask: int, adj: tuple[int, ...]) -> int:

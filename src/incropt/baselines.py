@@ -5,11 +5,17 @@ split function and cost every alternative through the shared arithmetic
 path, so any cost difference against the declarative engine is a search
 bug, never a modelling artifact.
 
-* ``brute_force_optimize`` -- exhaustive ground-truth oracle, no pruning.
-* ``systemr_optimize``     -- bottom-up dynamic programming in strictly
-  increasing subset-size passes, best per group retained, no pruning.
+* ``brute_force_optimize`` -- exhaustive ground-truth oracle, no pruning:
+  the memoized best-cost DP (``costmodel.BestCost``) resolved from the root.
+* ``systemr_optimize``     -- the same DP asked for every group in strictly
+  increasing subset-size order, so each group is resolved from children
+  already resolved; no pruning.
 * ``volcano_optimize``     -- top-down recursion with memoization and
   branch-and-bound cost limits passed into child exploration.
+
+The oracle and System-R share their DP with the declarative engine's
+pruned-group fallback; the test suite checks them against an enumerator of
+whole plan trees built straight from the catalog.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .algebra import AltKey, GroupKey, Query, SearchUniverse
 from .catalog import Catalog
-from .costmodel import CostConfig, CostContext, alternative_cost, lexmin, sum_cost
+from .costmodel import BestCost, CostConfig, CostContext, sum_cost
 from .errors import InfeasibleQuery, TooLarge
 from .plan import PlanNode, build_plan
 
@@ -53,6 +59,24 @@ def _group_sort_key(g: GroupKey):
     return (len(g[0]), g[0].rels, str(g[1]))
 
 
+def _resolve(ctx: CostContext, universe: SearchUniverse, order, start: float
+             ) -> tuple[PlanNode, BaselineMetrics]:
+    """Ask the DP for each group of ``order``, then extract the root's plan.
+
+    Every resolved group counts as visited with all its alternatives;
+    ``visit_log`` is the resolution order.
+    """
+    dp = BestCost(universe, ctx)
+    for g in order:
+        dp.best(g)
+    metrics = BaselineMetrics(
+        visited_and=sum(len(universe.alternatives(g)) for g in dp.memo),
+        visited_or=len(dp.memo), visit_log=list(dp.memo))
+    plan = build_plan(universe, ctx, dp.best, universe.root)
+    metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
+    return plan, metrics
+
+
 def brute_force_optimize(query: Query, cat: Catalog, *,
                          config: CostConfig | None = None
                          ) -> tuple[PlanNode, BaselineMetrics]:
@@ -65,26 +89,7 @@ def brute_force_optimize(query: Query, cat: Catalog, *,
             f"budget of {BRUTE_FORCE_MAX_RELATIONS}")
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    metrics = BaselineMetrics()
-    best: dict[GroupKey, tuple[float, AltKey]] = {}
-
-    def resolve(g: GroupKey) -> tuple[float, AltKey]:
-        got = best.get(g)
-        if got is None:
-            metrics.visit_log.append(g)
-            candidates = []
-            for alt in universe.alternatives(g):
-                candidates.append((alternative_cost(ctx, g, alt, resolve), alt.key))
-                metrics.visited_and += 1
-            got = lexmin(candidates)
-            best[g] = got
-        return got
-
-    resolve(universe.root)
-    metrics.visited_or = len(best)
-    plan = build_plan(universe, ctx, resolve, universe.root)
-    metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    return plan, metrics
+    return _resolve(ctx, universe, [universe.root], start)
 
 
 def systemr_optimize(query: Query, cat: Catalog, *,
@@ -94,22 +99,7 @@ def systemr_optimize(query: Query, cat: Catalog, *,
     larger subsets; each group visited exactly once, no branch-and-bound."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    metrics = BaselineMetrics()
-    best: dict[GroupKey, tuple[float, AltKey]] = {}
-
-    for g in sorted(universe.groups(), key=_group_sort_key):
-        metrics.visit_log.append(g)
-        candidates = []
-        for alt in universe.alternatives(g):
-            candidates.append(
-                (alternative_cost(ctx, g, alt, best.__getitem__), alt.key))
-            metrics.visited_and += 1
-        best[g] = lexmin(candidates)
-
-    metrics.visited_or = len(best)
-    plan = build_plan(universe, ctx, best.__getitem__, universe.root)
-    metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    return plan, metrics
+    return _resolve(ctx, universe, sorted(universe.groups(), key=_group_sort_key), start)
 
 
 class _VolcanoMemo:
@@ -123,8 +113,7 @@ class _VolcanoMemo:
 
 
 def volcano_optimize(query: Query, cat: Catalog, *,
-                     config: CostConfig | None = None,
-                     use_bounds: bool = True
+                     config: CostConfig | None = None
                      ) -> tuple[PlanNode, BaselineMetrics]:
     """Top-down exploration with memoization; the cost limit handed to each
     child is the remaining budget after the local operator and any sibling
@@ -143,8 +132,8 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             entry = memo[g] = _VolcanoMemo()
             metrics.visit_log.append(g)
         if entry.exact is not None:
-            return entry.exact if entry.exact[0] <= limit or not use_bounds else None
-        if use_bounds and limit <= entry.fail_limit:
+            return entry.exact if entry.exact[0] <= limit else None
+        if limit <= entry.fail_limit:
             return None
 
         best: tuple[float, AltKey] | None = None
@@ -158,18 +147,13 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             if alt.is_scan:
                 cost = sum_cost(None, None, local)
             else:
-                if use_bounds and local > bound:
-                    any_pruned = True
-                    pruned_alts.add((g, alt.key))
-                    continue
-                left = explore((alt.l_expr, alt.l_prop),
-                               bound - local if use_bounds else math.inf)
-                if left is None:
-                    any_pruned = True
-                    pruned_alts.add((g, alt.key))
-                    continue
-                right = explore((alt.r_expr, alt.r_prop),
-                                bound - local - left[0] if use_bounds else math.inf)
+                # a child is explored only within what the local cost, and
+                # the left child for the right one, leave of the bound
+                left = right = None
+                if local <= bound:
+                    left = explore((alt.l_expr, alt.l_prop), bound - local)
+                if left is not None:
+                    right = explore((alt.r_expr, alt.r_prop), bound - local - left[0])
                 if right is None:
                     any_pruned = True
                     pruned_alts.add((g, alt.key))
@@ -180,7 +164,7 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             if best is None or cand < best:
                 best = cand
 
-        if best is not None and (not use_bounds or best[0] <= limit):
+        if best is not None and best[0] <= limit:
             entry.exact = best
             return best
         entry.fail_limit = max(entry.fail_limit, limit)

@@ -24,7 +24,7 @@ from .errors import (
     StateMismatch, TooLarge, UnknownTarget, ValidationError,
 )
 from .incremental import ReoptSession
-from .optimizer import DeclarativeOptimizer, Strategies
+from .optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from .workload import SHAPES, make_update_batch, make_workload
 
 SCHEMA_VERSION = 1
@@ -39,14 +39,6 @@ _BENCH_COLUMNS = [
 _TIMING_COLUMNS = ["wall_ms_opt", "wall_ms_reopt"]
 
 ENGINES = ("declarative", "volcano", "systemr", "oracle")
-
-_STRATEGY_SUBSETS = {
-    "none": Strategies.none(),
-    "aggsel": Strategies(True, False, False),
-    "aggsel,refcount": Strategies(True, True, False),
-    "aggsel,bounding": Strategies(True, False, True),
-    "aggsel,refcount,bounding": Strategies.all(),
-}
 
 
 def _seed_from(args) -> int:
@@ -72,14 +64,9 @@ def _load_inputs(args) -> tuple[Catalog, Query, CostConfig]:
 def _run_engine(engine: str, cat: Catalog, query: Query, config: CostConfig,
                 strategies: Strategies):
     """Returns (plan, metrics_dict, optimizer_or_None)."""
-    if engine == "oracle":
-        plan, m = brute_force_optimize(query, cat, config=config)
-        base = m.to_dict()
-        base.update({"engine": engine, "pruning_ratio_or": 0.0,
-                     "pruning_ratio_and": 0.0, "best_cost": plan.cost})
-        return plan, base, None
-    if engine == "systemr":
-        plan, m = systemr_optimize(query, cat, config=config)
+    if engine in ("oracle", "systemr"):
+        optimize = brute_force_optimize if engine == "oracle" else systemr_optimize
+        plan, m = optimize(query, cat, config=config)
         base = m.to_dict()
         base.update({"engine": engine, "pruning_ratio_or": 0.0,
                      "pruning_ratio_and": 0.0, "best_cost": plan.cost})
@@ -252,7 +239,7 @@ def _verify_trial(shape: str, n: int, seed: int, k_updates: int,
     vp, _ = volcano_optimize(query, cat, config=cfg("volcano"))
     if vp.to_dict() != ref:
         problems.append("volcano plan differs from oracle")
-    for label, strategies in _STRATEGY_SUBSETS.items():
+    for label, strategies in STRATEGY_SUBSETS.items():
         opt = DeclarativeOptimizer(cat, query, strategies=strategies,
                                    config=cfg("declarative")).run()
         if opt.best_plan().to_dict() != ref:

@@ -21,9 +21,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .algebra import Alternative, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, Query
+from .algebra import (
+    Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, Query,
+    SearchUniverse,
+)
 from .catalog import Catalog
-from .errors import ParseError
+from .errors import InfeasibleQuery, ParseError
 
 @dataclass(frozen=True)
 class Summary:
@@ -173,3 +176,39 @@ def lexmin(candidates) -> tuple[float, tuple[int, str]] | None:
         if best is None or (cost, key) < best:
             best = (cost, key)
     return best
+
+
+class BestCost:
+    """The memoized best-cost DP over a search universe.
+
+    ``best(g)`` is the group's smallest ``(cost, (index, phy_op))`` over its
+    alternatives, each costed with its children's ``best``.  This one
+    resolver backs the exhaustive oracle, System-R (which asks for groups
+    bottom-up, so it never recurses) and the declarative engine's cost
+    composition through groups whose maintained entries are pruned away.
+    ``memo`` keeps groups in resolution order: a group is entered after
+    every child it needed.
+    """
+
+    def __init__(self, universe: SearchUniverse, ctx: CostContext):
+        self.universe = universe
+        self.ctx = ctx
+        self.memo: dict[GroupKey, tuple[float, AltKey]] = {}
+
+    def best(self, g: GroupKey) -> tuple[float, AltKey]:
+        got = self.memo.get(g)
+        if got is None:
+            got = lexmin(
+                (alternative_cost(self.ctx, g, alt, self.best), alt.key)
+                for alt in self.universe.alternatives(g)
+            )
+            if got is None:
+                raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
+            self.memo[g] = got
+        return got
+
+    def invalidate(self, affected: frozenset[str], ctx: CostContext) -> None:
+        """Adopt an updated context and forget every group over an affected relation."""
+        self.ctx = ctx
+        self.memo = {g: v for g, v in self.memo.items()
+                     if not (set(g[0].rels) & affected)}

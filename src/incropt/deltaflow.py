@@ -2,6 +2,10 @@
 min-aggregation with next-best recovery, and an order-independent fixpoint
 driver.
 
+A delta is a three-field record ``(relation, op, payload)`` with two ops,
+insert and delete; a changed value travels as a notification naming its key,
+and the receiving rule reads the current value from maintained state.
+
 State discipline: stateful relations keep a signed count per tuple; a tuple
 is visible iff its count is positive.  Counts may dip below zero while a
 deletion overtakes its insertion in the queue; at quiescence every count is
@@ -19,34 +23,21 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import NonTermination, ValidationError
 
 INSERT = "+"
 DELETE = "-"
-UPDATE = "#"
 
 
-@dataclass(frozen=True)
-class Delta:
-    """A change flowing through the engine.
-
-    ``payload`` identifies the tuple (insert/delete) or the tuple key
-    (update); updates carry the old and new values explicitly so that
-    min-maintenance can handle them atomically.
-    """
+class Delta(NamedTuple):
+    """A change flowing through the engine: ``payload`` is the tuple inserted
+    or deleted, or the key of the tuple whose value changed."""
 
     relation: str
     op: str
     payload: Any = None
-    old: Any = None
-    new: Any = None
-
-    def __post_init__(self):
-        if self.op == UPDATE and self.old == self.new:
-            raise ValidationError("update delta with old == new must not be emitted")
 
 
 class CountedState:
@@ -79,30 +70,13 @@ class CountedState:
         return before, after
 
     def apply(self, d: Delta) -> list[Delta]:
-        """Adjust counts; emit deltas only on visibility transitions."""
-        if d.op == INSERT:
-            before, after = self._bump(d.payload, +1)
-            if before <= 0 < after:
-                return [Delta(self.relation, INSERT, d.payload)]
-            return []
-        if d.op == DELETE:
-            before, after = self._bump(d.payload, -1)
-            if before > 0 >= after:
-                return [Delta(self.relation, DELETE, d.payload)]
-            return []
-        if d.op == UPDATE:
-            ob, oa = self._bump(d.old, -1)
-            nb, na = self._bump(d.new, +1)
-            old_gone = ob > 0 >= oa
-            new_here = nb <= 0 < na
-            if old_gone and new_here:
-                return [Delta(self.relation, UPDATE, None, old=d.old, new=d.new)]
-            if old_gone:
-                return [Delta(self.relation, DELETE, d.old)]
-            if new_here:
-                return [Delta(self.relation, INSERT, d.new)]
-            return []
-        raise ValidationError(f"unknown delta op {d.op!r}")
+        """Adjust the count; pass the delta on only when visibility flips."""
+        if d.op != INSERT and d.op != DELETE:
+            raise ValidationError(f"unknown delta op {d.op!r}")
+        before, after = self._bump(d.payload, 1 if d.op == INSERT else -1)
+        if (before > 0) != (after > 0):
+            return [Delta(self.relation, d.op, d.payload)]
+        return []
 
 
 class MinGroupState:
@@ -119,8 +93,7 @@ class MinGroupState:
     or raised, the only two cases that rescan, and only that one group.
     """
 
-    def __init__(self, relation: str = "bestcost"):
-        self.relation = relation
+    def __init__(self):
         self._costs: dict[Any, dict[Any, float]] = {}
         self._min: dict[Any, tuple[float, Any]] = {}
         self._visible: dict[Any, set[Any]] = {}
@@ -149,48 +122,40 @@ class MinGroupState:
         else:
             vis.discard(member)
 
-    def update(self, group: Any, d: Delta) -> Delta | None:
-        """Apply a member-level delta; report the change to the group minimum.
+    def update(self, group: Any, member: Any, cost: float | None) -> bool:
+        """Set ``member``'s value in ``group``, or delete it when ``cost`` is
+        None; report whether the group minimum changed.
 
-        The cached minimum follows four cases: a value (inserted, or updated)
-        below the minimum replaces it; deleting the minimum member, or
-        raising it, rescans the group for the next-best; any other change
-        leaves it alone; the last delete drops the group.  An insert of a
-        member already present is an update of its value.
+        The cached minimum follows four cases: a value below the minimum
+        replaces it; deleting the minimum member, or raising it, rescans the
+        group for the next-best; any other change leaves it alone; the last
+        delete drops the group.
         """
         before = self._min.get(group)
-        if d.op == INSERT or d.op == UPDATE:
-            member, cost = d.payload if d.op == INSERT else d.new
-            entries = self._costs.get(group)
+        entries = self._costs.get(group)
+        if cost is None:
+            # visibility markers are owned by the row-visibility edges, so a
+            # value deletion leaves them alone (the row may stay visible)
+            if entries is None or member not in entries:
+                return False
+            del entries[member]
+            if not entries:
+                del self._costs[group], self._min[group]
+                return True
+            if before[1] != member:
+                return False
+        else:
             if entries is None:
                 entries = self._costs[group] = {}
             entries[member] = cost
             cand = (cost, member)
             if before is None or cand < before:
-                after = self._min[group] = cand
-            elif before[1] == member and cost != before[0]:
-                after = self._min[group] = _lexmin(entries)
-            else:
-                return None
-        elif d.op == DELETE:
-            # visibility markers are owned by the row-visibility edges, so a
-            # value deletion leaves them alone (the row may stay visible)
-            member = d.payload[0] if isinstance(d.payload, tuple) else d.payload
-            entries = self._costs.get(group)
-            if entries is None or member not in entries:
-                return None
-            del entries[member]
-            if not entries:
-                del self._costs[group], self._min[group]
-                return Delta(self.relation, DELETE, (group, before))
-            if before[1] != member:
-                return None
-            after = self._min[group] = _lexmin(entries)
-        else:
-            raise ValidationError(f"unknown delta op {d.op!r}")
-        if before is None:
-            return Delta(self.relation, INSERT, (group, after))
-        return Delta(self.relation, UPDATE, group, old=before, new=after)
+                self._min[group] = cand
+                return True
+            if before[1] != member or cost == before[0]:
+                return False
+        self._min[group] = _lexmin(entries)
+        return True
 
 
 def _lexmin(entries: dict[Any, float]) -> tuple[float, Any]:

@@ -30,12 +30,10 @@ from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse,
 )
 from .catalog import Catalog
-from .costmodel import (
-    CostConfig, CostContext, alternative_cost, lexmin, sum_cost,
-)
+from .costmodel import BestCost, CostConfig, CostContext, lexmin, sum_cost
 from .deltaflow import (
     CountedState, DEFAULT_DELTA_CEILING, Delta, DELETE, FixpointEngine, INSERT,
-    MinGroupState, UPDATE,
+    MinGroupState,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
@@ -77,8 +75,15 @@ class Strategies:
     def to_list(self) -> list[str]:
         return [n for n in STRATEGY_NAMES if getattr(self, n)]
 
-    def label(self) -> str:
-        return ",".join(self.to_list()) or "none"
+
+# every valid strategy subset, keyed by its --strategies list ("none" for none)
+STRATEGY_SUBSETS = {
+    "none": Strategies.none(),
+    "aggsel": Strategies(True, False, False),
+    "aggsel,refcount": Strategies(True, True, False),
+    "aggsel,bounding": Strategies(True, False, True),
+    "aggsel,refcount,bounding": Strategies.all(),
+}
 
 
 class AltState:
@@ -110,39 +115,13 @@ class GroupState:
         self.bound: float | None = None
 
 
-class _DpBest:
-    """Pure recursive best-cost resolver over the shared universe.
-
-    Backs cost composition through groups whose maintained entries are
-    currently pruned away, so retained values never go stale relative to
-    the catalog.  Invalidated per affected relation set on catalog updates.
-    """
-
-    def __init__(self, universe: SearchUniverse, ctx: CostContext):
-        self.universe = universe
-        self.ctx = ctx
-        self.memo: dict[GroupKey, tuple[float, AltKey]] = {}
-
-    def best(self, g: GroupKey) -> tuple[float, AltKey]:
-        got = self.memo.get(g)
-        if got is None:
-            got = lexmin(
-                (alternative_cost(self.ctx, g, alt, self.best), alt.key)
-                for alt in self.universe.alternatives(g)
-            )
-            if got is None:
-                raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
-            self.memo[g] = got
-        return got
-
-    def invalidate(self, affected: frozenset[str], ctx: CostContext) -> None:
-        self.ctx = ctx
-        self.memo = {g: v for g, v in self.memo.items()
-                     if not (set(g[0].rels) & affected)}
-
-
 _AND_PAYLOAD = {"recost", "refilterrow", "pbound"}
-_OR_PAYLOAD = {"expr", "refilter", "maxbound", "bound"}
+_OR_PAYLOAD = {"expr", "bestcost", "refilter", "maxbound", "bound"}
+
+
+def _sides(alt: Alternative) -> tuple[tuple[GroupKey, str], ...]:
+    """A join alternative's two child groups, each with its side tag."""
+    return ((alt.l_expr, alt.l_prop), "l"), ((alt.r_expr, alt.r_prop), "r")
 
 
 class DeclarativeOptimizer:
@@ -159,12 +138,12 @@ class DeclarativeOptimizer:
         self.strategies = strategies or Strategies.all()
         self.ctx = CostContext(cat, query, config)
         self.universe = SearchUniverse(cat, query)
-        self._dp = _DpBest(self.universe, self.ctx)
+        self._dp = BestCost(self.universe, self.ctx)
         self.root: GroupKey = self.universe.root
         self.groups: dict[GroupKey, GroupState] = {}
         self.parent_index: dict[GroupKey, list[RowKey]] = {}
         self.ss = CountedState("searchspace", trace=trace)
-        self.mins = MinGroupState("bestcost")
+        self.mins = MinGroupState()
         self.touched_and: set[RowKey] = set()
         self.touched_or: set[GroupKey] = set()
         self._tracking = False
@@ -214,8 +193,6 @@ class DeclarativeOptimizer:
             self.touched_and.add(d.payload)
         elif rel in _OR_PAYLOAD:
             self.touched_or.add(d.payload)
-        elif rel == "bestcost":
-            self.touched_or.add(d.payload if d.op == UPDATE else d.payload[0])
         elif rel == "refcount":
             self.touched_or.add(d.payload[0])
 
@@ -330,32 +307,25 @@ class DeclarativeOptimizer:
 
     def _set_row_cost(self, g: GroupKey, ak: AltKey, a: AltState,
                       cost: float | None) -> list[Delta]:
-        """Write one plancost value and its group-min effect atomically.
+        """Write one plancost value (None retracts it) and its group-min
+        effect atomically.
 
         The min structure is updated in the same step as the value, so a
         shuffled drain can never interleave an older value over a newer one.
         Only change notifications go through the queue.
         """
-        old = a.cost
         a.cost = cost
-        if old is None:
-            member = Delta("pc", INSERT, (ak, cost))
-        elif cost is None:
-            member = Delta("pc", DELETE, (ak,))
-        else:
-            member = Delta("pc", UPDATE, None, old=(ak, old), new=(ak, cost))
         if self._tracking:
             self.touched_and.add((g, ak))
         out = [Delta("refilterrow", INSERT, (g, ak))]
         if self.strategies.bounding and self.ss.visible((g, ak)):
             out.append(Delta("pbound", INSERT, (g, ak)))
-        evt = self.mins.update(g, member)
-        if evt is not None:
-            out.append(evt)
+        if self.mins.update(g, ak, cost):
+            out.append(Delta("bestcost", INSERT, g))
         return out
 
     def _h_bestcost(self, d: Delta) -> list[Delta]:
-        g = d.payload if d.op == UPDATE else d.payload[0]
+        g = d.payload
         out: list[Delta] = []
         for rowkey in self.parent_index.get(g, ()):
             pgs = self.groups.get(rowkey[0])
@@ -428,36 +398,52 @@ class DeclarativeOptimizer:
         a = gs.alts.get(ak)
         if a is None or a.alt.is_scan:
             return []
-        lkey = (a.alt.l_expr, a.alt.l_prop)
-        rkey = (a.alt.r_expr, a.alt.r_prop)
-        active = (gs.alive and self.ss.visible(rowkey)
-                  and gs.bound is not None and a.cost is not None)
+        visible = self.ss.visible(rowkey)
         out: list[Delta] = []
-        for childkey, side in ((lkey, "l"), (rkey, "r")):
-            # parent bound minus sibling best minus local cost, computed as
-            # child_best + (bound - row_cost): algebraically identical but
-            # free of the cancellation that could land one ulp below
-            # the child's own best and wrongly prune the optimal row
-            val = None
-            if active:
-                child = self.groups.get(childkey)
-                if child is not None and child.alive:
-                    cm = self.mins.min_of(childkey)
-                    if cm is not None:
-                        val = cm[0] + (gs.bound - a.cost)
+        for childkey, side in _sides(a.alt):
+            val = self._contribution(gs, a, childkey) if visible else None
             cgs = self.groups.get(childkey)
             if cgs is None:
                 continue
             slot = (rowkey, side)
-            cur = cgs.contribs.get(slot)
+            if cgs.contribs.get(slot) == val:
+                continue
             if val is None:
-                if slot in cgs.contribs:
-                    del cgs.contribs[slot]
-                    out.append(Delta("maxbound", INSERT, childkey))
-            elif cur != val:
+                del cgs.contribs[slot]
+            else:
                 cgs.contribs[slot] = val
-                out.append(Delta("maxbound", INSERT, childkey))
+            out.append(Delta("maxbound", INSERT, childkey))
         return out
+
+    def _contribution(self, gs: GroupState, a: AltState,
+                      childkey: GroupKey) -> float | None:
+        """The parent-bound contribution of visible join row ``a`` of group
+        ``gs`` to its child ``childkey``, or None when it gives none.
+
+        Parent bound minus sibling best minus local cost, computed as
+        child_best + (bound - row_cost): algebraically identical but free of
+        the cancellation that could land one ulp below the child's own best
+        and wrongly prune the optimal row.
+        """
+        if not gs.alive or gs.bound is None or a.cost is None:
+            return None
+        child = self.groups.get(childkey)
+        if child is None or not child.alive:
+            return None
+        cm = self.mins.min_of(childkey)
+        return None if cm is None else cm[0] + (gs.bound - a.cost)
+
+    def _contributions(self):
+        """Every parent-bound contribution the visible state implies, as
+        ``(child key, (parent row, side), value)``."""
+        for g, gs in self.groups.items():
+            for ak, a in gs.alts.items():
+                if a.alt.is_scan or not self.ss.visible((g, ak)):
+                    continue
+                for childkey, side in _sides(a.alt):
+                    val = self._contribution(gs, a, childkey)
+                    if val is not None:
+                        yield childkey, ((g, ak), side), val
 
     def _h_maxbound(self, d: Delta) -> list[Delta]:
         gs = self.groups.get(d.payload)
@@ -496,23 +482,19 @@ class DeclarativeOptimizer:
         if self.engine.pending:
             raise NotQuiescent(f"{self.engine.pending} deltas still pending")
 
+    def _best(self, g: GroupKey) -> tuple[float, AltKey]:
+        m = self.mins.min_of(g)
+        if m is None:
+            raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no plan")
+        return m
+
     def best_cost(self) -> float:
         self._require_quiescent()
-        m = self.mins.min_of(self.root)
-        if m is None:
-            raise InfeasibleQuery("root group has no plan")
-        return m[0]
+        return self._best(self.root)[0]
 
     def best_plan(self) -> PlanNode:
         self._require_quiescent()
-
-        def best(g: GroupKey) -> tuple[float, AltKey]:
-            m = self.mins.min_of(g)
-            if m is None:
-                raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no plan")
-            return m
-
-        return build_plan(self.universe, self.ctx, best, self.root)
+        return build_plan(self.universe, self.ctx, self._best, self.root)
 
     def visible_rows(self) -> list[RowKey]:
         rows = self.ss.visible_tuples()
@@ -529,10 +511,7 @@ class DeclarativeOptimizer:
         rows: set[RowKey] = set()
 
         def walk(g: GroupKey) -> None:
-            m = self.mins.min_of(g)
-            if m is None:
-                raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no plan")
-            ak = m[1]
+            ak = self._best(g)[1]
             rows.add((g, ak))
             for child in self.groups[g].alts[ak].alt.children():
                 walk(child)
@@ -582,6 +561,10 @@ class DeclarativeOptimizer:
         """Check the bestcost/bound defining equations by direct scan."""
         self._require_quiescent()
         bad = []
+        expected_contribs: dict[GroupKey, dict[tuple[RowKey, str], float]] = {}
+        if self.strategies.bounding:
+            for childkey, slot, val in self._contributions():
+                expected_contribs.setdefault(childkey, {})[slot] = val
         for g, gs in self.groups.items():
             entries = {ak: a.cost for ak, a in gs.alts.items() if a.cost is not None}
             stored = self.mins.members(g)
@@ -600,24 +583,7 @@ class DeclarativeOptimizer:
                 if self.mins.visible_min(g) != vmin:
                     bad.append(f"{g[0]}|{g[1]}: visible min mismatch")
             if self.strategies.bounding:
-                expected_contribs: dict[tuple[RowKey, str], float] = {}
-                for pk, pgs in self.groups.items():
-                    for ak, a in pgs.alts.items():
-                        if a.alt.is_scan or not self.ss.visible((pk, ak)):
-                            continue
-                        if not pgs.alive or pgs.bound is None or a.cost is None:
-                            continue
-                        lkey = (a.alt.l_expr, a.alt.l_prop)
-                        rkey = (a.alt.r_expr, a.alt.r_prop)
-                        for childkey, side in ((lkey, "l"), (rkey, "r")):
-                            if childkey != g:
-                                continue
-                            cm = self.mins.min_of(childkey)
-                            child = self.groups.get(childkey)
-                            if cm is None or child is None or not child.alive:
-                                continue
-                            expected_contribs[((pk, ak), side)] = cm[0] + (pgs.bound - a.cost)
-                if expected_contribs != gs.contribs:
+                if expected_contribs.get(g, {}) != gs.contribs:
                     bad.append(f"{g[0]}|{g[1]}: parentbound contributions mismatch")
                 mb = max(gs.contribs.values()) if gs.contribs else None
                 if mb != gs.maxbound:
@@ -629,10 +595,6 @@ class DeclarativeOptimizer:
         return bad
 
     # -- digests / snapshots -------------------------------------------------
-
-    @staticmethod
-    def _group_label(g: GroupKey) -> str:
-        return f"{g[0]}|{g[1]}"
 
     def state_digest(self) -> dict:
         """Canonical visible-state structure for deep-equality comparisons."""
@@ -647,7 +609,7 @@ class DeclarativeOptimizer:
                     "visible": self.ss.visible((g, ak)),
                     "cost": a.cost,
                 }
-            out[self._group_label(g)] = {
+            out[f"{g[0]}|{g[1]}"] = {
                 "alive": gs.alive,
                 "refcount": gs.refcount,
                 "best": self.mins.min_of(g),
@@ -711,11 +673,7 @@ class DeclarativeOptimizer:
             if cat.content_hash() != snap["catalog_hash"]:
                 raise StateMismatch("snapshot catalog hash mismatch (corrupted state)")
             query = query_from_dict(snap["query"], cat)
-            strategies = Strategies(
-                aggsel="aggsel" in snap["strategies"],
-                refcount="refcount" in snap["strategies"],
-                bounding="bounding" in snap["strategies"],
-            )
+            strategies = Strategies.parse(",".join(snap["strategies"]))
             config = CostConfig.from_dict(snap["cost_config"])
             opt = cls(cat, query, strategies=strategies, config=config,
                       trace=trace, max_deltas=max_deltas)
@@ -737,7 +695,7 @@ class DeclarativeOptimizer:
                         opt.ss.counts[(g, ak)] = count
                     opt.mins.set_visible(g, ak, count > 0)
                     if a.cost is not None:
-                        opt.mins.update(g, Delta("pc", INSERT, (ak, a.cost)))
+                        opt.mins.update(g, ak, a.cost)
                 best = gobj["best"]
                 stored = None if best is None else (
                     best["cost"], (int(best["index"]), best["phy_op"]))
@@ -751,22 +709,10 @@ class DeclarativeOptimizer:
                     if a.cost is not None or opt.ss.visible((g, ak)):
                         a.local = opt.ctx.local_cost(g[0], g[1], a.alt)
             if strategies.bounding:
-                for g, gs in opt.groups.items():
-                    for ak, a in gs.alts.items():
-                        if a.alt.is_scan or not opt.ss.visible((g, ak)):
-                            continue
-                        if not gs.alive or gs.bound is None or a.cost is None:
-                            continue
-                        lkey = (a.alt.l_expr, a.alt.l_prop)
-                        rkey = (a.alt.r_expr, a.alt.r_prop)
-                        for childkey, side in ((lkey, "l"), (rkey, "r")):
-                            child = opt.groups.get(childkey)
-                            cm = opt.mins.min_of(childkey)
-                            if child is None or not child.alive or cm is None:
-                                continue
-                            child.contribs[((g, ak), side)] = cm[0] + (gs.bound - a.cost)
+                for childkey, slot, val in opt._contributions():
+                    opt.groups[childkey].contribs[slot] = val
             return opt
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise StateMismatch(f"corrupted state snapshot: {exc}") from exc
 
     # -- incremental support -------------------------------------------------

@@ -61,15 +61,23 @@ def _lower_non_best_root_row(snap: dict) -> None:
     row["cost"] = best["cost"] / 2
 
 
+def _unknown_strategy(snap: dict) -> None:
+    snap["strategies"].append("bogus")
+
+
 # saved-state corruptions that leave the snapshot well-formed and the catalog
-# hash intact: each must be reported as a state mismatch on load
+# hash intact: each must be reported as a state mismatch on load, with the
+# given message
+_NOT_MIN = "is not the minimum of its rows"
 STATE_TAMPERS = {
-    "root-best-x10": _scale_root_best,
-    "root-best-null": _null_root_best,
-    "non-best-row-below-best": _lower_non_best_root_row,
+    "root-best-x10": (_scale_root_best, _NOT_MIN),
+    "root-best-null": (_null_root_best, _NOT_MIN),
+    "non-best-row-below-best": (_lower_non_best_root_row, _NOT_MIN),
+    "unknown-strategy": (_unknown_strategy, "unknown strategies"),
 }
 
 
 @pytest.fixture(params=sorted(STATE_TAMPERS))
 def state_tamper(request):
+    """A (tamper, expected error message) pair."""
     return STATE_TAMPERS[request.param]

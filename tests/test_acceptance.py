@@ -13,16 +13,8 @@ from incropt.baselines import brute_force_optimize, systemr_optimize, volcano_op
 from incropt.catalog import StatUpdate, apply_update
 from incropt.fixtures import q3s, q5s, q8joins
 from incropt.incremental import ReoptSession
-from incropt.optimizer import DeclarativeOptimizer, Strategies
+from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import UPDATE_FACTORS, make_update_batch, make_workload
-
-SUBSETS = {
-    "none": Strategies.none(),
-    "aggsel": Strategies(True, False, False),
-    "aggsel+refcount": Strategies(True, True, False),
-    "aggsel+bounding": Strategies(True, False, True),
-    "all": Strategies.all(),
-}
 
 FIXTURES = {
     "q3s": q3s(),
@@ -56,12 +48,12 @@ def test_optimality_equivalence_across_engines_and_strategies():
                 ref, _ = brute_force_optimize(q, cat)
                 assert systemr_optimize(q, cat)[0] == ref, (shape, n, seed)
                 assert volcano_optimize(q, cat)[0] == ref, (shape, n, seed)
-                for label, st in SUBSETS.items():
+                for label, st in STRATEGY_SUBSETS.items():
                     opt = DeclarativeOptimizer(cat, q, strategies=st).run()
                     assert opt.best_plan() == ref, (shape, n, seed, label)
     elapsed = time.perf_counter() - start
     _report("optimality-equivalence", catalogs >= 200 and elapsed < 120.0,
-            f"{catalogs} catalogs x {2 + len(SUBSETS)} engines in {elapsed:.1f}s")
+            f"{catalogs} catalogs x {2 + len(STRATEGY_SUBSETS)} engines in {elapsed:.1f}s")
 
 
 def test_incremental_equals_from_scratch():
@@ -116,12 +108,12 @@ def test_order_independence_of_drain():
 def test_refcount_and_bound_fixed_point_audits():
     """Recounts equal maintained refcounts; bound equations hold by scan."""
     for name, (cat, q) in FIXTURES.items():
-        for label, st in SUBSETS.items():
+        for label, st in STRATEGY_SUBSETS.items():
             opt = DeclarativeOptimizer(cat, q, strategies=st).run()
             assert opt.audit_refcounts() == [], (name, label)
             assert opt.audit_fixpoint() == [], (name, label)
     _report("refcount-bound-audits", True,
-            f"{len(FIXTURES)} fixtures x {len(SUBSETS)} strategy subsets")
+            f"{len(FIXTURES)} fixtures x {len(STRATEGY_SUBSETS)} strategy subsets")
 
 
 def test_locality_trend_on_q5_fixture():
@@ -150,12 +142,12 @@ def test_locality_trend_on_q5_fixture():
 def test_strategy_monotonicity():
     """Visible state shrinks as strategies are added; disabled strategies
     still find the oracle cost."""
-    order = ("all", "aggsel+refcount", "aggsel", "none")
+    order = ("aggsel,refcount,bounding", "aggsel,refcount", "aggsel", "none")
     for name, (cat, q) in BIG_FIXTURES.items():
         ref, _ = brute_force_optimize(q, cat)
         sizes = []
         for label in order:
-            opt = DeclarativeOptimizer(cat, q, strategies=SUBSETS[label]).run()
+            opt = DeclarativeOptimizer(cat, q, strategies=STRATEGY_SUBSETS[label]).run()
             assert opt.best_cost() == ref.cost, (name, label)
             sizes.append(opt.visible_counts())
         for smaller, larger in zip(sizes, sizes[1:]):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from incropt.algebra import (
-    ExprSig, PropertySpec, Query, SearchUniverse, connected_subexprs, is_leaf,
+    ExprSig, PropertySpec, Query, SearchUniverse, connected_subexprs,
     leaf_alternatives, query_from_dict, split,
 )
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
@@ -48,9 +48,9 @@ def test_exprsig_canonical():
 
 
 def test_is_leaf():
-    assert is_leaf(ExprSig.of(["C"]))
-    assert not is_leaf(ExprSig.of(["C", "O", "L"]))
-    assert not is_leaf(ExprSig.of(["O", "L"]))
+    assert ExprSig.of(["C"]).is_leaf
+    assert not ExprSig.of(["C", "O", "L"]).is_leaf
+    assert not ExprSig.of(["O", "L"]).is_leaf
 
 
 def test_leaf_alternatives():

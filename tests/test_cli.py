@@ -164,11 +164,12 @@ def test_reoptimize_tampered_best_exits_1(fixture_files, tmp_path, capsys, state
         {"kind": "scan_cost", "target": "lineitem", "factor": 2.0}]))
     assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 0
     snap = json.loads(state.read_text())
-    state_tamper(snap)
+    tamper, message = state_tamper
+    tamper(snap)
     state.write_text(json.dumps(snap))
     capsys.readouterr()
     assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 1
-    assert "is not the minimum of its rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_optimize_has_no_seed_flag(fixture_files):

@@ -9,14 +9,15 @@ import pytest
 from incropt.algebra import ExprSig, PropertySpec
 from incropt.costmodel import lexmin
 from incropt.deltaflow import (
-    CountedState, DELETE, Delta, FixpointEngine, INSERT, MinGroupState, UPDATE,
+    CountedState, DELETE, Delta, FixpointEngine, INSERT, MinGroupState,
 )
 from incropt.errors import NonTermination, ValidationError
 
 
-def test_update_delta_with_identical_sides_rejected():
-    with pytest.raises(ValidationError):
-        Delta("r", UPDATE, None, old=1, new=1)
+def test_delta_is_a_three_field_record():
+    d = Delta("bestcost", INSERT, "g")
+    assert d == ("bestcost", INSERT, "g") and d._fields == ("relation", "op", "payload")
+    assert Delta("expr", DELETE).payload is None
 
 
 class TestCountedState:
@@ -45,14 +46,6 @@ class TestCountedState:
         assert out == [] and st.count("x") == 0
         assert not st.visible("x")
 
-    def test_update_pairs_into_one_delta(self):
-        st = CountedState("r")
-        st.apply(Delta("r", INSERT, "x"))
-        out = st.apply(Delta("r", UPDATE, None, old="x", new="y"))
-        assert len(out) == 1 and out[0].op == UPDATE
-        assert out[0].old == "x" and out[0].new == "y"
-        assert st.visible("y") and not st.visible("x")
-
     def test_conservation_over_history(self):
         rng = random.Random(3)
         st = CountedState("r")
@@ -72,57 +65,60 @@ class TestCountedState:
         st.apply(Delta("searchspace", DELETE, ("g", 1)))
         assert lines == ["searchspace + ('g', 1) 0 1", "searchspace - ('g', 1) 1 0"]
 
+    def test_unknown_op_changes_nothing(self):
+        st = CountedState("r")
+        st.apply(Delta("r", INSERT, "x"))
+        for op in ("#", "?"):
+            with pytest.raises(ValidationError):
+                st.apply(Delta("r", op, "x"))
+        assert st.counts == {"x": 1}
+
 
 class TestMinGroupState:
     def test_insertion_lowers_min(self):
         m = MinGroupState()
-        assert m.update("g", Delta("pc", INSERT, ("a", 0.30))).op == INSERT
-        evt = m.update("g", Delta("pc", INSERT, ("b", 0.25)))
-        assert evt.op == UPDATE and evt.old == (0.30, "a") and evt.new == (0.25, "b")
+        assert m.update("g", "a", 0.30) and m.min_of("g") == (0.30, "a")
+        assert m.update("g", "b", 0.25) and m.min_of("g") == (0.25, "b")
 
     def test_insertion_above_min_is_silent(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 0.25)))
-        assert m.update("g", Delta("pc", INSERT, ("b", 0.30))) is None
+        m.update("g", "a", 0.25)
+        assert not m.update("g", "b", 0.30)
         assert m.min_of("g") == (0.25, "a")
 
     def test_deleting_min_promotes_next_best(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 0.25)))
-        m.update("g", Delta("pc", INSERT, ("b", 0.30)))
-        evt = m.update("g", Delta("pc", DELETE, ("a",)))
-        assert evt.op == UPDATE and evt.new == (0.30, "b")
+        m.update("g", "a", 0.25)
+        m.update("g", "b", 0.30)
+        assert m.update("g", "a", None) and m.min_of("g") == (0.30, "b")
 
     def test_raising_min_promotes_min_of_new_and_next_best(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 0.25)))
-        m.update("g", Delta("pc", INSERT, ("b", 0.30)))
-        evt = m.update("g", Delta("pc", UPDATE, None, old=("a", 0.25), new=("a", 0.40)))
-        assert evt.op == UPDATE and evt.new == (0.30, "b")
+        m.update("g", "a", 0.25)
+        m.update("g", "b", 0.30)
+        assert m.update("g", "a", 0.40) and m.min_of("g") == (0.30, "b")
 
     def test_lowering_nonmin_competes(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 0.30)))
-        m.update("g", Delta("pc", INSERT, ("b", 0.50)))
-        evt = m.update("g", Delta("pc", UPDATE, None, old=("b", 0.50), new=("b", 0.20)))
-        assert evt.new == (0.20, "b")
+        m.update("g", "a", 0.30)
+        m.update("g", "b", 0.50)
+        assert m.update("g", "b", 0.20) and m.min_of("g") == (0.20, "b")
 
     def test_retains_all_members(self):
         m = MinGroupState()
         for i, c in enumerate((5.0, 3.0, 4.0)):
-            m.update("g", Delta("pc", INSERT, (f"m{i}", c)))
+            m.update("g", f"m{i}", c)
         assert len(m.members("g")) == 3
 
     def test_last_delete_emits_group_delete(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 1.0)))
-        evt = m.update("g", Delta("pc", DELETE, ("a",)))
-        assert evt.op == DELETE and m.min_of("g") is None
+        m.update("g", "a", 1.0)
+        assert m.update("g", "a", None) and m.min_of("g") is None
 
     def test_visible_min_tracks_visibility(self):
         m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 1.0)))
-        m.update("g", Delta("pc", INSERT, ("b", 2.0)))
+        m.update("g", "a", 1.0)
+        m.update("g", "b", 2.0)
         m.set_visible("g", "a", True)
         m.set_visible("g", "b", True)
         assert m.visible_min("g") == (1.0, "a")
@@ -131,33 +127,20 @@ class TestMinGroupState:
         assert m.min_of("g") == (1.0, "a")
 
 
-def _expected_event(group, before, after):
-    if before == after:
-        return None
-    if before is None:
-        return (INSERT, (group, after), None, None)
-    if after is None:
-        return (DELETE, (group, before), None, None)
-    return (UPDATE, group, before, after)
-
-
-def _shape(evt):
-    return None if evt is None else (evt.op, evt.payload, evt.old, evt.new)
-
-
 class TestMinGroupModel:
     """The cached minimum against a brute-force lexmin after every step."""
 
     MEMBERS = [(i, op) for i in (1, 2, 3) for op in ("hash_join", "merge_join")]
     COSTS = (1.0, 2.0, 2.0, 3.0, 5.0)   # a repeated cost makes ties likely
 
-    def step(self, m, group, d):
+    def step(self, m, group, member, cost):
+        """One update; its result must say exactly whether the minimum moved."""
         before = lexmin((c, k) for k, c in m.members(group).items())
-        evt = m.update(group, d)
+        changed = m.update(group, member, cost)
         after = lexmin((c, k) for k, c in m.members(group).items())
         assert m.min_of(group) == after
-        assert _shape(evt) == _expected_event(group, before, after)
-        return evt
+        assert changed == (before != after)
+        return changed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_sequences_match_brute_force(self, seed):
@@ -171,77 +154,64 @@ class TestMinGroupModel:
             present = m.members(g)
             roll = rng.random()
             if roll < 0.4:
-                # inserting a member already present is an update
-                d = Delta("pc", INSERT, (member, cost))
+                # setting a member already present is an update
+                pass
             elif roll < 0.7:
                 # deleting an absent member is a no-op
-                d = Delta("pc", DELETE, (member,))
+                cost = None
             elif present:
                 member = rng.choice(sorted(present))
-                old = present[member]
-                if cost == old:
-                    cost = old + 1.0
-                d = Delta("pc", UPDATE, None, old=(member, old), new=(member, cost))
+                if cost == present[member]:
+                    cost += 1.0
             else:
                 continue
-            self.step(m, g, d)
+            self.step(m, g, member, cost)
         for g in groups:
             assert m.min_of(g) == lexmin((c, k) for k, c in m.members(g).items())
 
     def test_cost_tie_broken_by_member_key(self):
         m = MinGroupState()
-        self.step(m, "g", Delta("pc", INSERT, ((2, "hash_join"), 1.0)))
-        evt = self.step(m, "g", Delta("pc", INSERT, ((1, "merge_join"), 1.0)))
-        assert evt.new == (1.0, (1, "merge_join"))
-        assert self.step(m, "g", Delta("pc", INSERT, ((3, "hash_join"), 1.0))) is None
+        self.step(m, "g", (2, "hash_join"), 1.0)
+        assert self.step(m, "g", (1, "merge_join"), 1.0)
+        assert m.min_of("g") == (1.0, (1, "merge_join"))
+        assert not self.step(m, "g", (3, "hash_join"), 1.0)
 
     def test_equal_cost_update_of_non_min_member(self):
         m = MinGroupState()
-        self.step(m, "g", Delta("pc", INSERT, ((2, "a"), 1.0)))
-        self.step(m, "g", Delta("pc", INSERT, ((1, "a"), 4.0)))
-        self.step(m, "g", Delta("pc", INSERT, ((3, "a"), 4.0)))
+        self.step(m, "g", (2, "a"), 1.0)
+        self.step(m, "g", (1, "a"), 4.0)
+        self.step(m, "g", (3, "a"), 4.0)
         # a larger key tying the minimum leaves it alone
-        assert self.step(m, "g", Delta("pc", UPDATE, None, old=((3, "a"), 4.0),
-                                       new=((3, "a"), 1.0))) is None
+        assert not self.step(m, "g", (3, "a"), 1.0)
         # a smaller key tying the minimum takes it over
-        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=((1, "a"), 4.0),
-                                      new=((1, "a"), 1.0)))
-        assert evt.new == (1.0, (1, "a"))
+        assert self.step(m, "g", (1, "a"), 1.0)
+        assert m.min_of("g") == (1.0, (1, "a"))
 
     def test_raising_min_rescans_including_ties(self):
         m = MinGroupState()
         for key, c in (("a", 1.0), ("c", 2.0), ("b", 2.0)):
-            self.step(m, "g", Delta("pc", INSERT, (key, c)))
-        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=("a", 1.0), new=("a", 2.0)))
-        assert evt.new == (2.0, "a")
-        evt = self.step(m, "g", Delta("pc", UPDATE, None, old=("a", 2.0), new=("a", 9.0)))
-        assert evt.new == (2.0, "b")
+            self.step(m, "g", key, c)
+        assert self.step(m, "g", "a", 2.0) and m.min_of("g") == (2.0, "a")
+        assert self.step(m, "g", "a", 9.0) and m.min_of("g") == (2.0, "b")
 
     def test_deleting_min_and_last_delete(self):
         m = MinGroupState()
-        self.step(m, "g", Delta("pc", INSERT, ("a", 1.0)))
-        self.step(m, "g", Delta("pc", INSERT, ("b", 3.0)))
-        assert self.step(m, "g", Delta("pc", DELETE, ("zz",))) is None
-        assert self.step(m, "g", Delta("pc", DELETE, ("a",))).new == (3.0, "b")
-        evt = self.step(m, "g", Delta("pc", DELETE, ("b",)))
-        assert evt.op == DELETE and m.min_of("g") is None and m.members("g") == {}
-        assert self.step(m, "g", Delta("pc", DELETE, ("b",))) is None
-        assert self.step(m, "g", Delta("pc", INSERT, ("b", 2.0))).op == INSERT
+        self.step(m, "g", "a", 1.0)
+        self.step(m, "g", "b", 3.0)
+        assert not self.step(m, "g", "zz", None)
+        assert self.step(m, "g", "a", None) and m.min_of("g") == (3.0, "b")
+        assert self.step(m, "g", "b", None)
+        assert m.min_of("g") is None and m.members("g") == {}
+        assert not self.step(m, "g", "b", None)
+        assert self.step(m, "g", "b", 2.0) and m.min_of("g") == (2.0, "b")
 
     def test_reinserting_existing_member_is_an_update(self):
         m = MinGroupState()
-        self.step(m, "g", Delta("pc", INSERT, ("a", 1.0)))
-        self.step(m, "g", Delta("pc", INSERT, ("b", 2.0)))
-        assert self.step(m, "g", Delta("pc", INSERT, ("a", 1.0))) is None
-        assert self.step(m, "g", Delta("pc", INSERT, ("a", 5.0))).new == (2.0, "b")
+        self.step(m, "g", "a", 1.0)
+        self.step(m, "g", "b", 2.0)
+        assert not self.step(m, "g", "a", 1.0)
+        assert self.step(m, "g", "a", 5.0) and m.min_of("g") == (2.0, "b")
         assert len(m.members("g")) == 2
-
-    def test_unknown_op_changes_nothing(self):
-        m = MinGroupState()
-        m.update("g", Delta("pc", INSERT, ("a", 1.0)))
-        with pytest.raises(ValidationError):
-            m.update("g", Delta("pc", "?", ("a", 0.5)))
-        assert m.min_of("g") == (1.0, "a") and m.members("g") == {"a": 1.0}
 
 
 class TestGroupKeys:
