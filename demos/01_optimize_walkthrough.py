@@ -69,3 +69,4 @@ show(opt.best_plan())
 # exactly the optimal tree: nothing else survives.
 report = opt.final_state_check()
 print(f"\nVisible rows == optimal tree nodes: {report['ok']}")
+assert report["ok"], report

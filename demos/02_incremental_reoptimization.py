@@ -39,13 +39,16 @@ print("  equals from-scratch optimization: True")
 _, again = session.reoptimize()
 print(f"\nre-optimize with no new updates: touched {again.touched_and} "
       f"alternatives, converged={session.converged()}")
+assert session.converged()
 
 # Undo the drift: the visible state is restored bit-for-bit.
 session.add_updates([drift.inverse()])
 plan, metrics = session.reoptimize()
 print(f"\nafter the inverse update:")
 print(f"  cost back to : {plan.cost:.2f}")
-print(f"  state restored exactly: {opt.state_digest() == before_digest}")
+restored = opt.state_digest() == before_digest
+print(f"  state restored exactly: {restored}")
+assert restored
 
 # A change near the top of the plan is cheaper to absorb than one at a
 # deep, widely shared leaf: fewer plans depend on it.

@@ -28,17 +28,21 @@ for label, st in STRATEGY_SUBSETS.items():
     total_or, total_and = opt.universe.totals()
     vis_or, vis_and = opt.visible_counts()
     pruned = 1.0 - vis_and / total_and
-    print(f"{label:26s} {vis_or:>8d} {vis_and:>8d} {pruned:>7.0%}   "
-          f"{opt.best_cost() == ref.cost}")
+    cost_ok = opt.best_cost() == ref.cost
+    print(f"{label:26s} {vis_or:>8d} {vis_and:>8d} {pruned:>7.0%}   {cost_ok}")
+    assert cost_ok, label
 
 # However much is pruned, the answer never changes; with everything on,
 # the surviving rows are exactly the optimal plan's nodes.
 opt = DeclarativeOptimizer(cat, query, strategies=Strategies.all()).run()
+minimal = opt.final_state_check()["ok"]
 print(f"\nfull space: {opt.universe.totals()[1]} alternatives; "
-      f"final visible state: {opt.visible_counts()[1]} rows "
-      f"(minimal: {opt.final_state_check()['ok']})")
+      f"final visible state: {opt.visible_counts()[1]} rows (minimal: {minimal})")
+assert minimal
 
 # The maintained relations can be audited directly against their defining
 # equations at any quiescent point.
-print(f"refcount audit violations: {len(opt.audit_refcounts())}")
-print(f"bound fixpoint violations: {len(opt.audit_fixpoint())}")
+refcount_bad, fixpoint_bad = opt.audit_refcounts(), opt.audit_fixpoint()
+print(f"refcount audit violations: {len(refcount_bad)}")
+print(f"bound fixpoint violations: {len(fixpoint_bad)}")
+assert not refcount_bad and not fixpoint_bad, refcount_bad + fixpoint_bad

@@ -17,7 +17,7 @@ from .costmodel import (
     CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
     scan_cost, scan_summary, sum_cost,
 )
-from .deltaflow import CountedState, Delta, FixpointEngine, MinGroupState
+from .deltaflow import Delta, FixpointEngine, MinGroupState
 from .incremental import ReoptMetrics, ReoptSession, stat_to_deltas
 from .optimizer import DeclarativeOptimizer, Strategies
 from .plan import PlanNode
@@ -26,10 +26,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alternative", "BaselineMetrics", "Catalog", "CostConfig", "CostContext",
-    "CountedState", "DeclarativeOptimizer", "Delta", "ExprSig",
-    "FixpointEngine", "JoinPredicate", "MinGroupState", "PlanNode",
-    "PropertySpec", "Query", "RelationMeta", "ReoptMetrics", "ReoptSession",
-    "SearchUniverse", "StatUpdate", "Strategies", "Summary", "apply_update",
+    "DeclarativeOptimizer", "Delta", "ExprSig", "FixpointEngine",
+    "JoinPredicate", "MinGroupState", "PlanNode", "PropertySpec", "Query",
+    "RelationMeta", "ReoptMetrics", "ReoptSession", "SearchUniverse",
+    "StatUpdate", "Strategies", "Summary", "apply_update",
     "brute_force_optimize", "connected_subexprs", "leaf_alternatives",
     "load_catalog", "load_query", "load_updates", "nonscan_cost",
     "nonscan_summary", "scan_cost", "scan_summary", "split", "stat_to_deltas",

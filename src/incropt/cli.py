@@ -20,8 +20,7 @@ from .baselines import brute_force_optimize, systemr_optimize, volcano_optimize
 from .catalog import Catalog, apply_update, load_catalog, load_updates
 from .costmodel import CostConfig
 from .errors import (
-    IncroptError, InfeasibleQuery, NonTermination, NotQuiescent, ParseError,
-    StateMismatch, TooLarge, UnknownTarget, ValidationError,
+    IncroptError, InfeasibleQuery, ParseError, StateMismatch, ValidationError,
 )
 from .incremental import ReoptSession
 from .optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
@@ -376,10 +375,6 @@ def main(argv=None) -> int:
     except InfeasibleQuery as exc:
         print(f"error: infeasible query: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValidationError, TooLarge, UnknownTarget,
-            StateMismatch, NotQuiescent, NonTermination) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except IncroptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,14 @@
-"""Minimal incremental dataflow substrate: counted state, delta tuples,
-min-aggregation with next-best recovery, and an order-independent fixpoint
-driver.
+"""Minimal incremental dataflow substrate: delta tuples, min-aggregation
+with next-best recovery and per-member visibility, and an order-independent
+fixpoint driver.
 
 A delta is a three-field record ``(relation, op, payload)`` with two ops,
 insert and delete; a changed value travels as a notification naming its key,
 and the receiving rule reads the current value from maintained state.
 
-State discipline: stateful relations keep a signed count per tuple; a tuple
-is visible iff its count is positive.  Counts may dip below zero while a
-deletion overtakes its insertion in the queue; at quiescence every count is
-non-negative.  Min groups retain every value they have ever been handed,
+State discipline: every row has exactly one derivation, so its visibility
+is a flag, kept as membership in its group's visible set, not a signed
+count.  Min groups retain every value they have ever been handed,
 including ones above the minimum, so the next-best is recoverable when the
 minimum is deleted or raised.  Each group's minimum is cached beside its
 members: a change below it replaces it in O(1), and only deleting or raising
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import NonTermination, ValidationError
 
@@ -40,52 +39,15 @@ class Delta(NamedTuple):
     payload: Any = None
 
 
-class CountedState:
-    """Tuple -> signed count map with visibility-edge output deltas."""
-
-    def __init__(self, relation: str, trace: Callable[[str], None] | None = None):
-        self.relation = relation
-        self.counts: dict[Any, int] = {}
-        self.trace = trace
-
-    def count(self, tup: Any) -> int:
-        return self.counts.get(tup, 0)
-
-    def visible(self, tup: Any) -> bool:
-        return self.count(tup) > 0
-
-    def visible_tuples(self) -> list[Any]:
-        return [t for t, c in self.counts.items() if c > 0]
-
-    def _bump(self, tup: Any, by: int) -> tuple[int, int]:
-        before = self.counts.get(tup, 0)
-        after = before + by
-        if after == 0:
-            self.counts.pop(tup, None)
-        else:
-            self.counts[tup] = after
-        if self.trace is not None:
-            op = INSERT if by > 0 else DELETE
-            self.trace(f"{self.relation} {op} {tup!r} {before} {after}")
-        return before, after
-
-    def apply(self, d: Delta) -> list[Delta]:
-        """Adjust the count; pass the delta on only when visibility flips."""
-        if d.op != INSERT and d.op != DELETE:
-            raise ValidationError(f"unknown delta op {d.op!r}")
-        before, after = self._bump(d.payload, 1 if d.op == INSERT else -1)
-        if (before > 0) != (after > 0):
-            return [Delta(self.relation, d.op, d.payload)]
-        return []
-
-
 class MinGroupState:
     """Per-group multiset of (member -> cost) with recoverable next-best.
 
-    Members carry a visibility flag mirroring their row's counted state;
-    the *retained* minimum ranges over every member (pruned ones included)
-    while the *visible* minimum ranges over visible members only.  Ordering
-    is lexicographic on (cost, member key) so ties resolve deterministically.
+    Each member also carries a visibility flag, the one record of whether
+    its row is in the visible search space; a flag is independent of the
+    member's value.  The *retained* minimum ranges over every member (pruned
+    ones included) while the *visible* minimum ranges over visible members
+    only.  Ordering is lexicographic on (cost, member key) so ties resolve
+    deterministically.
 
     Invariant: ``_min[group]`` is the lexicographic minimum of
     ``_costs[group]``, and a group has an entry in both or in neither.
@@ -105,15 +67,19 @@ class MinGroupState:
         return self._min.get(group)
 
     def visible_min(self, group: Any) -> tuple[float, Any] | None:
-        entries = self._costs.get(group)
+        entries = self._costs.get(group, {})
+        alive = {k: entries[k] for k in self._visible.get(group, ()) if k in entries}
+        return _lexmin(alive) if alive else None
+
+    def is_visible(self, group: Any, member: Any) -> bool:
         vis = self._visible.get(group)
-        if not entries or not vis:
-            return None
-        alive = [k for k in vis if k in entries]
-        if not alive:
-            return None
-        best_key = min(alive, key=lambda k: (entries[k], k))
-        return entries[best_key], best_key
+        return vis is not None and member in vis
+
+    def visible_items(self) -> Iterator[tuple[Any, Any]]:
+        """Every visible ``(group, member)`` pair."""
+        for group, vis in self._visible.items():
+            for member in vis:
+                yield group, member
 
     def set_visible(self, group: Any, member: Any, visible: bool) -> None:
         vis = self._visible.setdefault(group, set())
@@ -134,8 +100,8 @@ class MinGroupState:
         before = self._min.get(group)
         entries = self._costs.get(group)
         if cost is None:
-            # visibility markers are owned by the row-visibility edges, so a
-            # value deletion leaves them alone (the row may stay visible)
+            # visibility flags are written only by set_visible, so a value
+            # deletion leaves them alone (the row may stay visible)
             if entries is None or member not in entries:
                 return False
             del entries[member]
@@ -173,7 +139,8 @@ class FixpointEngine:
     ``handlers`` maps a relation name to a callable producing follow-up
     deltas.  The drain order is configurable (FIFO by default, seeded random
     for order-independence checks); the quiescent visible state must not
-    depend on it.  A processing ceiling guards against wiring bugs.
+    depend on it.  A ceiling on the deltas of any one drain guards against
+    wiring bugs; ``processed`` counts every delta over the engine's life.
     """
 
     def __init__(self, handlers: dict[str, Callable[[Delta], Iterable[Delta]]],
@@ -214,7 +181,7 @@ class FixpointEngine:
             d = self._pop()
             self.processed += 1
             drained += 1
-            if self.processed > self.max_deltas:
+            if drained > self.max_deltas:
                 raise NonTermination(
                     f"delta count exceeded ceiling {self.max_deltas}; wiring bug?")
             if self.observer is not None:

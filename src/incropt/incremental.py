@@ -18,7 +18,7 @@ catalog.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
 from .deltaflow import Delta, INSERT
@@ -39,16 +39,7 @@ class ReoptMetrics:
     plan_changed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "touched_and": self.touched_and,
-            "touched_or": self.touched_or,
-            "total_and": self.total_and,
-            "total_or": self.total_or,
-            "update_ratio_and": self.update_ratio_and,
-            "update_ratio_or": self.update_ratio_or,
-            "wall_time_ms": self.wall_time_ms,
-            "plan_changed": self.plan_changed,
-        }
+        return asdict(self)
 
 
 def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:

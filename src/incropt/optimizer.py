@@ -1,9 +1,11 @@
 """The declarative, incrementally-maintainable join-order optimizer.
 
-All search and cost state lives in maintained relations with counted
-visibility, driven to fixpoint by delta propagation:
+All search and cost state lives in maintained relations, driven to fixpoint
+by delta propagation:
 
-* ``searchspace``  -- one row per physical alternative (AND node), counted;
+* ``searchspace``  -- one row per physical alternative (AND node); a row has
+  exactly one derivation, so its visibility is a flag in the group-min
+  structure's per-group visible set;
 * ``plancost``     -- the current full cost of each alternative, retained in
   a per-group min structure even while a row is pruned, so the next-best
   plan is recoverable;
@@ -32,8 +34,7 @@ from .algebra import (
 from .catalog import Catalog
 from .costmodel import BestCost, CostConfig, CostContext, lexmin, sum_cost
 from .deltaflow import (
-    CountedState, DEFAULT_DELTA_CEILING, Delta, DELETE, FixpointEngine, INSERT,
-    MinGroupState,
+    DEFAULT_DELTA_CEILING, Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
@@ -119,6 +120,20 @@ _AND_PAYLOAD = {"recost", "refilterrow", "pbound"}
 _OR_PAYLOAD = {"expr", "bestcost", "refilter", "maxbound", "bound"}
 
 
+def _maxbound(gs: GroupState) -> float | None:
+    """The largest parent-bound contribution a group holds, or None."""
+    return max(gs.contribs.values()) if gs.contribs else None
+
+
+def _bound(best: tuple[float, AltKey] | None,
+           maxbound: float | None) -> float | None:
+    """A group's bound: the smaller of its best cost and its maxbound, or
+    None when it has neither."""
+    if best is None:
+        return maxbound
+    return best[0] if maxbound is None else min(best[0], maxbound)
+
+
 def _sides(alt: Alternative) -> tuple[tuple[GroupKey, str], ...]:
     """A join alternative's two child groups, each with its side tag."""
     return ((alt.l_expr, alt.l_prop), "l"), ((alt.r_expr, alt.r_prop), "r")
@@ -142,7 +157,8 @@ class DeclarativeOptimizer:
         self.root: GroupKey = self.universe.root
         self.groups: dict[GroupKey, GroupState] = {}
         self.parent_index: dict[GroupKey, list[RowKey]] = {}
-        self.ss = CountedState("searchspace", trace=trace)
+        self.trace = trace
+        # group minima, and the only record of which searchspace rows are visible
         self.mins = MinGroupState()
         self.touched_and: set[RowKey] = set()
         self.touched_or: set[GroupKey] = set()
@@ -255,30 +271,25 @@ class DeclarativeOptimizer:
         return self._create_group(g, synthetic=1 if g == self.root else 0)
 
     def _apply_row_visibility(self, rowkey: RowKey, op: str) -> list[Delta]:
-        """Flip one searchspace row's counted visibility synchronously.
+        """Flip one searchspace row's visibility synchronously.
 
-        Applying the count inline (instead of queueing the adjustment) keeps
-        the flip idempotent: every emitted adjustment corresponds to exactly
-        one observed transition, so counts stay in {0, 1}.
+        Both callers ask only for a flip (a new row, or a row whose filter
+        verdict differs from its visibility), so the write needs no edge
+        detection: every call is one transition and emits its follow-ups.
         """
         if self._tracking:
             self.touched_and.add(rowkey)
-        out: list[Delta] = []
-        for edge in self.ss.apply(Delta("searchspace", op, rowkey)):
-            g, ak = edge.payload
-            gs = self.groups[g]
-            a = gs.alts[ak]
-            if edge.op == INSERT:
-                self.mins.set_visible(g, ak, True)
-                for child in a.alt.children():
-                    out.append(Delta("refcount", INSERT, (child, rowkey)))
-                out.append(Delta("recost", INSERT, rowkey))
-            else:
-                self.mins.set_visible(g, ak, False)
-                for child in a.alt.children():
-                    out.append(Delta("refcount", DELETE, (child, rowkey)))
-            if self.strategies.bounding and not a.alt.is_scan:
-                out.append(Delta("pbound", INSERT, rowkey))
+        g, ak = rowkey
+        a = self.groups[g].alts[ak]
+        visible = op == INSERT
+        self.mins.set_visible(g, ak, visible)
+        if self.trace is not None:
+            self.trace(f"searchspace {op} {rowkey!r} {int(not visible)} {int(visible)}")
+        out = [Delta("refcount", op, (child, rowkey)) for child in a.alt.children()]
+        if visible:
+            out.append(Delta("recost", INSERT, rowkey))
+        if self.strategies.bounding and not a.alt.is_scan:
+            out.append(Delta("pbound", INSERT, rowkey))
         return out
 
     def _h_recost(self, d: Delta) -> list[Delta]:
@@ -293,7 +304,7 @@ class DeclarativeOptimizer:
         if local != a.local:
             a.local = local
             if (self.strategies.bounding and not a.alt.is_scan
-                    and self.ss.visible((g, ak))):
+                    and self.mins.is_visible(g, ak)):
                 out.append(Delta("pbound", INSERT, (g, ak)))
         if a.alt.is_scan:
             cost = sum_cost(None, None, local)
@@ -318,7 +329,7 @@ class DeclarativeOptimizer:
         if self._tracking:
             self.touched_and.add((g, ak))
         out = [Delta("refilterrow", INSERT, (g, ak))]
-        if self.strategies.bounding and self.ss.visible((g, ak)):
+        if self.strategies.bounding and self.mins.is_visible(g, ak):
             out.append(Delta("pbound", INSERT, (g, ak)))
         if self.mins.update(g, ak, cost):
             out.append(Delta("bestcost", INSERT, g))
@@ -335,7 +346,7 @@ class DeclarativeOptimizer:
         if self.strategies.bounding:
             out.append(Delta("bound", INSERT, g))
             for rowkey in self.parent_index.get(g, ()):
-                if self.ss.visible(rowkey):
+                if self.mins.is_visible(*rowkey):
                     out.append(Delta("pbound", INSERT, rowkey))
         return out
 
@@ -369,7 +380,7 @@ class DeclarativeOptimizer:
 
     def _refilter_row(self, g: GroupKey, ak: AltKey, gs: GroupState) -> list[Delta]:
         target = gs.alive and not self._pruned(g, gs, ak, gs.alts[ak])
-        if target == self.ss.visible((g, ak)):
+        if target == self.mins.is_visible(g, ak):
             return []
         return self._apply_row_visibility((g, ak), INSERT if target else DELETE)
 
@@ -398,7 +409,7 @@ class DeclarativeOptimizer:
         a = gs.alts.get(ak)
         if a is None or a.alt.is_scan:
             return []
-        visible = self.ss.visible(rowkey)
+        visible = self.mins.is_visible(g, ak)
         out: list[Delta] = []
         for childkey, side in _sides(a.alt):
             val = self._contribution(gs, a, childkey) if visible else None
@@ -438,7 +449,7 @@ class DeclarativeOptimizer:
         ``(child key, (parent row, side), value)``."""
         for g, gs in self.groups.items():
             for ak, a in gs.alts.items():
-                if a.alt.is_scan or not self.ss.visible((g, ak)):
+                if a.alt.is_scan or not self.mins.is_visible(g, ak):
                     continue
                 for childkey, side in _sides(a.alt):
                     val = self._contribution(gs, a, childkey)
@@ -449,7 +460,7 @@ class DeclarativeOptimizer:
         gs = self.groups.get(d.payload)
         if gs is None:
             return []
-        mb = max(gs.contribs.values()) if gs.contribs else None
+        mb = _maxbound(gs)
         if mb == gs.maxbound:
             return []
         gs.maxbound = mb
@@ -460,19 +471,13 @@ class DeclarativeOptimizer:
         gs = self.groups.get(g)
         if gs is None:
             return []
-        parts = []
-        m = self.mins.min_of(g)
-        if m is not None:
-            parts.append(m[0])
-        if gs.maxbound is not None:
-            parts.append(gs.maxbound)
-        b = min(parts) if parts else None
+        b = _bound(self.mins.min_of(g), gs.maxbound)
         if b == gs.bound:
             return []
         gs.bound = b
         out = [Delta("refilter", INSERT, g)]
         for ak, a in gs.alts.items():
-            if not a.alt.is_scan and self.ss.visible((g, ak)):
+            if not a.alt.is_scan and self.mins.is_visible(g, ak):
                 out.append(Delta("pbound", INSERT, (g, ak)))
         return out
 
@@ -497,13 +502,13 @@ class DeclarativeOptimizer:
         return build_plan(self.universe, self.ctx, self._best, self.root)
 
     def visible_rows(self) -> list[RowKey]:
-        rows = self.ss.visible_tuples()
+        rows = list(self.mins.visible_items())
         rows.sort(key=lambda rk: (rk[0][0].rels, str(rk[0][1]), rk[1]))
         return rows
 
     def visible_counts(self) -> tuple[int, int]:
         """(groups with a visible row, visible rows)."""
-        rows = self.ss.visible_tuples()
+        rows = list(self.mins.visible_items())
         return len({rk[0] for rk in rows}), len(rows)
 
     def optimal_tree_rows(self) -> set[RowKey]:
@@ -522,7 +527,7 @@ class DeclarativeOptimizer:
     def final_state_check(self) -> dict:
         """Compare the visible state against the optimal tree's node set."""
         tree_rows = self.optimal_tree_rows()
-        visible = set(self.ss.visible_tuples())
+        visible = set(self.mins.visible_items())
         alive_groups = {g for g, gs in self.groups.items() if gs.alive}
         tree_groups = {g for g, _ in tree_rows}
         return {
@@ -540,7 +545,7 @@ class DeclarativeOptimizer:
     def recount_oracle(self) -> dict[GroupKey, int]:
         """Brute-force recount: visible parent AND rows per group."""
         counts: dict[GroupKey, int] = {g: 0 for g in self.groups}
-        for rowkey in self.ss.visible_tuples():
+        for rowkey in self.mins.visible_items():
             g, ak = rowkey
             for child in self.groups[g].alts[ak].alt.children():
                 counts[child] = counts.get(child, 0) + 1
@@ -577,7 +582,7 @@ class DeclarativeOptimizer:
             if m != expect:
                 bad.append(f"{g[0]}|{g[1]}: bestcost {m} != min over plancost {expect}")
             visible = [(ak, entries[ak]) for ak in entries
-                       if self.ss.visible((g, ak))]
+                       if self.mins.is_visible(g, ak)]
             if visible:
                 vmin = lexmin((c, ak) for ak, c in visible)
                 if self.mins.visible_min(g) != vmin:
@@ -585,11 +590,10 @@ class DeclarativeOptimizer:
             if self.strategies.bounding:
                 if expected_contribs.get(g, {}) != gs.contribs:
                     bad.append(f"{g[0]}|{g[1]}: parentbound contributions mismatch")
-                mb = max(gs.contribs.values()) if gs.contribs else None
+                mb = _maxbound(gs)
                 if mb != gs.maxbound:
                     bad.append(f"{g[0]}|{g[1]}: maxbound {gs.maxbound} != max {mb}")
-                parts = [x for x in (m[0] if m else None, gs.maxbound) if x is not None]
-                expect_bound = min(parts) if parts else None
+                expect_bound = _bound(m, gs.maxbound)
                 if expect_bound != gs.bound:
                     bad.append(f"{g[0]}|{g[1]}: bound {gs.bound} != {expect_bound}")
         return bad
@@ -606,7 +610,7 @@ class DeclarativeOptimizer:
             for ak in sorted(gs.alts):
                 a = gs.alts[ak]
                 rows[str(ak)] = {
-                    "visible": self.ss.visible((g, ak)),
+                    "visible": self.mins.is_visible(g, ak),
                     "cost": a.cost,
                 }
             out[f"{g[0]}|{g[1]}"] = {
@@ -630,7 +634,7 @@ class DeclarativeOptimizer:
                 a = gs.alts[ak]
                 rows.append({
                     "index": ak[0], "phy_op": ak[1],
-                    "ss_count": self.ss.count((g, ak)),
+                    "ss_count": int(self.mins.is_visible(g, ak)),
                     "cost": a.cost,
                 })
             best = self.mins.min_of(g)
@@ -691,9 +695,11 @@ class DeclarativeOptimizer:
                     a = gs.alts[ak]
                     a.cost = robj["cost"]
                     count = int(robj["ss_count"])
-                    if count:
-                        opt.ss.counts[(g, ak)] = count
-                    opt.mins.set_visible(g, ak, count > 0)
+                    if count not in (0, 1):
+                        raise StateMismatch(
+                            f"snapshot row {ak} of group {g[0]}|{g[1]} has "
+                            f"ss_count {count}, not a 0/1 visibility flag")
+                    opt.mins.set_visible(g, ak, count == 1)
                     if a.cost is not None:
                         opt.mins.update(g, ak, a.cost)
                 best = gobj["best"]
@@ -706,7 +712,7 @@ class DeclarativeOptimizer:
             # local costs and bound contributions are pure; rebuild directly
             for g, gs in opt.groups.items():
                 for ak, a in gs.alts.items():
-                    if a.cost is not None or opt.ss.visible((g, ak)):
+                    if a.cost is not None or opt.mins.is_visible(g, ak):
                         a.local = opt.ctx.local_cost(g[0], g[1], a.alt)
             if strategies.bounding:
                 for childkey, slot, val in opt._contributions():

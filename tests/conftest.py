@@ -61,6 +61,14 @@ def _lower_non_best_root_row(snap: dict) -> None:
     row["cost"] = best["cost"] / 2
 
 
+def _root_best_row_counted_twice(snap: dict) -> None:
+    root = _root_group(snap)
+    best = root["best"]
+    row = next(r for r in root["rows"]
+               if (r["index"], r["phy_op"]) == (best["index"], best["phy_op"]))
+    row["ss_count"] = 2
+
+
 def _unknown_strategy(snap: dict) -> None:
     snap["strategies"].append("bogus")
 
@@ -74,6 +82,7 @@ STATE_TAMPERS = {
     "root-best-null": (_null_root_best, _NOT_MIN),
     "non-best-row-below-best": (_lower_non_best_root_row, _NOT_MIN),
     "unknown-strategy": (_unknown_strategy, "unknown strategies"),
+    "ss-count-2": (_root_best_row_counted_twice, "not a 0/1 visibility flag"),
 }
 
 

@@ -8,70 +8,14 @@ import pytest
 
 from incropt.algebra import ExprSig, PropertySpec
 from incropt.costmodel import lexmin
-from incropt.deltaflow import (
-    CountedState, DELETE, Delta, FixpointEngine, INSERT, MinGroupState,
-)
-from incropt.errors import NonTermination, ValidationError
+from incropt.deltaflow import DELETE, Delta, FixpointEngine, INSERT, MinGroupState
+from incropt.errors import NonTermination
 
 
 def test_delta_is_a_three_field_record():
     d = Delta("bestcost", INSERT, "g")
     assert d == ("bestcost", INSERT, "g") and d._fields == ("relation", "op", "payload")
     assert Delta("expr", DELETE).payload is None
-
-
-class TestCountedState:
-    def test_insert_on_zero_emits(self):
-        st = CountedState("r")
-        out = st.apply(Delta("r", INSERT, "x"))
-        assert [(d.op, d.payload) for d in out] == [(INSERT, "x")]
-
-    def test_insert_on_visible_is_silent(self):
-        st = CountedState("r")
-        st.apply(Delta("r", INSERT, "x"))
-        assert st.apply(Delta("r", INSERT, "x")) == []
-        assert st.count("x") == 2
-
-    def test_delete_to_zero_emits(self):
-        st = CountedState("r")
-        st.apply(Delta("r", INSERT, "x"))
-        out = st.apply(Delta("r", DELETE, "x"))
-        assert [(d.op, d.payload) for d in out] == [(DELETE, "x")]
-
-    def test_out_of_order_delete_goes_negative_then_recovers(self):
-        st = CountedState("r")
-        out = st.apply(Delta("r", DELETE, "x"))
-        assert out == [] and st.count("x") == -1
-        out = st.apply(Delta("r", INSERT, "x"))
-        assert out == [] and st.count("x") == 0
-        assert not st.visible("x")
-
-    def test_conservation_over_history(self):
-        rng = random.Random(3)
-        st = CountedState("r")
-        ledger = {}
-        for _ in range(500):
-            key = rng.choice("abcd")
-            op = rng.choice((INSERT, DELETE))
-            ledger[key] = ledger.get(key, 0) + (1 if op == INSERT else -1)
-            st.apply(Delta("r", op, key))
-        for key in "abcd":
-            assert st.count(key) == ledger.get(key, 0)
-
-    def test_trace_format(self):
-        lines = []
-        st = CountedState("searchspace", trace=lines.append)
-        st.apply(Delta("searchspace", INSERT, ("g", 1)))
-        st.apply(Delta("searchspace", DELETE, ("g", 1)))
-        assert lines == ["searchspace + ('g', 1) 0 1", "searchspace - ('g', 1) 1 0"]
-
-    def test_unknown_op_changes_nothing(self):
-        st = CountedState("r")
-        st.apply(Delta("r", INSERT, "x"))
-        for op in ("#", "?"):
-            with pytest.raises(ValidationError):
-                st.apply(Delta("r", op, "x"))
-        assert st.counts == {"x": 1}
 
 
 class TestMinGroupState:
@@ -125,6 +69,20 @@ class TestMinGroupState:
         m.set_visible("g", "a", False)
         assert m.visible_min("g") == (2.0, "b")
         assert m.min_of("g") == (1.0, "a")
+
+    def test_visibility_is_a_flag(self):
+        m = MinGroupState()
+        assert not m.is_visible("g", "a") and list(m.visible_items()) == []
+        m.set_visible("g", "a", True)
+        m.set_visible("g", "a", True)
+        m.set_visible("h", "b", True)
+        assert m.is_visible("g", "a") and not m.is_visible("g", "b")
+        assert sorted(m.visible_items()) == [("g", "a"), ("h", "b")]
+        m.set_visible("g", "a", False)
+        assert not m.is_visible("g", "a")
+        assert list(m.visible_items()) == [("h", "b")]
+        # visibility is independent of the member's value
+        assert m.min_of("h") is None and m.visible_min("h") is None
 
 
 class TestMinGroupModel:
@@ -259,6 +217,17 @@ class TestFixpointEngine:
         eng.push(Delta("loop", INSERT, "x"))
         with pytest.raises(NonTermination):
             eng.run()
+
+    def test_ceiling_is_per_drain(self):
+        def count_down(d):
+            return [Delta("step", INSERT, d.payload - 1)] if d.payload > 1 else []
+
+        eng = FixpointEngine({"step": count_down}, max_deltas=100)
+        # three 60-delta drains: 180 in total, none above the ceiling
+        for _ in range(3):
+            eng.push(Delta("step", INSERT, 60))
+            assert eng.run() == 60
+        assert eng.processed == 180
 
     def test_shuffled_drain_matches_fifo(self):
         # toy counting network: edges propagate increments to reachable nodes

@@ -111,7 +111,7 @@ def test_aggsel_keeps_only_group_minimum(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL).run()
     for g, gs in opt.groups.items():
-        visible = [ak for ak in gs.alts if opt.ss.visible((g, ak))]
+        visible = [ak for ak in gs.alts if opt.mins.is_visible(g, ak)]
         assert len(visible) == 1
         best = opt.mins.min_of(g)
         assert (gs.alts[visible[0]].cost, visible[0]) == best
@@ -152,7 +152,7 @@ def test_refcount_matches_recount_and_table_shape(q3s_fixture):
     # with the full space visible, (orders, none) is referenced by parent
     # rows in both the (customer, orders) and (lineitem, orders) groups
     g = (ExprSig.of(["orders"]), PropertySpec.none())
-    parents = {rk[0][0] for rk in opt.parent_index[g] if opt.ss.visible(rk)}
+    parents = {rk[0][0] for rk in opt.parent_index[g] if opt.mins.is_visible(*rk)}
     assert ExprSig.of(["customer", "orders"]) in parents
     assert ExprSig.of(["lineitem", "orders"]) in parents
     assert opt.groups[g].refcount >= 2
@@ -168,7 +168,7 @@ def test_dead_group_after_parents_pruned(q3s_fixture):
         else:
             assert not gs.alive
             assert all(a.cost is None for a in gs.alts.values())
-            assert all(not opt.ss.visible((g, ak)) for ak in gs.alts)
+            assert all(not opt.mins.is_visible(g, ak) for ak in gs.alts)
 
 
 def test_bound_equations_at_quiescence(q5s_fixture):
@@ -218,7 +218,7 @@ def test_bound_prunes_cost_above_bound(q5s_fixture):
             continue
         for ak, a in gs.alts.items():
             if a.cost is not None and a.cost > gs.bound:
-                assert not opt.ss.visible((g, ak))
+                assert not opt.mins.is_visible(g, ak)
 
 
 def test_final_state_check_by_strategy(q3s_fixture):
@@ -328,13 +328,16 @@ def test_query_over_catalog_subset(q5s_fixture):
 def test_trace_emits_stable_lines(q3s_fixture):
     cat, q = q3s_fixture
     lines = []
-    DeclarativeOptimizer(cat, q, trace=lines.append).run()
+    opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
     assert lines
     for line in lines:
         relation, op, rest = line.split(" ", 2)
         assert relation == "searchspace" and op in "+-"
-        before, after = rest.rsplit(" ", 2)[-2:]
-        int(before), int(after)
+        # a row flips between invisible (0) and visible (1), never further
+        assert rest.endswith(" 0 1" if op == "+" else " 1 0")
+    assert any(line.startswith("searchspace - ") for line in lines)
+    g, ak = opt.root, opt._best(opt.root)[1]
+    assert f"searchspace + {(g, ak)!r} 0 1" in lines
 
 
 def test_not_quiescent_guard(q3s_fixture):
