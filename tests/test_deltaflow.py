@@ -85,6 +85,25 @@ class TestMinGroupState:
         assert m.min_of("h") is None and m.visible_min("h") is None
 
 
+class TestCountedState:
+    """The searchspace trace kept the line format of the retired CountedState:
+    ``relation op row before after``, one line per visibility flip."""
+
+    def test_trace_format(self, q3s_fixture):
+        from incropt.optimizer import DeclarativeOptimizer
+        cat, q = q3s_fixture
+        lines = []
+        opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
+        rk = (opt.root, opt._best(opt.root)[1])
+        assert opt.mins.is_visible(*rk)
+        lines.clear()
+        opt._apply_row_visibility(rk, DELETE)
+        assert not opt.mins.is_visible(*rk)
+        opt._apply_row_visibility(rk, INSERT)
+        assert opt.mins.is_visible(*rk)
+        assert lines == [f"searchspace - {rk!r} 1 0", f"searchspace + {rk!r} 0 1"]
+
+
 class TestMinGroupModel:
     """The cached minimum against a brute-force lexmin after every step."""
 
