@@ -456,6 +456,9 @@ class SearchUniverse:
         return got
 
     def buildable(self, group: GroupKey) -> bool:
+        # not folded into ``alternatives``: ``any`` stops at the first
+        # buildable alternative, and one memo for both raised chain-16
+        # (seed 7) from 4880 to 5079 ``split`` calls
         got = self._buildable.get(group)
         if got is None:
             got = any(

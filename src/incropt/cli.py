@@ -53,6 +53,14 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _require_counts(args) -> None:
+    """Reject a negative --trials or --updates-per-trial."""
+    for flag in ("--trials", "--updates-per-trial"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 0:
+            raise ValidationError(f"{flag} must be at least 0, got {value}")
+
+
 def _load_inputs(args) -> tuple[Catalog, Query, CostConfig]:
     cat = load_catalog(args.catalog)
     query = load_query(args.query, cat)
@@ -204,6 +212,7 @@ def cmd_bench(args) -> int:
     if args.schema_version:
         print(f"schema-version: {SCHEMA_VERSION}")
         return 0
+    _require_counts(args)
     seed = _seed_from(args)
     columns = _BENCH_COLUMNS + (_TIMING_COLUMNS if args.timing else [])
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -260,6 +269,11 @@ def _verify_trial(shape: str, n: int, seed: int, k_updates: int,
 
 
 def cmd_verify(args) -> int:
+    _require_counts(args)
+    if args.max_rels < 3:
+        raise ValidationError(
+            f"--max-rels must be at least 3 (the smallest verified size), "
+            f"got {args.max_rels}")
     seed = _seed_from(args)
     if args.trials == 0:
         print("verify: warning: --trials 0, nothing checked", file=sys.stderr)

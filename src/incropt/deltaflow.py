@@ -8,11 +8,12 @@ and the receiving rule reads the current value from maintained state.
 
 State discipline: every row has exactly one derivation, so its visibility
 is a flag, kept as membership in its group's visible set, not a signed
-count.  Min groups retain every value they have ever been handed,
-including ones above the minimum, so the next-best is recoverable when the
-minimum is deleted or raised.  Each group's minimum is cached beside its
-members: a change below it replaces it in O(1), and only deleting or raising
-the minimum member rescans that one group.
+count.  A group owns its state: one ``MinGroupState`` holds its members'
+costs, their minimum and its visible set.  It retains every value it has
+been handed, including ones above the minimum, so the next-best is
+recoverable when the minimum is deleted or raised.  The minimum is cached
+beside the members: a change below it replaces it in O(1), and only deleting
+or raising the minimum member rescans the group.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -40,87 +41,86 @@ class Delta(NamedTuple):
 
 
 class MinGroupState:
-    """Per-group multiset of (member -> cost) with recoverable next-best.
+    """One group's multiset of (member -> cost) with recoverable next-best.
 
-    Each member also carries a visibility flag, the one record of whether
-    its row is in the visible search space; a flag is independent of the
-    member's value.  The *retained* minimum ranges over every member (pruned
-    ones included) while the *visible* minimum ranges over visible members
-    only.  Ordering is lexicographic on (cost, member key) so ties resolve
-    deterministically.
+    A group owns one instance: its members' costs, their cached minimum and
+    its visible set.  Each member also carries a visibility flag, the one
+    record of whether its row is in the visible search space; a flag is
+    independent of the member's value.  The *retained* minimum ranges over
+    every member (pruned ones included) while the *visible* minimum ranges
+    over visible members only.  Ordering is lexicographic on (cost, member
+    key) so ties resolve deterministically.
 
-    Invariant: ``_min[group]`` is the lexicographic minimum of
-    ``_costs[group]``, and a group has an entry in both or in neither.
-    ``update`` keeps it so in O(1) except when the minimum member is deleted
-    or raised, the only two cases that rescan, and only that one group.
+    Invariant: ``_min`` is the lexicographic minimum of ``_costs``, or None
+    when ``_costs`` is empty.  ``update`` keeps it so in O(1) except when the
+    minimum member is deleted or raised, the only two cases that rescan.
     """
 
+    __slots__ = ("_costs", "_min", "_visible")
+
     def __init__(self):
-        self._costs: dict[Any, dict[Any, float]] = {}
-        self._min: dict[Any, tuple[float, Any]] = {}
-        self._visible: dict[Any, set[Any]] = {}
+        self._costs: dict[Any, float] = {}
+        self._min: tuple[float, Any] | None = None
+        self._visible: set[Any] = set()
 
-    def members(self, group: Any) -> dict[Any, float]:
-        return dict(self._costs.get(group, {}))
+    def members(self) -> dict[Any, float]:
+        return dict(self._costs)
 
-    def min_of(self, group: Any) -> tuple[float, Any] | None:
-        return self._min.get(group)
+    def cost_of(self, member: Any) -> float | None:
+        """``member``'s retained value, or None when it has none."""
+        return self._costs.get(member)
 
-    def visible_min(self, group: Any) -> tuple[float, Any] | None:
-        entries = self._costs.get(group, {})
-        alive = {k: entries[k] for k in self._visible.get(group, ()) if k in entries}
+    def min_of(self) -> tuple[float, Any] | None:
+        return self._min
+
+    def visible_min(self) -> tuple[float, Any] | None:
+        alive = {k: self._costs[k] for k in self._visible if k in self._costs}
         return _lexmin(alive) if alive else None
 
-    def is_visible(self, group: Any, member: Any) -> bool:
-        vis = self._visible.get(group)
-        return vis is not None and member in vis
+    def is_visible(self, member: Any) -> bool:
+        return member in self._visible
 
-    def visible_items(self) -> Iterator[tuple[Any, Any]]:
-        """Every visible ``(group, member)`` pair."""
-        for group, vis in self._visible.items():
-            for member in vis:
-                yield group, member
+    def visible(self) -> Iterator[Any]:
+        """Every visible member, in no particular order."""
+        return iter(self._visible)
 
-    def set_visible(self, group: Any, member: Any, visible: bool) -> None:
-        vis = self._visible.setdefault(group, set())
+    def set_visible(self, member: Any, visible: bool) -> None:
         if visible:
-            vis.add(member)
+            self._visible.add(member)
         else:
-            vis.discard(member)
+            self._visible.discard(member)
 
-    def update(self, group: Any, member: Any, cost: float | None) -> bool:
-        """Set ``member``'s value in ``group``, or delete it when ``cost`` is
-        None; report whether the group minimum changed.
+    def update(self, member: Any, cost: float | None) -> bool:
+        """Set ``member``'s value, or delete it when ``cost`` is None; report
+        whether the minimum changed.
 
         The cached minimum follows four cases: a value below the minimum
         replaces it; deleting the minimum member, or raising it, rescans the
         group for the next-best; any other change leaves it alone; the last
-        delete drops the group.
+        delete empties it.
         """
-        before = self._min.get(group)
-        entries = self._costs.get(group)
+        before = self._min
+        entries = self._costs
         if cost is None:
             # visibility flags are written only by set_visible, so a value
             # deletion leaves them alone (the row may stay visible)
-            if entries is None or member not in entries:
+            if member not in entries:
                 return False
             del entries[member]
             if not entries:
-                del self._costs[group], self._min[group]
+                self._min = None
                 return True
             if before[1] != member:
                 return False
         else:
-            if entries is None:
-                entries = self._costs[group] = {}
             entries[member] = cost
             cand = (cost, member)
             if before is None or cand < before:
-                self._min[group] = cand
+                self._min = cand
                 return True
             if before[1] != member or cost == before[0]:
                 return False
-        self._min[group] = _lexmin(entries)
+        self._min = _lexmin(entries)
         return True
 
 

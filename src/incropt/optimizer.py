@@ -1,14 +1,15 @@
 """The declarative, incrementally-maintainable join-order optimizer.
 
 All search and cost state lives in maintained relations, driven to fixpoint
-by delta propagation:
+by delta propagation.  Each group (OR node) owns its state: one
+``MinGroupState`` holds its row costs, their minimum and its visible set.
 
 * ``searchspace``  -- one row per physical alternative (AND node); a row has
-  exactly one derivation, so its visibility is a flag in the group-min
-  structure's per-group visible set;
-* ``plancost``     -- the current full cost of each alternative, retained in
-  a per-group min structure even while a row is pruned, so the next-best
-  plan is recoverable;
+  exactly one derivation, so its visibility is a flag in its group's visible
+  set;
+* ``plancost``     -- the current full cost of each alternative, retained by
+  its group even while a row is pruned, so the next-best plan is
+  recoverable;
 * ``bestcost``     -- the per-group (OR node) minimum, with deterministic
   (cost, index, phy_op) tie-breaking shared with every baseline;
 * ``refcount``     -- per-group count of visible parent AND rows; at zero a
@@ -34,7 +35,7 @@ from .algebra import (
 from .catalog import Catalog
 from .costmodel import BestCost, CostConfig, CostContext, lexmin, sum_cost
 from .deltaflow import (
-    DEFAULT_DELTA_CEILING, Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
+    Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
@@ -88,25 +89,25 @@ STRATEGY_SUBSETS = {
 
 
 class AltState:
-    """Mutable per-alternative state: local cost and retained full cost."""
+    """Mutable per-alternative state: the local cost (full costs: ``mins``)."""
 
-    __slots__ = ("alt", "local", "cost")
+    __slots__ = ("alt", "local")
 
     def __init__(self, alt: Alternative):
         self.alt = alt
         self.local: float | None = None
-        self.cost: float | None = None
 
 
 class GroupState:
-    """Mutable per-(expr, prop) state: the OR node."""
+    """Mutable per-(expr, prop) state: the OR node.  ``mins`` holds its row
+    costs, their minimum and its visible set."""
 
-    __slots__ = ("key", "alts", "refcount", "synthetic", "alive",
+    __slots__ = ("alts", "mins", "refcount", "synthetic", "alive",
                  "contribs", "maxbound", "bound")
 
-    def __init__(self, key: GroupKey, synthetic: int = 0):
-        self.key = key
+    def __init__(self, synthetic: int = 0):
         self.alts: dict[AltKey, AltState] = {}
+        self.mins = MinGroupState()
         self.refcount = 0
         self.synthetic = synthetic
         self.alive = True
@@ -146,7 +147,6 @@ class DeclarativeOptimizer:
                  strategies: Strategies | None = None,
                  config: CostConfig | None = None,
                  trace: Callable[[str], None] | None = None,
-                 max_deltas: int = DEFAULT_DELTA_CEILING,
                  drain_order: str = "fifo", drain_seed: int | None = None):
         self.catalog = cat
         self.query = query
@@ -158,8 +158,6 @@ class DeclarativeOptimizer:
         self.groups: dict[GroupKey, GroupState] = {}
         self.parent_index: dict[GroupKey, list[RowKey]] = {}
         self.trace = trace
-        # group minima, and the only record of which searchspace rows are visible
-        self.mins = MinGroupState()
         self.touched_and: set[RowKey] = set()
         self.touched_or: set[GroupKey] = set()
         self._tracking = False
@@ -175,7 +173,7 @@ class DeclarativeOptimizer:
                 "maxbound": self._h_maxbound,
                 "bound": self._h_bound,
             },
-            max_deltas=max_deltas, order=drain_order, seed=drain_seed,
+            order=drain_order, seed=drain_seed,
             observer=self._observe,
         )
 
@@ -215,7 +213,7 @@ class DeclarativeOptimizer:
     # -- group lifecycle -------------------------------------------------
 
     def _alloc_group(self, g: GroupKey, synthetic: int = 0) -> GroupState:
-        gs = GroupState(g, synthetic=synthetic)
+        gs = GroupState(synthetic=synthetic)
         for alt in self.universe.alternatives(g):
             gs.alts[alt.key] = AltState(alt)
             for child in alt.children():
@@ -234,9 +232,9 @@ class DeclarativeOptimizer:
         gs = self.groups[g]
         gs.alive = False
         out: list[Delta] = []
-        for ak, a in gs.alts.items():
-            if a.cost is not None:
-                out.extend(self._set_row_cost(g, ak, a, None))
+        for ak in gs.alts:
+            if gs.mins.cost_of(ak) is not None:
+                out.extend(self._set_row_cost(g, ak, gs, None))
         out.append(Delta("refilter", INSERT, g))
         return out
 
@@ -257,7 +255,7 @@ class DeclarativeOptimizer:
     def _child_best(self, g: GroupKey) -> tuple[float, AltKey]:
         gs = self.groups.get(g)
         if gs is not None and gs.alive:
-            m = self.mins.min_of(g)
+            m = gs.mins.min_of()
             if m is not None:
                 return m
         return self._dp.best(g)
@@ -280,9 +278,10 @@ class DeclarativeOptimizer:
         if self._tracking:
             self.touched_and.add(rowkey)
         g, ak = rowkey
-        a = self.groups[g].alts[ak]
+        gs = self.groups[g]
+        a = gs.alts[ak]
         visible = op == INSERT
-        self.mins.set_visible(g, ak, visible)
+        gs.mins.set_visible(ak, visible)
         if self.trace is not None:
             self.trace(f"searchspace {op} {rowkey!r} {int(not visible)} {int(visible)}")
         out = [Delta("refcount", op, (child, rowkey)) for child in a.alt.children()]
@@ -304,7 +303,7 @@ class DeclarativeOptimizer:
         if local != a.local:
             a.local = local
             if (self.strategies.bounding and not a.alt.is_scan
-                    and self.mins.is_visible(g, ak)):
+                    and gs.mins.is_visible(ak)):
                 out.append(Delta("pbound", INSERT, (g, ak)))
         if a.alt.is_scan:
             cost = sum_cost(None, None, local)
@@ -312,26 +311,25 @@ class DeclarativeOptimizer:
             bl = self._child_best((a.alt.l_expr, a.alt.l_prop))
             br = self._child_best((a.alt.r_expr, a.alt.r_prop))
             cost = sum_cost(bl[0], br[0], local)
-        if cost != a.cost:
-            out.extend(self._set_row_cost(g, ak, a, cost))
+        if cost != gs.mins.cost_of(ak):
+            out.extend(self._set_row_cost(g, ak, gs, cost))
         return out
 
-    def _set_row_cost(self, g: GroupKey, ak: AltKey, a: AltState,
+    def _set_row_cost(self, g: GroupKey, ak: AltKey, gs: GroupState,
                       cost: float | None) -> list[Delta]:
         """Write one plancost value (None retracts it) and its group-min
         effect atomically.
 
-        The min structure is updated in the same step as the value, so a
+        The group's min structure holds the value and its minimum, so a
         shuffled drain can never interleave an older value over a newer one.
         Only change notifications go through the queue.
         """
-        a.cost = cost
         if self._tracking:
             self.touched_and.add((g, ak))
         out = [Delta("refilterrow", INSERT, (g, ak))]
-        if self.strategies.bounding and self.mins.is_visible(g, ak):
+        if self.strategies.bounding and gs.mins.is_visible(ak):
             out.append(Delta("pbound", INSERT, (g, ak)))
-        if self.mins.update(g, ak, cost):
+        if gs.mins.update(ak, cost):
             out.append(Delta("bestcost", INSERT, g))
         return out
 
@@ -345,9 +343,9 @@ class DeclarativeOptimizer:
         out.append(Delta("refilter", INSERT, g))
         if self.strategies.bounding:
             out.append(Delta("bound", INSERT, g))
-            for rowkey in self.parent_index.get(g, ()):
-                if self.mins.is_visible(*rowkey):
-                    out.append(Delta("pbound", INSERT, rowkey))
+            for pg, pak in self.parent_index.get(g, ()):
+                if self.groups[pg].mins.is_visible(pak):
+                    out.append(Delta("pbound", INSERT, (pg, pak)))
         return out
 
     def _h_refcount(self, d: Delta) -> list[Delta]:
@@ -367,20 +365,21 @@ class DeclarativeOptimizer:
             out.extend(self._revive_group(g))
         return out
 
-    def _pruned(self, g: GroupKey, gs: GroupState, ak: AltKey, a: AltState) -> bool:
-        if a.cost is None:
+    def _pruned(self, gs: GroupState, ak: AltKey) -> bool:
+        cost = gs.mins.cost_of(ak)
+        if cost is None:
             return False
         if self.strategies.aggsel:
-            m = self.mins.min_of(g)
-            if m is not None and (a.cost, ak) != m:
+            m = gs.mins.min_of()
+            if m is not None and (cost, ak) != m:
                 return True
-        if self.strategies.bounding and gs.bound is not None and a.cost > gs.bound:
+        if self.strategies.bounding and gs.bound is not None and cost > gs.bound:
             return True
         return False
 
     def _refilter_row(self, g: GroupKey, ak: AltKey, gs: GroupState) -> list[Delta]:
-        target = gs.alive and not self._pruned(g, gs, ak, gs.alts[ak])
-        if target == self.mins.is_visible(g, ak):
+        target = gs.alive and not self._pruned(gs, ak)
+        if target == gs.mins.is_visible(ak):
             return []
         return self._apply_row_visibility((g, ak), INSERT if target else DELETE)
 
@@ -409,10 +408,10 @@ class DeclarativeOptimizer:
         a = gs.alts.get(ak)
         if a is None or a.alt.is_scan:
             return []
-        visible = self.mins.is_visible(g, ak)
+        visible = gs.mins.is_visible(ak)
         out: list[Delta] = []
         for childkey, side in _sides(a.alt):
-            val = self._contribution(gs, a, childkey) if visible else None
+            val = self._contribution(gs, ak, childkey) if visible else None
             cgs = self.groups.get(childkey)
             if cgs is None:
                 continue
@@ -426,9 +425,9 @@ class DeclarativeOptimizer:
             out.append(Delta("maxbound", INSERT, childkey))
         return out
 
-    def _contribution(self, gs: GroupState, a: AltState,
+    def _contribution(self, gs: GroupState, ak: AltKey,
                       childkey: GroupKey) -> float | None:
-        """The parent-bound contribution of visible join row ``a`` of group
+        """The parent-bound contribution of visible join row ``ak`` of group
         ``gs`` to its child ``childkey``, or None when it gives none.
 
         Parent bound minus sibling best minus local cost, computed as
@@ -436,23 +435,24 @@ class DeclarativeOptimizer:
         the cancellation that could land one ulp below the child's own best
         and wrongly prune the optimal row.
         """
-        if not gs.alive or gs.bound is None or a.cost is None:
+        cost = gs.mins.cost_of(ak)
+        if not gs.alive or gs.bound is None or cost is None:
             return None
         child = self.groups.get(childkey)
         if child is None or not child.alive:
             return None
-        cm = self.mins.min_of(childkey)
-        return None if cm is None else cm[0] + (gs.bound - a.cost)
+        cm = child.mins.min_of()
+        return None if cm is None else cm[0] + (gs.bound - cost)
 
     def _contributions(self):
         """Every parent-bound contribution the visible state implies, as
         ``(child key, (parent row, side), value)``."""
         for g, gs in self.groups.items():
             for ak, a in gs.alts.items():
-                if a.alt.is_scan or not self.mins.is_visible(g, ak):
+                if a.alt.is_scan or not gs.mins.is_visible(ak):
                     continue
                 for childkey, side in _sides(a.alt):
-                    val = self._contribution(gs, a, childkey)
+                    val = self._contribution(gs, ak, childkey)
                     if val is not None:
                         yield childkey, ((g, ak), side), val
 
@@ -471,13 +471,13 @@ class DeclarativeOptimizer:
         gs = self.groups.get(g)
         if gs is None:
             return []
-        b = _bound(self.mins.min_of(g), gs.maxbound)
+        b = _bound(gs.mins.min_of(), gs.maxbound)
         if b == gs.bound:
             return []
         gs.bound = b
         out = [Delta("refilter", INSERT, g)]
         for ak, a in gs.alts.items():
-            if not a.alt.is_scan and self.mins.is_visible(g, ak):
+            if not a.alt.is_scan and gs.mins.is_visible(ak):
                 out.append(Delta("pbound", INSERT, (g, ak)))
         return out
 
@@ -488,7 +488,8 @@ class DeclarativeOptimizer:
             raise NotQuiescent(f"{self.engine.pending} deltas still pending")
 
     def _best(self, g: GroupKey) -> tuple[float, AltKey]:
-        m = self.mins.min_of(g)
+        gs = self.groups.get(g)
+        m = None if gs is None else gs.mins.min_of()
         if m is None:
             raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no plan")
         return m
@@ -501,14 +502,20 @@ class DeclarativeOptimizer:
         self._require_quiescent()
         return build_plan(self.universe, self.ctx, self._best, self.root)
 
+    def _visible(self) -> Iterable[RowKey]:
+        """Every visible searchspace row, in no particular order."""
+        for g, gs in self.groups.items():
+            for ak in gs.mins.visible():
+                yield g, ak
+
     def visible_rows(self) -> list[RowKey]:
-        rows = list(self.mins.visible_items())
+        rows = list(self._visible())
         rows.sort(key=lambda rk: (rk[0][0].rels, str(rk[0][1]), rk[1]))
         return rows
 
     def visible_counts(self) -> tuple[int, int]:
         """(groups with a visible row, visible rows)."""
-        rows = list(self.mins.visible_items())
+        rows = list(self._visible())
         return len({rk[0] for rk in rows}), len(rows)
 
     def optimal_tree_rows(self) -> set[RowKey]:
@@ -527,7 +534,7 @@ class DeclarativeOptimizer:
     def final_state_check(self) -> dict:
         """Compare the visible state against the optimal tree's node set."""
         tree_rows = self.optimal_tree_rows()
-        visible = set(self.mins.visible_items())
+        visible = set(self._visible())
         alive_groups = {g for g, gs in self.groups.items() if gs.alive}
         tree_groups = {g for g, _ in tree_rows}
         return {
@@ -545,8 +552,7 @@ class DeclarativeOptimizer:
     def recount_oracle(self) -> dict[GroupKey, int]:
         """Brute-force recount: visible parent AND rows per group."""
         counts: dict[GroupKey, int] = {g: 0 for g in self.groups}
-        for rowkey in self.mins.visible_items():
-            g, ak = rowkey
+        for g, ak in self._visible():
             for child in self.groups[g].alts[ak].alt.children():
                 counts[child] = counts.get(child, 0) + 1
         return counts
@@ -571,21 +577,18 @@ class DeclarativeOptimizer:
             for childkey, slot, val in self._contributions():
                 expected_contribs.setdefault(childkey, {})[slot] = val
         for g, gs in self.groups.items():
-            entries = {ak: a.cost for ak, a in gs.alts.items() if a.cost is not None}
-            stored = self.mins.members(g)
-            if entries != stored:
-                bad.append(f"{g[0]}|{g[1]}: retained plancost mismatch")
             if not gs.alive:
                 continue
-            m = self.mins.min_of(g)
+            entries = gs.mins.members()
+            m = gs.mins.min_of()
             expect = lexmin((c, ak) for ak, c in entries.items())
             if m != expect:
                 bad.append(f"{g[0]}|{g[1]}: bestcost {m} != min over plancost {expect}")
             visible = [(ak, entries[ak]) for ak in entries
-                       if self.mins.is_visible(g, ak)]
+                       if gs.mins.is_visible(ak)]
             if visible:
                 vmin = lexmin((c, ak) for ak, c in visible)
-                if self.mins.visible_min(g) != vmin:
+                if gs.mins.visible_min() != vmin:
                     bad.append(f"{g[0]}|{g[1]}: visible min mismatch")
             if self.strategies.bounding:
                 if expected_contribs.get(g, {}) != gs.contribs:
@@ -600,28 +603,9 @@ class DeclarativeOptimizer:
 
     # -- digests / snapshots -------------------------------------------------
 
-    def state_digest(self) -> dict:
-        """Canonical visible-state structure for deep-equality comparisons."""
-        self._require_quiescent()
-        out = {}
-        for g in sorted(self.groups, key=lambda k: (k[0].rels, str(k[1]))):
-            gs = self.groups[g]
-            rows = {}
-            for ak in sorted(gs.alts):
-                a = gs.alts[ak]
-                rows[str(ak)] = {
-                    "visible": self.mins.is_visible(g, ak),
-                    "cost": a.cost,
-                }
-            out[f"{g[0]}|{g[1]}"] = {
-                "alive": gs.alive,
-                "refcount": gs.refcount,
-                "best": self.mins.min_of(g),
-                "bound": gs.bound,
-                "maxbound": gs.maxbound,
-                "rows": rows,
-            }
-        return out
+    def state_digest(self) -> list[dict]:
+        """The snapshot's ``groups``: the one canonical form of the state."""
+        return self.to_snapshot()["groups"]
 
     def to_snapshot(self) -> dict:
         """JSON dump of the maintained relations, resumable by `reoptimize`."""
@@ -631,13 +615,12 @@ class DeclarativeOptimizer:
             gs = self.groups[g]
             rows = []
             for ak in sorted(gs.alts):
-                a = gs.alts[ak]
                 rows.append({
                     "index": ak[0], "phy_op": ak[1],
-                    "ss_count": int(self.mins.is_visible(g, ak)),
-                    "cost": a.cost,
+                    "ss_count": int(gs.mins.is_visible(ak)),
+                    "cost": gs.mins.cost_of(ak),
                 })
-            best = self.mins.min_of(g)
+            best = gs.mins.min_of()
             groups.append({
                 "expr": list(g[0].rels),
                 "prop": str(g[1]),
@@ -646,8 +629,8 @@ class DeclarativeOptimizer:
                 "alive": gs.alive,
                 "best": None if best is None else
                     {"cost": best[0], "index": best[1][0], "phy_op": best[1][1]},
-                "bound": None if gs.bound is None else gs.bound,
-                "maxbound": None if gs.maxbound is None else gs.maxbound,
+                "bound": gs.bound,
+                "maxbound": gs.maxbound,
                 "rows": rows,
             })
         return {
@@ -664,9 +647,7 @@ class DeclarativeOptimizer:
         }
 
     @classmethod
-    def from_snapshot(cls, snap: dict, *,
-                      trace: Callable[[str], None] | None = None,
-                      max_deltas: int = DEFAULT_DELTA_CEILING) -> "DeclarativeOptimizer":
+    def from_snapshot(cls, snap: dict) -> "DeclarativeOptimizer":
         from .catalog import catalog_from_dict
         from .algebra import query_from_dict
 
@@ -679,8 +660,7 @@ class DeclarativeOptimizer:
             query = query_from_dict(snap["query"], cat)
             strategies = Strategies.parse(",".join(snap["strategies"]))
             config = CostConfig.from_dict(snap["cost_config"])
-            opt = cls(cat, query, strategies=strategies, config=config,
-                      trace=trace, max_deltas=max_deltas)
+            opt = cls(cat, query, strategies=strategies, config=config)
             for gobj in snap["groups"]:
                 g = (ExprSig.of(gobj["expr"]), PropertySpec.parse(gobj["prop"]))
                 gs = opt._alloc_group(g, synthetic=int(gobj["synthetic"]))
@@ -692,27 +672,26 @@ class DeclarativeOptimizer:
                     ak = (int(robj["index"]), robj["phy_op"])
                     if ak not in gs.alts:
                         raise StateMismatch(f"snapshot row {ak} unknown to enumeration")
-                    a = gs.alts[ak]
-                    a.cost = robj["cost"]
+                    cost = robj["cost"]
                     count = int(robj["ss_count"])
                     if count not in (0, 1):
                         raise StateMismatch(
                             f"snapshot row {ak} of group {g[0]}|{g[1]} has "
                             f"ss_count {count}, not a 0/1 visibility flag")
-                    opt.mins.set_visible(g, ak, count == 1)
-                    if a.cost is not None:
-                        opt.mins.update(g, ak, a.cost)
+                    gs.mins.set_visible(ak, count == 1)
+                    if cost is not None:
+                        gs.mins.update(ak, cost)
                 best = gobj["best"]
                 stored = None if best is None else (
                     best["cost"], (int(best["index"]), best["phy_op"]))
-                if stored != opt.mins.min_of(g):
+                if stored != gs.mins.min_of():
                     raise StateMismatch(
                         f"snapshot best {stored} of group {g[0]}|{g[1]} is not "
-                        f"the minimum of its rows {opt.mins.min_of(g)}")
+                        f"the minimum of its rows {gs.mins.min_of()}")
             # local costs and bound contributions are pure; rebuild directly
             for g, gs in opt.groups.items():
                 for ak, a in gs.alts.items():
-                    if a.cost is not None or opt.mins.is_visible(g, ak):
+                    if gs.mins.cost_of(ak) is not None or gs.mins.is_visible(ak):
                         a.local = opt.ctx.local_cost(g[0], g[1], a.alt)
             if strategies.bounding:
                 for childkey, slot, val in opt._contributions():

@@ -247,3 +247,24 @@ def test_verify_detects_injected_fault(tmp_path):
     dump = json.loads(repro.read_text())
     assert dump["problems"]
     assert "catalog" in dump and "query" in dump
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--max-rels", "2"),
+    ("verify", "--trials", "-1"),
+    ("verify", "--updates-per-trial", "-1"),
+])
+def test_verify_rejects_bad_counts(args, capsys):
+    assert run(*args) == 1
+    err = capsys.readouterr()
+    assert err.err.startswith("error: ") and "Traceback" not in err.err
+    assert "trials OK" not in err.out
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--updates-per-trial"])
+def test_bench_rejects_negative_counts(flag, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run("bench", "--shapes", "chain", "--sizes", "3", flag, "-2",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be at least 0")
+    assert not out.exists()

@@ -21,68 +21,69 @@ def test_delta_is_a_three_field_record():
 class TestMinGroupState:
     def test_insertion_lowers_min(self):
         m = MinGroupState()
-        assert m.update("g", "a", 0.30) and m.min_of("g") == (0.30, "a")
-        assert m.update("g", "b", 0.25) and m.min_of("g") == (0.25, "b")
+        assert m.update("a", 0.30) and m.min_of() == (0.30, "a")
+        assert m.update("b", 0.25) and m.min_of() == (0.25, "b")
 
     def test_insertion_above_min_is_silent(self):
         m = MinGroupState()
-        m.update("g", "a", 0.25)
-        assert not m.update("g", "b", 0.30)
-        assert m.min_of("g") == (0.25, "a")
+        m.update("a", 0.25)
+        assert not m.update("b", 0.30)
+        assert m.min_of() == (0.25, "a")
 
     def test_deleting_min_promotes_next_best(self):
         m = MinGroupState()
-        m.update("g", "a", 0.25)
-        m.update("g", "b", 0.30)
-        assert m.update("g", "a", None) and m.min_of("g") == (0.30, "b")
+        m.update("a", 0.25)
+        m.update("b", 0.30)
+        assert m.update("a", None) and m.min_of() == (0.30, "b")
 
     def test_raising_min_promotes_min_of_new_and_next_best(self):
         m = MinGroupState()
-        m.update("g", "a", 0.25)
-        m.update("g", "b", 0.30)
-        assert m.update("g", "a", 0.40) and m.min_of("g") == (0.30, "b")
+        m.update("a", 0.25)
+        m.update("b", 0.30)
+        assert m.update("a", 0.40) and m.min_of() == (0.30, "b")
 
     def test_lowering_nonmin_competes(self):
         m = MinGroupState()
-        m.update("g", "a", 0.30)
-        m.update("g", "b", 0.50)
-        assert m.update("g", "b", 0.20) and m.min_of("g") == (0.20, "b")
+        m.update("a", 0.30)
+        m.update("b", 0.50)
+        assert m.update("b", 0.20) and m.min_of() == (0.20, "b")
 
     def test_retains_all_members(self):
         m = MinGroupState()
         for i, c in enumerate((5.0, 3.0, 4.0)):
-            m.update("g", f"m{i}", c)
-        assert len(m.members("g")) == 3
+            m.update(f"m{i}", c)
+        assert len(m.members()) == 3
+        assert m.cost_of("m1") == 3.0 and m.cost_of("zz") is None
 
     def test_last_delete_emits_group_delete(self):
         m = MinGroupState()
-        m.update("g", "a", 1.0)
-        assert m.update("g", "a", None) and m.min_of("g") is None
+        m.update("a", 1.0)
+        assert m.update("a", None) and m.min_of() is None
 
     def test_visible_min_tracks_visibility(self):
         m = MinGroupState()
-        m.update("g", "a", 1.0)
-        m.update("g", "b", 2.0)
-        m.set_visible("g", "a", True)
-        m.set_visible("g", "b", True)
-        assert m.visible_min("g") == (1.0, "a")
-        m.set_visible("g", "a", False)
-        assert m.visible_min("g") == (2.0, "b")
-        assert m.min_of("g") == (1.0, "a")
+        m.update("a", 1.0)
+        m.update("b", 2.0)
+        m.set_visible("a", True)
+        m.set_visible("b", True)
+        assert m.visible_min() == (1.0, "a")
+        m.set_visible("a", False)
+        assert m.visible_min() == (2.0, "b")
+        assert m.min_of() == (1.0, "a")
 
     def test_visibility_is_a_flag(self):
-        m = MinGroupState()
-        assert not m.is_visible("g", "a") and list(m.visible_items()) == []
-        m.set_visible("g", "a", True)
-        m.set_visible("g", "a", True)
-        m.set_visible("h", "b", True)
-        assert m.is_visible("g", "a") and not m.is_visible("g", "b")
-        assert sorted(m.visible_items()) == [("g", "a"), ("h", "b")]
-        m.set_visible("g", "a", False)
-        assert not m.is_visible("g", "a")
-        assert list(m.visible_items()) == [("h", "b")]
+        g, h = MinGroupState(), MinGroupState()
+        assert not g.is_visible("a") and list(g.visible()) == []
+        g.set_visible("a", True)
+        g.set_visible("a", True)
+        h.set_visible("b", True)
+        assert g.is_visible("a") and not g.is_visible("b")
+        assert list(g.visible()) == ["a"] and list(h.visible()) == ["b"]
+        g.set_visible("a", False)
+        assert not g.is_visible("a")
+        assert list(g.visible()) == [] and list(h.visible()) == ["b"]
         # visibility is independent of the member's value
-        assert m.min_of("h") is None and m.visible_min("h") is None
+        assert h.min_of() is None and h.visible_min() is None
 
 
 class TestCountedState:
@@ -95,12 +96,13 @@ class TestCountedState:
         lines = []
         opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
         rk = (opt.root, opt._best(opt.root)[1])
-        assert opt.mins.is_visible(*rk)
+        mins = opt.groups[opt.root].mins
+        assert mins.is_visible(rk[1])
         lines.clear()
         opt._apply_row_visibility(rk, DELETE)
-        assert not opt.mins.is_visible(*rk)
+        assert not mins.is_visible(rk[1])
         opt._apply_row_visibility(rk, INSERT)
-        assert opt.mins.is_visible(*rk)
+        assert mins.is_visible(rk[1])
         assert lines == [f"searchspace - {rk!r} 1 0", f"searchspace + {rk!r} 0 1"]
 
 
@@ -110,25 +112,24 @@ class TestMinGroupModel:
     MEMBERS = [(i, op) for i in (1, 2, 3) for op in ("hash_join", "merge_join")]
     COSTS = (1.0, 2.0, 2.0, 3.0, 5.0)   # a repeated cost makes ties likely
 
-    def step(self, m, group, member, cost):
+    def step(self, m, member, cost):
         """One update; its result must say exactly whether the minimum moved."""
-        before = lexmin((c, k) for k, c in m.members(group).items())
-        changed = m.update(group, member, cost)
-        after = lexmin((c, k) for k, c in m.members(group).items())
-        assert m.min_of(group) == after
+        before = lexmin((c, k) for k, c in m.members().items())
+        changed = m.update(member, cost)
+        after = lexmin((c, k) for k, c in m.members().items())
+        assert m.min_of() == after
         assert changed == (before != after)
         return changed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_sequences_match_brute_force(self, seed):
         rng = random.Random(seed)
-        m = MinGroupState()
-        groups = ("g1", "g2", "g3")
+        groups = {name: MinGroupState() for name in ("g1", "g2", "g3")}
         for _ in range(600):
-            g = rng.choice(groups)
+            m = groups[rng.choice(sorted(groups))]
             member = rng.choice(self.MEMBERS)
             cost = rng.choice(self.COSTS)
-            present = m.members(g)
+            present = m.members()
             roll = rng.random()
             if roll < 0.4:
                 # setting a member already present is an update
@@ -142,53 +143,53 @@ class TestMinGroupModel:
                     cost += 1.0
             else:
                 continue
-            self.step(m, g, member, cost)
-        for g in groups:
-            assert m.min_of(g) == lexmin((c, k) for k, c in m.members(g).items())
+            self.step(m, member, cost)
+        for m in groups.values():
+            assert m.min_of() == lexmin((c, k) for k, c in m.members().items())
 
     def test_cost_tie_broken_by_member_key(self):
         m = MinGroupState()
-        self.step(m, "g", (2, "hash_join"), 1.0)
-        assert self.step(m, "g", (1, "merge_join"), 1.0)
-        assert m.min_of("g") == (1.0, (1, "merge_join"))
-        assert not self.step(m, "g", (3, "hash_join"), 1.0)
+        self.step(m, (2, "hash_join"), 1.0)
+        assert self.step(m, (1, "merge_join"), 1.0)
+        assert m.min_of() == (1.0, (1, "merge_join"))
+        assert not self.step(m, (3, "hash_join"), 1.0)
 
     def test_equal_cost_update_of_non_min_member(self):
         m = MinGroupState()
-        self.step(m, "g", (2, "a"), 1.0)
-        self.step(m, "g", (1, "a"), 4.0)
-        self.step(m, "g", (3, "a"), 4.0)
+        self.step(m, (2, "a"), 1.0)
+        self.step(m, (1, "a"), 4.0)
+        self.step(m, (3, "a"), 4.0)
         # a larger key tying the minimum leaves it alone
-        assert not self.step(m, "g", (3, "a"), 1.0)
+        assert not self.step(m, (3, "a"), 1.0)
         # a smaller key tying the minimum takes it over
-        assert self.step(m, "g", (1, "a"), 1.0)
-        assert m.min_of("g") == (1.0, (1, "a"))
+        assert self.step(m, (1, "a"), 1.0)
+        assert m.min_of() == (1.0, (1, "a"))
 
     def test_raising_min_rescans_including_ties(self):
         m = MinGroupState()
         for key, c in (("a", 1.0), ("c", 2.0), ("b", 2.0)):
-            self.step(m, "g", key, c)
-        assert self.step(m, "g", "a", 2.0) and m.min_of("g") == (2.0, "a")
-        assert self.step(m, "g", "a", 9.0) and m.min_of("g") == (2.0, "b")
+            self.step(m, key, c)
+        assert self.step(m, "a", 2.0) and m.min_of() == (2.0, "a")
+        assert self.step(m, "a", 9.0) and m.min_of() == (2.0, "b")
 
     def test_deleting_min_and_last_delete(self):
         m = MinGroupState()
-        self.step(m, "g", "a", 1.0)
-        self.step(m, "g", "b", 3.0)
-        assert not self.step(m, "g", "zz", None)
-        assert self.step(m, "g", "a", None) and m.min_of("g") == (3.0, "b")
-        assert self.step(m, "g", "b", None)
-        assert m.min_of("g") is None and m.members("g") == {}
-        assert not self.step(m, "g", "b", None)
-        assert self.step(m, "g", "b", 2.0) and m.min_of("g") == (2.0, "b")
+        self.step(m, "a", 1.0)
+        self.step(m, "b", 3.0)
+        assert not self.step(m, "zz", None)
+        assert self.step(m, "a", None) and m.min_of() == (3.0, "b")
+        assert self.step(m, "b", None)
+        assert m.min_of() is None and m.members() == {}
+        assert not self.step(m, "b", None)
+        assert self.step(m, "b", 2.0) and m.min_of() == (2.0, "b")
 
     def test_reinserting_existing_member_is_an_update(self):
         m = MinGroupState()
-        self.step(m, "g", "a", 1.0)
-        self.step(m, "g", "b", 2.0)
-        assert not self.step(m, "g", "a", 1.0)
-        assert self.step(m, "g", "a", 5.0) and m.min_of("g") == (2.0, "b")
-        assert len(m.members("g")) == 2
+        self.step(m, "a", 1.0)
+        self.step(m, "b", 2.0)
+        assert not self.step(m, "a", 1.0)
+        assert self.step(m, "a", 5.0) and m.min_of() == (2.0, "b")
+        assert len(m.members()) == 2
 
 
 class TestGroupKeys:

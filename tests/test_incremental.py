@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from incropt.algebra import ExprSig
 from incropt.baselines import brute_force_optimize
 from incropt.catalog import StatUpdate, apply_update
-from incropt.fixtures import q3s
+from incropt.fixtures import q3s, q5s
 from incropt.errors import UnknownTarget
 from incropt.incremental import ReoptSession, stat_to_deltas
-from incropt.optimizer import DeclarativeOptimizer, Strategies
+from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import UPDATE_FACTORS, make_update_batch, make_workload
 
 
@@ -224,3 +226,15 @@ def test_incremental_state_digest_equals_from_scratch(name):
             if k % 12 == 0 or k == len(stream):
                 fresh = DeclarativeOptimizer(opt.catalog, q).run()
                 assert opt.state_digest() == fresh.state_digest(), (name, drain_seed, k)
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_reoptimized_state_survives_snapshot_roundtrip(label):
+    """A state saved after a re-optimization loads back equal and clean."""
+    cat, q = q5s()
+    opt, session = fresh_session(cat, q, strategies=STRATEGY_SUBSETS[label])
+    session.add_updates(make_update_batch(cat, 4, 5))
+    session.reoptimize()
+    back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(opt.to_snapshot())))
+    assert back.state_digest() == opt.state_digest()
+    assert back.audit_refcounts() == [] and back.audit_fixpoint() == []

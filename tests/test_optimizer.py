@@ -77,10 +77,10 @@ def test_no_strategy_state_matches_brute_force(q3s_fixture):
         return best[g]
 
     for g in universe.groups():
-        assert opt.mins.min_of(g) == resolve(g)
+        assert opt.groups[g].mins.min_of() == resolve(g)
         for a in universe.alternatives(g):
             from incropt.costmodel import alternative_cost
-            assert opt.groups[g].alts[a.key].cost == \
+            assert opt.groups[g].mins.cost_of(a.key) == \
                 alternative_cost(opt.ctx, g, a, resolve)
 
 
@@ -91,7 +91,7 @@ def test_leaf_rows_costed_via_scan_cost(q3s_fixture):
     gs = opt.groups[g]
     (ak, a), = gs.alts.items()
     assert a.alt.phy_op == "seq_scan"
-    assert a.cost == cat.relation("customer").cardinality
+    assert gs.mins.cost_of(ak) == cat.relation("customer").cardinality
 
 
 def test_join_rows_cost_children_best_plus_local(q3s_fixture):
@@ -101,20 +101,20 @@ def test_join_rows_cost_children_best_plus_local(q3s_fixture):
         for ak, a in gs.alts.items():
             if a.alt.is_scan:
                 continue
-            bl = opt.mins.min_of((a.alt.l_expr, a.alt.l_prop))
-            br = opt.mins.min_of((a.alt.r_expr, a.alt.r_prop))
+            bl = opt.groups[(a.alt.l_expr, a.alt.l_prop)].mins.min_of()
+            br = opt.groups[(a.alt.r_expr, a.alt.r_prop)].mins.min_of()
             local = opt.ctx.local_cost(g[0], g[1], a.alt)
-            assert a.cost == (bl[0] + br[0]) + local
+            assert gs.mins.cost_of(ak) == (bl[0] + br[0]) + local
 
 
 def test_aggsel_keeps_only_group_minimum(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL).run()
     for g, gs in opt.groups.items():
-        visible = [ak for ak in gs.alts if opt.mins.is_visible(g, ak)]
+        visible = [ak for ak in gs.alts if gs.mins.is_visible(ak)]
         assert len(visible) == 1
-        best = opt.mins.min_of(g)
-        assert (gs.alts[visible[0]].cost, visible[0]) == best
+        best = gs.mins.min_of()
+        assert (gs.mins.cost_of(visible[0]), visible[0]) == best
 
 
 def test_aggsel_tie_break_is_deterministic_first_key():
@@ -136,10 +136,10 @@ def test_aggsel_tie_break_is_deterministic_first_key():
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL).run()
     root = opt.root
     gs = opt.groups[root]
-    costs = sorted(a.cost for a in gs.alts.values())
+    costs = sorted(gs.mins.cost_of(ak) for ak in gs.alts)
     assert costs[0] == costs[1], "fixture should produce a root-cost tie"
-    best = opt.mins.min_of(root)
-    tied = [ak for ak, a in gs.alts.items() if a.cost == best[0]]
+    best = gs.mins.min_of()
+    tied = [ak for ak in gs.alts if gs.mins.cost_of(ak) == best[0]]
     assert best[1] == min(tied)
     ref, _ = brute_force_optimize(q, cat)
     assert opt.best_plan() == ref
@@ -152,7 +152,8 @@ def test_refcount_matches_recount_and_table_shape(q3s_fixture):
     # with the full space visible, (orders, none) is referenced by parent
     # rows in both the (customer, orders) and (lineitem, orders) groups
     g = (ExprSig.of(["orders"]), PropertySpec.none())
-    parents = {rk[0][0] for rk in opt.parent_index[g] if opt.mins.is_visible(*rk)}
+    parents = {pg[0] for pg, pak in opt.parent_index[g]
+               if opt.groups[pg].mins.is_visible(pak)}
     assert ExprSig.of(["customer", "orders"]) in parents
     assert ExprSig.of(["lineitem", "orders"]) in parents
     assert opt.groups[g].refcount >= 2
@@ -167,8 +168,8 @@ def test_dead_group_after_parents_pruned(q3s_fixture):
             assert gs.alive
         else:
             assert not gs.alive
-            assert all(a.cost is None for a in gs.alts.values())
-            assert all(not opt.mins.is_visible(g, ak) for ak in gs.alts)
+            assert all(gs.mins.cost_of(ak) is None for ak in gs.alts)
+            assert all(not gs.mins.is_visible(ak) for ak in gs.alts)
 
 
 def test_bound_equations_at_quiescence(q5s_fixture):
@@ -178,7 +179,7 @@ def test_bound_equations_at_quiescence(q5s_fixture):
     root_gs = opt.groups[opt.root]
     # the root has no parents: maxbound absent, bound equals best cost
     assert root_gs.maxbound is None
-    assert root_gs.bound == opt.mins.min_of(opt.root)[0]
+    assert root_gs.bound == root_gs.mins.min_of()[0]
     # every other alive group's bound is min(best, maxbound), and each
     # contribution equals parent bound minus sibling best minus local cost
     saw_contribution = False
@@ -191,11 +192,11 @@ def test_bound_equations_at_quiescence(q5s_fixture):
             pgs = opt.groups[pk]
             a = pgs.alts[pak]
             sib = (a.alt.r_expr, a.alt.r_prop) if side == "l" else (a.alt.l_expr, a.alt.l_prop)
-            textbook = pgs.bound - opt.mins.min_of(sib)[0] - a.local
+            textbook = pgs.bound - opt.groups[sib].mins.min_of()[0] - a.local
             assert val == pytest.approx(textbook, rel=1e-9)
         if gs.contribs:
             assert gs.maxbound == max(gs.contribs.values())
-        parts = [x for x in (opt.mins.min_of(g)[0] if opt.mins.min_of(g) else None,
+        parts = [x for x in (gs.mins.min_of()[0] if gs.mins.min_of() else None,
                              gs.maxbound) if x is not None]
         assert gs.bound == min(parts)
     assert saw_contribution
@@ -216,9 +217,10 @@ def test_bound_prunes_cost_above_bound(q5s_fixture):
     for g, gs in opt.groups.items():
         if not gs.alive or gs.bound is None:
             continue
-        for ak, a in gs.alts.items():
-            if a.cost is not None and a.cost > gs.bound:
-                assert not opt.mins.is_visible(g, ak)
+        for ak in gs.alts:
+            cost = gs.mins.cost_of(ak)
+            if cost is not None and cost > gs.bound:
+                assert not gs.mins.is_visible(ak)
 
 
 def test_final_state_check_by_strategy(q3s_fixture):
