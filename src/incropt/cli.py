@@ -153,18 +153,31 @@ def cmd_reoptimize(args) -> int:
     return 0
 
 
-def _bench_rows(args, seed: int):
-    shapes = [s.strip() for s in args.shapes.split(",") if s.strip()]
-    for s in shapes:
-        if s not in SHAPES:
-            raise ValidationError(f"unknown shape {s!r}")
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    for e in engines:
-        if e not in ENGINES:
-            raise ValidationError(f"unknown engine {e!r}")
-    strategies = (Strategies.parse(args.strategies)
-                  if args.strategies else Strategies.all())
+def _bench_plan(args) -> tuple[list[str], list[int], list[str], Strategies]:
+    """Parse and check the sweep flags before any output is written."""
+    def names(flag: str, text: str, known) -> list[str]:
+        items = [t for t in (t.strip() for t in text.split(",")) if t]
+        for t in items:
+            if t not in known:
+                raise ValidationError(f"{flag} names unknown value {t!r}")
+        return items
+
+    shapes = names("--shapes", args.shapes, SHAPES)
+    engines = names("--engines", args.engines, ENGINES)
+    sizes = [t.strip() for t in args.sizes.split(",") if t.strip()]
+    if not all(t.isdigit() and int(t) >= 1 for t in sizes):
+        raise ValidationError(
+            f"--sizes must be integers of at least 1, got {args.sizes!r}")
+    try:
+        strategies = (Strategies.parse(args.strategies)
+                      if args.strategies else Strategies.all())
+    except ValidationError as exc:
+        raise ValidationError(f"--strategies: {exc}") from exc
+    return shapes, [int(t) for t in sizes], engines, strategies
+
+
+def _bench_rows(args, seed: int, sweep):
+    shapes, sizes, engines, strategies = sweep
     for shape in shapes:
         for n in sizes:
             for trial in range(args.trials):
@@ -213,6 +226,7 @@ def cmd_bench(args) -> int:
         print(f"schema-version: {SCHEMA_VERSION}")
         return 0
     _require_counts(args)
+    sweep = _bench_plan(args)
     seed = _seed_from(args)
     columns = _BENCH_COLUMNS + (_TIMING_COLUMNS if args.timing else [])
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -220,7 +234,7 @@ def cmd_bench(args) -> int:
         out.write(f"# schema-version: {SCHEMA_VERSION}\n")
         writer = csv.DictWriter(out, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for row in _bench_rows(args, seed):
+        for row in _bench_rows(args, seed, sweep):
             writer.writerow(row)
     finally:
         if args.out:

@@ -8,7 +8,8 @@ Cost formulas (dimensionless work units):
 * merge join:  same as hash join; inputs arrive pre-sorted by contract
 * index NL:    outer_rows * (1 + log_b(1 + inner_rows)) + output_rows,
                inner = the indexed (left) child
-* plan cost:   left_cost + right_cost + local_cost
+* plan cost:   left_cost + right_cost + local_cost, written once in
+               ``alternative_cost`` for every engine and oracle
 
 Summaries (estimated output cardinalities) are a logical property of an
 expression: every partition of the same expression gets the identical
@@ -102,11 +103,8 @@ def nonscan_cost(alt: Alternative, s: Summary, l_sum: Summary, r_sum: Summary,
 
 
 def sum_cost(l_cost: float | None, r_cost: float | None, local_cost: float) -> float:
-    """Plan cost = left + right + local; absent children contribute zero."""
-    total = local_cost
-    if l_cost is not None:
-        total = l_cost + total if r_cost is None else (l_cost + r_cost) + local_cost
-    return total
+    """Plan cost = left + right + local; a scan has no children (both None)."""
+    return local_cost if l_cost is None else (l_cost + r_cost) + local_cost
 
 
 class CostContext:
@@ -157,8 +155,9 @@ def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
                      child_best) -> float:
     """Full plan cost of one alternative given a child-best resolver.
 
-    ``child_best(group) -> (cost, alt_key)``.  Shared by every engine so the
-    arithmetic is identical everywhere.
+    ``child_best(group) -> (cost, alt_key)``.  The one plan-cost formula:
+    the declarative engine's ``recost`` rule, ``BestCost`` and the test
+    oracles all call it, so the arithmetic is identical everywhere.
     """
     e, p = group
     local = ctx.local_cost(e, p, alt)
@@ -169,20 +168,12 @@ def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
     return sum_cost(l_cost, r_cost, local)
 
 
-def lexmin(candidates) -> tuple[float, tuple[int, str]] | None:
-    """Deterministic group minimum: smallest (cost, index, phy_op)."""
-    best = None
-    for cost, key in candidates:
-        if best is None or (cost, key) < best:
-            best = (cost, key)
-    return best
-
-
 class BestCost:
     """The memoized best-cost DP over a search universe.
 
-    ``best(g)`` is the group's smallest ``(cost, (index, phy_op))`` over its
-    alternatives, each costed with its children's ``best``.  This one
+    ``best(g)`` is the group's smallest ``(cost, (index, phy_op))`` tuple
+    over its alternatives, each costed with its children's ``best``; tuple
+    order is the deterministic tie-break every engine shares.  This one
     resolver backs the exhaustive oracle, System-R (which asks for groups
     bottom-up, so it never recurses) and the declarative engine's cost
     composition through groups whose maintained entries are pruned away.
@@ -198,10 +189,8 @@ class BestCost:
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
         got = self.memo.get(g)
         if got is None:
-            got = lexmin(
-                (alternative_cost(self.ctx, g, alt, self.best), alt.key)
-                for alt in self.universe.alternatives(g)
-            )
+            got = min(((alternative_cost(self.ctx, g, alt, self.best), alt.key)
+                       for alt in self.universe.alternatives(g)), default=None)
             if got is None:
                 raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
             self.memo[g] = got

@@ -13,7 +13,8 @@ costs, their minimum and its visible set.  It retains every value it has
 been handed, including ones above the minimum, so the next-best is
 recoverable when the minimum is deleted or raised.  The minimum is cached
 beside the members: a change below it replaces it in O(1), and only deleting
-or raising the minimum member rescans the group.
+or raising the minimum member rescans the group.  A minimum is the builtin
+``min`` over ``(cost, member)`` tuples, so ties break on the member key.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -74,8 +75,9 @@ class MinGroupState:
         return self._min
 
     def visible_min(self) -> tuple[float, Any] | None:
-        alive = {k: self._costs[k] for k in self._visible if k in self._costs}
-        return _lexmin(alive) if alive else None
+        costs = self._costs
+        return min(((costs[k], k) for k in self._visible if k in costs),
+                   default=None)
 
     def is_visible(self, member: Any) -> bool:
         return member in self._visible
@@ -120,14 +122,8 @@ class MinGroupState:
                 return True
             if before[1] != member or cost == before[0]:
                 return False
-        self._min = _lexmin(entries)
+        self._min = min(zip(entries.values(), entries))
         return True
-
-
-def _lexmin(entries: dict[Any, float]) -> tuple[float, Any]:
-    """The (cost, member) minimum of a non-empty group, by full scan."""
-    best = min(entries, key=lambda k: (entries[k], k))
-    return entries[best], best
 
 
 DEFAULT_DELTA_CEILING = 10 ** 8

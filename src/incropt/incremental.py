@@ -76,8 +76,8 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:
         if g[0].is_leaf:
             out.extend(Delta("recost", INSERT, (g, ak)) for ak in gs.alts)
             continue
-        for ak, a in gs.alts.items():
-            for child in a.alt.children():
+        for ak, alt in gs.alts.items():
+            for child in alt.children():
                 if not (targets & set(child[0].rels)):
                     continue
                 cgs = opt.groups.get(child)

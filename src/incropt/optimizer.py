@@ -9,7 +9,9 @@ by delta propagation.  Each group (OR node) owns its state: one
   set;
 * ``plancost``     -- the current full cost of each alternative, retained by
   its group even while a row is pruned, so the next-best plan is
-  recoverable;
+  recoverable; the ``recost`` rule derives it with
+  ``costmodel.alternative_cost`` (local cost plus the children's
+  ``bestcost``), the formula every baseline shares;
 * ``bestcost``     -- the per-group (OR node) minimum, with deterministic
   (cost, index, phy_op) tie-breaking shared with every baseline;
 * ``refcount``     -- per-group count of visible parent AND rows; at zero a
@@ -33,7 +35,7 @@ from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse,
 )
 from .catalog import Catalog
-from .costmodel import BestCost, CostConfig, CostContext, lexmin, sum_cost
+from .costmodel import BestCost, CostConfig, CostContext, alternative_cost
 from .deltaflow import (
     Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
 )
@@ -88,31 +90,23 @@ STRATEGY_SUBSETS = {
 }
 
 
-class AltState:
-    """Mutable per-alternative state: the local cost (full costs: ``mins``)."""
-
-    __slots__ = ("alt", "local")
-
-    def __init__(self, alt: Alternative):
-        self.alt = alt
-        self.local: float | None = None
-
-
 class GroupState:
-    """Mutable per-(expr, prop) state: the OR node.  ``mins`` holds its row
-    costs, their minimum and its visible set."""
+    """Mutable per-(expr, prop) state: the OR node.  ``alts`` maps each row
+    key to its alternative; ``mins`` holds the row costs, their minimum and
+    the visible set."""
 
     __slots__ = ("alts", "mins", "refcount", "synthetic", "alive",
                  "contribs", "maxbound", "bound")
 
     def __init__(self, synthetic: int = 0):
-        self.alts: dict[AltKey, AltState] = {}
+        self.alts: dict[AltKey, Alternative] = {}
         self.mins = MinGroupState()
         self.refcount = 0
         self.synthetic = synthetic
         self.alive = True
-        # parent-bound contributions keyed by (parent row, side)
-        self.contribs: dict[tuple[RowKey, str], float] = {}
+        # parent-bound contributions keyed by parent row: a join row's two
+        # children are disjoint expressions, so it holds at most one slot here
+        self.contribs: dict[RowKey, float] = {}
         self.maxbound: float | None = None
         self.bound: float | None = None
 
@@ -133,11 +127,6 @@ def _bound(best: tuple[float, AltKey] | None,
     if best is None:
         return maxbound
     return best[0] if maxbound is None else min(best[0], maxbound)
-
-
-def _sides(alt: Alternative) -> tuple[tuple[GroupKey, str], ...]:
-    """A join alternative's two child groups, each with its side tag."""
-    return ((alt.l_expr, alt.l_prop), "l"), ((alt.r_expr, alt.r_prop), "r")
 
 
 class DeclarativeOptimizer:
@@ -215,7 +204,7 @@ class DeclarativeOptimizer:
     def _alloc_group(self, g: GroupKey, synthetic: int = 0) -> GroupState:
         gs = GroupState(synthetic=synthetic)
         for alt in self.universe.alternatives(g):
-            gs.alts[alt.key] = AltState(alt)
+            gs.alts[alt.key] = alt
             for child in alt.children():
                 self.parent_index.setdefault(child, []).append((g, alt.key))
         self.groups[g] = gs
@@ -279,15 +268,15 @@ class DeclarativeOptimizer:
             self.touched_and.add(rowkey)
         g, ak = rowkey
         gs = self.groups[g]
-        a = gs.alts[ak]
+        alt = gs.alts[ak]
         visible = op == INSERT
         gs.mins.set_visible(ak, visible)
         if self.trace is not None:
             self.trace(f"searchspace {op} {rowkey!r} {int(not visible)} {int(visible)}")
-        out = [Delta("refcount", op, (child, rowkey)) for child in a.alt.children()]
+        out = [Delta("refcount", op, (child, rowkey)) for child in alt.children()]
         if visible:
             out.append(Delta("recost", INSERT, rowkey))
-        if self.strategies.bounding and not a.alt.is_scan:
+        if self.strategies.bounding and not alt.is_scan:
             out.append(Delta("pbound", INSERT, rowkey))
         return out
 
@@ -296,24 +285,10 @@ class DeclarativeOptimizer:
         gs = self.groups.get(g)
         if gs is None or not gs.alive:
             return []
-        a = gs.alts[ak]
-        out: list[Delta] = []
-        e, p = g
-        local = self.ctx.local_cost(e, p, a.alt)
-        if local != a.local:
-            a.local = local
-            if (self.strategies.bounding and not a.alt.is_scan
-                    and gs.mins.is_visible(ak)):
-                out.append(Delta("pbound", INSERT, (g, ak)))
-        if a.alt.is_scan:
-            cost = sum_cost(None, None, local)
-        else:
-            bl = self._child_best((a.alt.l_expr, a.alt.l_prop))
-            br = self._child_best((a.alt.r_expr, a.alt.r_prop))
-            cost = sum_cost(bl[0], br[0], local)
-        if cost != gs.mins.cost_of(ak):
-            out.extend(self._set_row_cost(g, ak, gs, cost))
-        return out
+        cost = alternative_cost(self.ctx, g, gs.alts[ak], self._child_best)
+        if cost == gs.mins.cost_of(ak):
+            return []
+        return self._set_row_cost(g, ak, gs, cost)
 
     def _set_row_cost(self, g: GroupKey, ak: AltKey, gs: GroupState,
                       cost: float | None) -> list[Delta]:
@@ -322,10 +297,9 @@ class DeclarativeOptimizer:
 
         The group's min structure holds the value and its minimum, so a
         shuffled drain can never interleave an older value over a newer one.
-        Only change notifications go through the queue.
+        Only change notifications go through the queue; the ``refilterrow``
+        one, always emitted, also records the row as touched.
         """
-        if self._tracking:
-            self.touched_and.add((g, ak))
         out = [Delta("refilterrow", INSERT, (g, ak))]
         if self.strategies.bounding and gs.mins.is_visible(ak):
             out.append(Delta("pbound", INSERT, (g, ak)))
@@ -405,23 +379,22 @@ class DeclarativeOptimizer:
         gs = self.groups.get(g)
         if gs is None:
             return []
-        a = gs.alts.get(ak)
-        if a is None or a.alt.is_scan:
+        alt = gs.alts.get(ak)
+        if alt is None or alt.is_scan:
             return []
         visible = gs.mins.is_visible(ak)
         out: list[Delta] = []
-        for childkey, side in _sides(a.alt):
+        for childkey in alt.children():
             val = self._contribution(gs, ak, childkey) if visible else None
             cgs = self.groups.get(childkey)
             if cgs is None:
                 continue
-            slot = (rowkey, side)
-            if cgs.contribs.get(slot) == val:
+            if cgs.contribs.get(rowkey) == val:
                 continue
             if val is None:
-                del cgs.contribs[slot]
+                del cgs.contribs[rowkey]
             else:
-                cgs.contribs[slot] = val
+                cgs.contribs[rowkey] = val
             out.append(Delta("maxbound", INSERT, childkey))
         return out
 
@@ -433,7 +406,9 @@ class DeclarativeOptimizer:
         Parent bound minus sibling best minus local cost, computed as
         child_best + (bound - row_cost): algebraically identical but free of
         the cancellation that could land one ulp below the child's own best
-        and wrongly prune the optimal row.
+        and wrongly prune the optimal row.  It reads no local cost, and each
+        input it does read (row cost, child best, bound, visibility) emits a
+        ``pbound`` when it changes.
         """
         cost = gs.mins.cost_of(ak)
         if not gs.alive or gs.bound is None or cost is None:
@@ -446,15 +421,15 @@ class DeclarativeOptimizer:
 
     def _contributions(self):
         """Every parent-bound contribution the visible state implies, as
-        ``(child key, (parent row, side), value)``."""
+        ``(child key, parent row, value)``."""
         for g, gs in self.groups.items():
-            for ak, a in gs.alts.items():
-                if a.alt.is_scan or not gs.mins.is_visible(ak):
+            for ak, alt in gs.alts.items():
+                if alt.is_scan or not gs.mins.is_visible(ak):
                     continue
-                for childkey, side in _sides(a.alt):
+                for childkey in alt.children():
                     val = self._contribution(gs, ak, childkey)
                     if val is not None:
-                        yield childkey, ((g, ak), side), val
+                        yield childkey, (g, ak), val
 
     def _h_maxbound(self, d: Delta) -> list[Delta]:
         gs = self.groups.get(d.payload)
@@ -476,8 +451,8 @@ class DeclarativeOptimizer:
             return []
         gs.bound = b
         out = [Delta("refilter", INSERT, g)]
-        for ak, a in gs.alts.items():
-            if not a.alt.is_scan and gs.mins.is_visible(ak):
+        for ak, alt in gs.alts.items():
+            if not alt.is_scan and gs.mins.is_visible(ak):
                 out.append(Delta("pbound", INSERT, (g, ak)))
         return out
 
@@ -525,7 +500,7 @@ class DeclarativeOptimizer:
         def walk(g: GroupKey) -> None:
             ak = self._best(g)[1]
             rows.add((g, ak))
-            for child in self.groups[g].alts[ak].alt.children():
+            for child in self.groups[g].alts[ak].children():
                 walk(child)
 
         walk(self.root)
@@ -553,7 +528,7 @@ class DeclarativeOptimizer:
         """Brute-force recount: visible parent AND rows per group."""
         counts: dict[GroupKey, int] = {g: 0 for g in self.groups}
         for g, ak in self._visible():
-            for child in self.groups[g].alts[ak].alt.children():
+            for child in self.groups[g].alts[ak].children():
                 counts[child] = counts.get(child, 0) + 1
         return counts
 
@@ -572,7 +547,7 @@ class DeclarativeOptimizer:
         """Check the bestcost/bound defining equations by direct scan."""
         self._require_quiescent()
         bad = []
-        expected_contribs: dict[GroupKey, dict[tuple[RowKey, str], float]] = {}
+        expected_contribs: dict[GroupKey, dict[RowKey, float]] = {}
         if self.strategies.bounding:
             for childkey, slot, val in self._contributions():
                 expected_contribs.setdefault(childkey, {})[slot] = val
@@ -581,15 +556,13 @@ class DeclarativeOptimizer:
                 continue
             entries = gs.mins.members()
             m = gs.mins.min_of()
-            expect = lexmin((c, ak) for ak, c in entries.items())
+            expect = min(zip(entries.values(), entries), default=None)
             if m != expect:
                 bad.append(f"{g[0]}|{g[1]}: bestcost {m} != min over plancost {expect}")
-            visible = [(ak, entries[ak]) for ak in entries
-                       if gs.mins.is_visible(ak)]
-            if visible:
-                vmin = lexmin((c, ak) for ak, c in visible)
-                if gs.mins.visible_min() != vmin:
-                    bad.append(f"{g[0]}|{g[1]}: visible min mismatch")
+            vmin = min(((c, ak) for ak, c in entries.items()
+                        if gs.mins.is_visible(ak)), default=None)
+            if gs.mins.visible_min() != vmin:
+                bad.append(f"{g[0]}|{g[1]}: visible min mismatch")
             if self.strategies.bounding:
                 if expected_contribs.get(g, {}) != gs.contribs:
                     bad.append(f"{g[0]}|{g[1]}: parentbound contributions mismatch")
@@ -663,9 +636,20 @@ class DeclarativeOptimizer:
             opt = cls(cat, query, strategies=strategies, config=config)
             for gobj in snap["groups"]:
                 g = (ExprSig.of(gobj["expr"]), PropertySpec.parse(gobj["prop"]))
-                gs = opt._alloc_group(g, synthetic=int(gobj["synthetic"]))
+                # at quiescence only the root is synthetic, and a group is
+                # alive exactly when refcounting keeps it referenced
+                synthetic = int(gobj["synthetic"])
+                if synthetic != int(g == opt.root):
+                    raise StateMismatch(
+                        f"snapshot group {g[0]}|{g[1]} has synthetic {synthetic}, "
+                        f"but only the root group is synthetic")
+                gs = opt._alloc_group(g, synthetic=synthetic)
                 gs.refcount = int(gobj["refcount"])
                 gs.alive = bool(gobj["alive"])
+                if gs.alive != (not strategies.refcount or gs.refcount + synthetic > 0):
+                    raise StateMismatch(
+                        f"snapshot group {g[0]}|{g[1]} has alive {gs.alive}, "
+                        f"inconsistent with its refcount {gs.refcount}")
                 gs.bound = gobj["bound"]
                 gs.maxbound = gobj["maxbound"]
                 for robj in gobj["rows"]:
@@ -688,11 +672,7 @@ class DeclarativeOptimizer:
                     raise StateMismatch(
                         f"snapshot best {stored} of group {g[0]}|{g[1]} is not "
                         f"the minimum of its rows {gs.mins.min_of()}")
-            # local costs and bound contributions are pure; rebuild directly
-            for g, gs in opt.groups.items():
-                for ak, a in gs.alts.items():
-                    if gs.mins.cost_of(ak) is not None or gs.mins.is_visible(ak):
-                        a.local = opt.ctx.local_cost(g[0], g[1], a.alt)
+            # bound contributions are pure; rebuild them directly
             if strategies.bounding:
                 for childkey, slot, val in opt._contributions():
                     opt.groups[childkey].contribs[slot] = val

@@ -69,6 +69,20 @@ def _root_best_row_counted_twice(snap: dict) -> None:
     row["ss_count"] = 2
 
 
+def _revive_dead_group(snap: dict) -> None:
+    next(g for g in snap["groups"] if not g["alive"])["alive"] = True
+
+
+def _kill_alive_group(snap: dict) -> None:
+    root = _root_group(snap)
+    next(g for g in snap["groups"] if g["alive"] and g is not root)["alive"] = False
+
+
+def _synthetic_non_root_group(snap: dict) -> None:
+    root = _root_group(snap)
+    next(g for g in snap["groups"] if g is not root)["synthetic"] = 1
+
+
 def _unknown_strategy(snap: dict) -> None:
     snap["strategies"].append("bogus")
 
@@ -83,6 +97,9 @@ STATE_TAMPERS = {
     "non-best-row-below-best": (_lower_non_best_root_row, _NOT_MIN),
     "unknown-strategy": (_unknown_strategy, "unknown strategies"),
     "ss-count-2": (_root_best_row_counted_twice, "not a 0/1 visibility flag"),
+    "dead-group-alive": (_revive_dead_group, "inconsistent with its refcount"),
+    "alive-group-dead": (_kill_alive_group, "inconsistent with its refcount"),
+    "non-root-synthetic": (_synthetic_non_root_group, "only the root group is synthetic"),
 }
 
 

@@ -7,7 +7,7 @@ from incropt.baselines import (
     _group_sort_key, brute_force_optimize, systemr_optimize, volcano_optimize,
 )
 from incropt.catalog import Catalog, RelationMeta, validate_catalog
-from incropt.costmodel import CostContext, alternative_cost, lexmin
+from incropt.costmodel import CostContext, alternative_cost
 from incropt.errors import InfeasibleQuery, TooLarge
 from incropt.workload import make_workload
 
@@ -20,7 +20,7 @@ def test_two_relation_query_direct_min(co_fixture):
     universe = SearchUniverse(cat, q)
 
     def descend(group):
-        return lexmin((alternative_cost(ctx, group, alt, descend), alt.key)
+        return min((alternative_cost(ctx, group, alt, descend), alt.key)
                       for alt in universe.alternatives(group))
 
     expect_cost, expect_key = descend(universe.root)

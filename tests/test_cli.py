@@ -268,3 +268,19 @@ def test_bench_rejects_negative_counts(flag, tmp_path, capsys):
                "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} must be at least 0")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--shapes", "bogus"), ("--engines", "bogus"), ("--strategies", "bogus"),
+    ("--sizes", "0"), ("--sizes", "x"),
+])
+def test_bench_rejects_bad_sweep_flags(flag, value, tmp_path, capsys):
+    # every sweep flag is checked before the CSV is opened
+    out = tmp_path / "b.csv"
+    args = {"--shapes": "chain", "--sizes": "3", "--engines": "declarative",
+            "--trials": "1"}
+    args[flag] = value
+    argv = [x for kv in args.items() for x in kv]
+    assert run("bench", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 from incropt.algebra import Alternative, ExprSig, PropertySpec, Query
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, apply_update
 from incropt.costmodel import (
-    CostConfig, CostContext, Summary, lexmin, nonscan_cost, nonscan_summary,
+    CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
     scan_cost, scan_summary, sum_cost,
 )
 
@@ -146,8 +146,3 @@ def test_cost_config_override():
     cat = make_cat()
     e = ExprSig.of(["C"])
     assert scan_cost(e, PropertySpec.none(), "index_scan", Summary(1.0), cat, cfg) == 1500.0
-
-
-def test_lexmin_tie_break():
-    assert lexmin([(2.0, (2, "a")), (1.0, (5, "z")), (1.0, (3, "b"))]) == (1.0, (3, "b"))
-    assert lexmin([]) is None

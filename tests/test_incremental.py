@@ -7,7 +7,8 @@ import pytest
 from incropt.algebra import ExprSig
 from incropt.baselines import brute_force_optimize
 from incropt.catalog import StatUpdate, apply_update
-from incropt.fixtures import q3s, q5s
+from incropt.costmodel import BestCost, CostContext, alternative_cost
+from incropt.fixtures import q3s, q5s, q8joins
 from incropt.errors import UnknownTarget
 from incropt.incremental import ReoptSession, stat_to_deltas
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
@@ -238,3 +239,37 @@ def test_reoptimized_state_survives_snapshot_roundtrip(label):
     back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(opt.to_snapshot())))
     assert back.state_digest() == opt.state_digest()
     assert back.audit_refcounts() == [] and back.audit_fixpoint() == []
+
+
+_COST_WORKLOADS = {
+    "q5s": q5s,
+    "q8joins": q8joins,
+    "star-6": lambda: make_workload("star", 6, 2),
+    "clique-5": lambda: make_workload("clique", 5, 4),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+@pytest.mark.parametrize("name", sorted(_COST_WORKLOADS))
+def test_retained_costs_equal_a_fresh_dp(name, label):
+    """Under every pruning subset, each costed row of an alive group holds
+    exactly its plan cost over a from-scratch best-cost DP on the current
+    catalog, cold and after each of two re-optimizations.  Uncosted rows
+    (cost None) are left out of the comparison."""
+    cat, q = _COST_WORKLOADS[name]()
+    opt, session = fresh_session(cat, q, strategies=STRATEGY_SUBSETS[label])
+    for step in range(3):
+        if step:
+            session.add_updates(make_update_batch(opt.catalog, 3, 20 + step))
+            session.reoptimize()
+        dp = BestCost(opt.universe, CostContext(opt.catalog, q, opt.ctx.config))
+        checked = 0
+        for g, gs in opt.groups.items():
+            if not gs.alive:
+                continue
+            for alt in opt.universe.alternatives(g):
+                cost = gs.mins.cost_of(alt.key)
+                if cost is not None:
+                    assert cost == alternative_cost(dp.ctx, g, alt, dp.best), (g, alt, step)
+                    checked += 1
+        assert checked

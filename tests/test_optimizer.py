@@ -71,8 +71,8 @@ def test_no_strategy_state_matches_brute_force(q3s_fixture):
 
     def resolve(g):
         if g not in best:
-            from incropt.costmodel import alternative_cost, lexmin
-            best[g] = lexmin((alternative_cost(opt.ctx, g, a, resolve), a.key)
+            from incropt.costmodel import alternative_cost
+            best[g] = min((alternative_cost(opt.ctx, g, a, resolve), a.key)
                              for a in universe.alternatives(g))
         return best[g]
 
@@ -89,8 +89,8 @@ def test_leaf_rows_costed_via_scan_cost(q3s_fixture):
     opt = DeclarativeOptimizer(cat, q, strategies=NONE).run()
     g = (ExprSig.of(["customer"]), PropertySpec.none())
     gs = opt.groups[g]
-    (ak, a), = gs.alts.items()
-    assert a.alt.phy_op == "seq_scan"
+    (ak, alt), = gs.alts.items()
+    assert alt.phy_op == "seq_scan"
     assert gs.mins.cost_of(ak) == cat.relation("customer").cardinality
 
 
@@ -98,12 +98,12 @@ def test_join_rows_cost_children_best_plus_local(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=NONE).run()
     for g, gs in opt.groups.items():
-        for ak, a in gs.alts.items():
-            if a.alt.is_scan:
+        for ak, alt in gs.alts.items():
+            if alt.is_scan:
                 continue
-            bl = opt.groups[(a.alt.l_expr, a.alt.l_prop)].mins.min_of()
-            br = opt.groups[(a.alt.r_expr, a.alt.r_prop)].mins.min_of()
-            local = opt.ctx.local_cost(g[0], g[1], a.alt)
+            bl = opt.groups[(alt.l_expr, alt.l_prop)].mins.min_of()
+            br = opt.groups[(alt.r_expr, alt.r_prop)].mins.min_of()
+            local = opt.ctx.local_cost(g[0], g[1], alt)
             assert gs.mins.cost_of(ak) == (bl[0] + br[0]) + local
 
 
@@ -186,13 +186,13 @@ def test_bound_equations_at_quiescence(q5s_fixture):
     for g, gs in opt.groups.items():
         if not gs.alive or g == opt.root:
             continue
-        for (rowkey, side), val in gs.contribs.items():
+        for (pk, pak), val in gs.contribs.items():
             saw_contribution = True
-            (pk, pak) = rowkey
             pgs = opt.groups[pk]
-            a = pgs.alts[pak]
-            sib = (a.alt.r_expr, a.alt.r_prop) if side == "l" else (a.alt.l_expr, a.alt.l_prop)
-            textbook = pgs.bound - opt.groups[sib].mins.min_of()[0] - a.local
+            alt = pgs.alts[pak]
+            sib, = (c for c in alt.children() if c != g)
+            local = opt.ctx.local_cost(pk[0], pk[1], alt)
+            textbook = pgs.bound - opt.groups[sib].mins.min_of()[0] - local
             assert val == pytest.approx(textbook, rel=1e-9)
         if gs.contribs:
             assert gs.maxbound == max(gs.contribs.values())
