@@ -103,6 +103,7 @@ def _run_engine(engine: str, cat: Catalog, query: Query, config: CostConfig,
             "pruning_ratio_or": 1.0 - vis_or / total_or if total_or else 0.0,
             "pruning_ratio_and": 1.0 - vis_and / total_and if total_and else 0.0,
             "processed_deltas": opt.engine.processed,
+            "deltas_by_rule": opt.deltas_by_rule(),
             "wall_time_ms": wall, "best_cost": plan.cost,
         }
         return plan, base, opt

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, Query,
     SearchUniverse,
 )
-from .catalog import Catalog
+from .catalog import JOIN_SELECTIVITY, Catalog, StatUpdate
 from .errors import InfeasibleQuery, ParseError
 
 @dataclass(frozen=True)
@@ -141,14 +142,27 @@ class CostContext:
         return nonscan_cost(alt, self.summary(e), self.summary(alt.l_expr),
                             self.summary(alt.r_expr), self.config)
 
-    def rebased(self, cat: Catalog, affected: frozenset[str]) -> "CostContext":
-        """New context for an updated catalog, keeping summaries whose
-        expression contains none of the affected relations."""
+    def rebased(self, cat: Catalog,
+                updates: Iterable[StatUpdate]) -> "CostContext":
+        """New context for the catalog ``updates`` produced, keeping every
+        summary they cannot reach.
+
+        A join-selectivity update reaches the summary of an expression that
+        contains both endpoints; a scan-cost update reaches none, since
+        cardinality does not depend on ``scan_cost_factor``.
+        """
         ctx = CostContext(cat, self.query, self.config)
-        for e, s in self._summaries.items():
-            if not (set(e.rels) & affected):
-                ctx._summaries[e] = s
+        stale = [u.target_relations() for u in updates
+                 if u.kind == JOIN_SELECTIVITY]
+        ctx._summaries = {e: s for e, s in self._summaries.items()
+                          if not _reaches(stale, e)}
         return ctx
+
+
+def _reaches(targets: list[frozenset[str]], e: ExprSig) -> bool:
+    """True iff some target set lies wholly inside ``e``: an update can
+    change an expression's summary or cost only then."""
+    return any(t.issubset(e.rels) for t in targets)
 
 
 def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
@@ -196,8 +210,16 @@ class BestCost:
             self.memo[g] = got
         return got
 
-    def invalidate(self, affected: frozenset[str], ctx: CostContext) -> None:
-        """Adopt an updated context and forget every group over an affected relation."""
+    def invalidate(self, updates: Iterable[StatUpdate],
+                   ctx: CostContext) -> None:
+        """Adopt the context for the catalog ``updates`` produced and forget
+        the best cost of every group whose expression contains all of some
+        update's target relations.
+
+        No other group's cost can move: its summaries, local costs and
+        children all lie outside every update.
+        """
         self.ctx = ctx
+        targets = [u.target_relations() for u in updates]
         self.memo = {g: v for g, v in self.memo.items()
-                     if not (set(g[0].rels) & affected)}
+                     if not _reaches(targets, g[0])}

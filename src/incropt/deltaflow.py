@@ -16,6 +16,13 @@ beside the members: a change below it replaces it in O(1), and only deleting
 or raising the minimum member rescans the group.  A minimum is the builtin
 ``min`` over ``(cost, member)`` tuples, so ties break on the member key.
 
+Drain order: FIFO, a seeded shuffle across every pending delta, or FIFO
+tiers set by the caller.  The optimizer tiers its re-optimization drains
+(costs, then bounds, then visibility), so pruning reads settled costs
+instead of ones the update has made stale; its initial build stays plain
+FIFO, since a cold state holds no stale costs and tiering it costs more
+deltas than it saves.
+
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
 fixpoint is the extension point for any future parallel drain.
@@ -133,10 +140,13 @@ class FixpointEngine:
     """Drains a delta queue through a fixed rule set until quiescence.
 
     ``handlers`` maps a relation name to a callable producing follow-up
-    deltas.  The drain order is configurable (FIFO by default, seeded random
-    for order-independence checks); the quiescent visible state must not
-    depend on it.  A ceiling on the deltas of any one drain guards against
-    wiring bugs; ``processed`` counts every delta over the engine's life.
+    deltas.  The drain order is FIFO by default, or seeded random across
+    every pending delta for order-independence checks.  While ``tiers``
+    maps relations to tier numbers, a FIFO drain pops from its lowest
+    non-empty tier first.  The quiescent visible state must not depend on
+    the order.  A ceiling on the deltas of any one drain guards against
+    wiring bugs; ``processed`` counts every delta over the engine's life and
+    ``drained_by_rule`` the last drain's deltas per relation.
     """
 
     def __init__(self, handlers: dict[str, Callable[[Delta], Iterable[Delta]]],
@@ -150,8 +160,10 @@ class FixpointEngine:
         self.order = order
         self._rng = random.Random(seed)
         self.observer = observer
+        self.tiers: dict[str, int] | None = None
         self._queue: deque[Delta] = deque()
         self.processed = 0
+        self.drained_by_rule: dict[str, int] = {}
 
     def push(self, deltas: Iterable[Delta] | Delta) -> None:
         if isinstance(deltas, Delta):
@@ -163,29 +175,67 @@ class FixpointEngine:
     def pending(self) -> int:
         return len(self._queue)
 
-    def _pop(self) -> Delta:
-        if self.order == "random":
-            i = self._rng.randrange(len(self._queue))
-            self._queue[i], self._queue[-1] = self._queue[-1], self._queue[i]
-            return self._queue.pop()
-        return self._queue.popleft()
+    def _pop_random(self) -> Delta:
+        queue = self._queue
+        if not queue:
+            raise IndexError("pop from an empty queue")
+        i = self._rng.randrange(len(queue))
+        queue[i], queue[-1] = queue[-1], queue[i]
+        return queue.pop()
 
     def run(self) -> int:
         """Drain to quiescence; returns the number of deltas processed."""
+        queue = self._queue
+        tiers = self.tiers if self.order == "fifo" else None
+        if tiers is None:
+            pop = queue.popleft if self.order == "fifo" else self._pop_random
+            emit = queue.extend
+        else:
+            lanes = [deque() for _ in range(max(tiers.values(), default=0) + 1)]
+            route = {rel: lanes[t] for rel, t in tiers.items()}
+            last = lanes[-1]
+
+            def pop() -> Delta:
+                for lane in lanes:
+                    if lane:
+                        return lane.popleft()
+                raise IndexError("pop from an empty queue")
+
+            def emit(out: Iterable[Delta]) -> None:
+                for d in out:
+                    route.get(d.relation, last).append(d)
+
+            emit(queue)
+            queue.clear()
+        handlers = self.handlers
+        observer = self.observer
+        ceiling = self.max_deltas
+        counts = self.drained_by_rule = {}
         drained = 0
-        while self._queue:
-            d = self._pop()
-            self.processed += 1
-            drained += 1
-            if drained > self.max_deltas:
-                raise NonTermination(
-                    f"delta count exceeded ceiling {self.max_deltas}; wiring bug?")
-            if self.observer is not None:
-                self.observer(d)
-            handler = self.handlers.get(d.relation)
-            if handler is None:
-                continue
-            out = handler(d)
-            if out:
-                self._queue.extend(out)
+        try:
+            while True:
+                try:
+                    d = pop()
+                except IndexError:
+                    break
+                drained += 1
+                if drained > ceiling:
+                    raise NonTermination(
+                        f"delta count exceeded ceiling {ceiling}; wiring bug?")
+                if observer is not None:
+                    observer(d)
+                rel = d.relation
+                counts[rel] = counts.get(rel, 0) + 1
+                handler = handlers.get(rel)
+                if handler is None:
+                    continue
+                out = handler(d)
+                if out:
+                    emit(out)
+        finally:
+            self.processed += drained
+            if tiers is not None:
+                # a drain cut short leaves its lanes pending, in tier order
+                for lane in lanes:
+                    queue.extend(lane)
         return drained

@@ -13,12 +13,15 @@ recost deltas aimed at exactly the state the changed numbers can reach:
 
 Everything else is reached through ordinary fixpoint propagation, and the
 result provably equals a from-scratch optimization over the updated
-catalog.
+catalog.  The catalog swap drops cached summaries and fallback best costs by
+the same subset rule: an update reaches an expression only when the
+expression holds all of its target relations (see
+``CostContext.rebased``).
 """
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
 from .deltaflow import Delta, INSERT
@@ -37,6 +40,8 @@ class ReoptMetrics:
     update_ratio_or: float
     wall_time_ms: float
     plan_changed: bool
+    # deltas the re-optimization drain processed, per rule (relation)
+    deltas_by_rule: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,13 +114,11 @@ class ReoptSession:
         opt = self.opt
         batch, self.pending = self.pending, []
         new_cat = opt.catalog
-        affected: set[str] = set()
-        for u in batch:
-            if u.factor != 1.0:
-                new_cat = apply_update(new_cat, u)
-                affected |= u.target_relations()
-        if affected:
-            opt.rebind_catalog(new_cat, frozenset(affected))
+        effective = [u for u in batch if u.factor != 1.0]
+        for u in effective:
+            new_cat = apply_update(new_cat, u)
+        if effective:
+            opt.rebind_catalog(new_cat, effective)
         opt.set_tracking(True)
         deltas: list[Delta] = []
         for u in batch:
@@ -137,6 +140,7 @@ class ReoptSession:
             update_ratio_or=touched_or / total_or if total_or else 0.0,
             wall_time_ms=(time.perf_counter() - start) * 1000.0,
             plan_changed=changed,
+            deltas_by_rule=opt.deltas_by_rule(),
         )
         self.last_metrics = metrics
         return plan, metrics

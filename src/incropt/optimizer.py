@@ -25,6 +25,12 @@ space; reference counting retires whole groups no surviving plan references;
 recursive bounding prunes any row whose cost exceeds its group bound.  The
 quiescent visible state is a unique fixpoint of those rules, so any delta
 drain order converges to the same answer.
+
+The order still decides the work.  A re-optimization drains in
+``REOPT_TIERS`` order, costs before bounds before visibility, so a row is
+pruned or a group retired only on costs the update has finished moving.
+The initial build stays plain FIFO: a cold state has no stale costs to
+settle, and tiering it grew its drain.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from typing import Callable, Iterable
 from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse,
 )
-from .catalog import Catalog
+from .catalog import Catalog, StatUpdate
 from .costmodel import BestCost, CostConfig, CostContext, alternative_cost
 from .deltaflow import (
     Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
@@ -111,6 +117,13 @@ class GroupState:
         self.bound: float | None = None
 
 
+# the re-optimization drain's tiers: costs, then bounds, then visibility
+REOPT_TIERS = {
+    "recost": 0, "bestcost": 0,
+    "pbound": 1, "maxbound": 1, "bound": 1,
+    "refilter": 2, "refilterrow": 2, "refcount": 2, "expr": 2,
+}
+
 _AND_PAYLOAD = {"recost", "refilterrow", "pbound"}
 _OR_PAYLOAD = {"expr", "bestcost", "refilter", "maxbound", "bound"}
 
@@ -169,7 +182,7 @@ class DeclarativeOptimizer:
     # -- driving ---------------------------------------------------------
 
     def run(self) -> "DeclarativeOptimizer":
-        """Seed the root expression and drain to quiescence."""
+        """Seed the root expression and drain to quiescence (plain FIFO)."""
         if not self.universe.feasible:
             raise InfeasibleQuery(
                 f"no plan satisfies {self.root[1]} for {self.root[0]}")
@@ -179,8 +192,19 @@ class DeclarativeOptimizer:
         return self
 
     def push_and_run(self, deltas: Iterable[Delta]) -> int:
-        self.engine.push(deltas)
-        return self.engine.run()
+        """Drain ``deltas`` into the quiescent state in ``REOPT_TIERS`` order."""
+        engine = self.engine
+        engine.push(deltas)
+        engine.tiers = REOPT_TIERS
+        try:
+            return engine.run()
+        finally:
+            engine.tiers = None
+
+    def deltas_by_rule(self) -> dict[str, int]:
+        """The last drain's processed deltas per rule, every rule listed."""
+        counts = self.engine.drained_by_rule
+        return {rel: counts.get(rel, 0) for rel in self.engine.handlers}
 
     def set_tracking(self, on: bool) -> None:
         self._tracking = on
@@ -682,9 +706,13 @@ class DeclarativeOptimizer:
 
     # -- incremental support -------------------------------------------------
 
-    def rebind_catalog(self, new_cat: Catalog, affected: frozenset[str]) -> None:
-        """Swap in an updated catalog; structure (join graph, indexes) must
-        be unchanged, only numbers may differ."""
+    def rebind_catalog(self, new_cat: Catalog,
+                       updates: Iterable[StatUpdate]) -> None:
+        """Swap in the catalog ``updates`` produced; structure (join graph,
+        indexes) must be unchanged, only numbers may differ.  Cached
+        summaries and fallback best costs are dropped exactly where an
+        update reaches them."""
+        updates = list(updates)
         self.catalog = new_cat
-        self.ctx = self.ctx.rebased(new_cat, affected)
-        self._dp.invalidate(affected, self.ctx)
+        self.ctx = self.ctx.rebased(new_cat, updates)
+        self._dp.invalidate(updates, self.ctx)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,7 @@ def test_optimize_writes_plan_and_metrics(fixture_files, tmp_path):
     m = json.loads(metrics.read_text())
     assert m["engine"] == "declarative"
     assert 0.0 <= m["pruning_ratio_and"] <= 1.0
+    assert sum(m["deltas_by_rule"].values()) == m["processed_deltas"] > 0
 
 
 @pytest.mark.parametrize("engine", ["volcano", "systemr", "oracle"])
@@ -120,6 +125,7 @@ def test_reoptimize_roundtrip(fixture_files, tmp_path):
     m = json.loads(metrics.read_text())
     assert m["update_ratio_and"] < 1.0
     assert m["touched_and"] > 0
+    assert m["deltas_by_rule"]["recost"] > 0
 
 
 def test_reoptimize_identity_updates(fixture_files, tmp_path):
@@ -284,3 +290,36 @@ def test_bench_rejects_bad_sweep_flags(flag, value, tmp_path, capsys):
     assert run("bench", *argv, "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}")
     assert not out.exists()
+
+
+def test_module_entry_point_smoke(fixture_files, tmp_path):
+    """``python -m incropt`` end to end in a child process: optimize and save,
+    reoptimize the saved state and save again, reoptimize that state; a
+    malformed updates file exits 1."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "incropt", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    cat = str(fixture_files / "q5s.catalog.json")
+    state, resumed = tmp_path / "state.json", tmp_path / "resumed.json"
+    metrics, updates = tmp_path / "metrics.json", tmp_path / "updates.json"
+    updates.write_text(json.dumps([
+        {"kind": "scan_cost", "target": "lineitem", "factor": 8.0}]))
+    done = cli("optimize", "--catalog", cat,
+               "--query", str(fixture_files / "q5s.query.json"),
+               "--save-state", str(state))
+    assert done.returncode == 0, done.stderr
+    done = cli("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(resumed), "--metrics", str(metrics))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(metrics.read_text())["deltas_by_rule"]["recost"] > 0
+    done = cli("reoptimize", "--state", str(resumed), "--updates", str(updates))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("reoptimize ")
+    updates.write_text('[{"kind": "scan_cost", "target": "lineitem"')
+    done = cli("reoptimize", "--state", str(resumed), "--updates", str(updates))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")

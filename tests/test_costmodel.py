@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from incropt.algebra import Alternative, ExprSig, PropertySpec, Query
+from incropt.algebra import Alternative, ExprSig, PropertySpec, Query, SearchUniverse
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, apply_update
 from incropt.costmodel import (
-    CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
+    BestCost, CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
     scan_cost, scan_summary, sum_cost,
 )
+from incropt.fixtures import q5s
+from incropt.workload import make_workload
 
 
 def make_cat():
@@ -146,3 +148,37 @@ def test_cost_config_override():
     cat = make_cat()
     e = ExprSig.of(["C"])
     assert scan_cost(e, PropertySpec.none(), "index_scan", Summary(1.0), cat, cfg) == 1500.0
+
+
+@pytest.mark.parametrize("make", [q5s, lambda: make_workload("clique", 5, 4)],
+                         ids=["q5s", "clique-5"])
+def test_update_invalidates_exactly_what_it_reaches(make):
+    """A join-selectivity update drops the summaries and fallback best costs
+    of the expressions holding both endpoints and nothing else; a scan-cost
+    update drops no summary.  Every kept value equals a fresh computation on
+    the updated catalog."""
+    cat, q = make()
+    universe = SearchUniverse(cat, q)
+    for u in (StatUpdate("join_selectivity", cat.predicates[0].name, 8.0),
+              StatUpdate("scan_cost", cat.relations[0].name, 0.125)):
+        ctx = CostContext(cat, q)
+        dp = BestCost(universe, ctx)
+        dp.best(universe.root)
+        before = set(dp.memo)
+        summaries = dict(ctx._summaries)
+        new_cat = apply_update(cat, u)
+        rebased = ctx.rebased(new_cat, [u])
+        dp.invalidate([u], rebased)
+        fresh = BestCost(universe, CostContext(new_cat, q))
+        ends = u.target_relations()
+        assert set(dp.memo) == {g for g in before if not ends <= set(g[0].rels)}
+        assert len(dp.memo) < len(before)
+        for g, kept in dp.memo.items():
+            assert kept == fresh.best(g), (u, g)
+        kept = rebased._summaries
+        if u.kind == "scan_cost":
+            assert kept == summaries
+        else:
+            assert set(kept) == {e for e in summaries if not ends <= set(e.rels)}
+        for e, s in kept.items():
+            assert s == fresh.ctx.summary(e), (u, e)

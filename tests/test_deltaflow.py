@@ -253,6 +253,46 @@ class TestFixpointEngine:
             assert eng.run() == 60
         assert eng.processed == 180
 
+    def test_per_rule_counts_sum_to_the_drain(self):
+        eng = FixpointEngine({"a": lambda d: [Delta("b", INSERT, d.payload)] * 2,
+                              "b": lambda d: []})
+        eng.push([Delta("a", INSERT, 1), Delta("a", INSERT, 2)])
+        drained = eng.run()
+        assert eng.drained_by_rule == {"a": 2, "b": 4}
+        assert sum(eng.drained_by_rule.values()) == drained == eng.processed
+
+    def test_tiered_drain_settles_lower_tiers_first(self):
+        order = []
+
+        def log(d):
+            order.append(d.payload)
+            # each visibility delta re-opens the cost tier
+            return [Delta("cost", INSERT, d.payload + "'")] if d.relation == "vis" else []
+
+        eng = FixpointEngine({"cost": log, "vis": log})
+        eng.push([Delta("vis", INSERT, "v1"), Delta("cost", INSERT, "c1"),
+                  Delta("vis", INSERT, "v2"), Delta("cost", INSERT, "c2")])
+        eng.tiers = {"cost": 0, "vis": 1}
+        assert eng.run() == 6
+        assert order == ["c1", "c2", "v1", "v1'", "v2", "v2'"]
+        # without tiers the same pushes drain in plain FIFO order
+        order.clear()
+        eng.tiers = None
+        eng.push([Delta("vis", INSERT, "v1"), Delta("cost", INSERT, "c1")])
+        eng.run()
+        assert order == ["v1", "c1", "v1'"]
+
+    def test_cut_short_tiered_drain_stays_pending(self):
+        def boom(d):
+            raise RuntimeError("handler failed")
+
+        eng = FixpointEngine({"boom": boom, "a": lambda d: []})
+        eng.tiers = {"boom": 0, "a": 1}
+        eng.push([Delta("a", INSERT, 1), Delta("boom", INSERT), Delta("a", INSERT, 2)])
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert eng.pending == 2 and eng.processed == 1
+
     def test_shuffled_drain_matches_fifo(self):
         # toy counting network: edges propagate increments to reachable nodes
         edges = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}

@@ -31,8 +31,8 @@ def test_scan_update_targets_exactly_leaf_rows(q3s_fixture):
     # rest, so the seeded deltas are exactly the leaf rows over the relation
     cat, q = q3s_fixture
     opt, _ = fresh_session(cat, q, strategies=Strategies.none())
-    opt.rebind_catalog(apply_update(cat, StatUpdate("scan_cost", "lineitem", 8.0)),
-                       frozenset(["lineitem"]))
+    u = StatUpdate("scan_cost", "lineitem", 8.0)
+    opt.rebind_catalog(apply_update(cat, u), [u])
     deltas = stat_to_deltas(StatUpdate("scan_cost", "lineitem", 8.0), opt)
     rows = {d.payload for d in deltas}
     expect = {(g, ak) for g, gs in opt.groups.items()
@@ -119,6 +119,18 @@ def test_inverse_updates_restore_state(q3s_fixture, q5s_fixture):
         assert opt.state_digest() == before
         _, m3 = session.reoptimize()
         assert session.converged() and m3.touched_and == 0
+
+
+def test_per_rule_delta_counts_sum_to_the_drain(q5s_fixture):
+    cat, q = q5s_fixture
+    opt, session = fresh_session(cat, q)
+    for u in make_update_batch(cat, 6, 3):
+        before = opt.engine.processed
+        session.add_updates([u])
+        _, m = session.reoptimize()
+        assert set(m.deltas_by_rule) == set(opt.engine.handlers)
+        assert sum(m.deltas_by_rule.values()) == opt.engine.processed - before > 0
+        assert m.to_dict()["deltas_by_rule"] == m.deltas_by_rule
 
 
 def test_touched_counters_and_ratios(q5s_fixture):
@@ -273,3 +285,31 @@ def test_retained_costs_equal_a_fresh_dp(name, label):
                     assert cost == alternative_cost(dp.ctx, g, alt, dp.best), (g, alt, step)
                     checked += 1
         assert checked
+
+
+_SETTLE_WORKLOADS = (("clique", 6), ("star", 7), ("chain", 8))
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_unchanged_plan_kills_and_revives_no_group(label):
+    """The re-optimization drain settles costs before it prunes, so an update
+    that leaves the plan unchanged retires and revives no group on the way."""
+    unchanged = 0
+    for shape, n in _SETTLE_WORKLOADS:
+        for seed in (1, 2, 3):
+            cat, q = make_workload(shape, n, seed)
+            opt, session = fresh_session(cat, q, strategies=STRATEGY_SUBSETS[label])
+            flips = []
+            for name in ("_kill_group", "_revive_group"):
+                def counted(g, _orig=getattr(opt, name), _name=name):
+                    flips.append((_name, g))
+                    return _orig(g)
+                setattr(opt, name, counted)
+            for u in make_update_batch(cat, 40, seed):
+                del flips[:]
+                session.add_updates([u])
+                _, m = session.reoptimize()
+                if not m.plan_changed:
+                    assert flips == [], (shape, n, seed, u)
+                    unchanged += 1
+    assert unchanged
