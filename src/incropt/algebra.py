@@ -21,7 +21,14 @@ Conventions baked in here:
   Alternative indexes, and with them the ``(cost, index, phy_op)``
   tie-break, follow this order;
 * ``SearchUniverse`` computes each expression's partitions once and hands
-  them to ``split`` for every property of that expression;
+  them to ``split`` for every property of that expression; a sort-order
+  property visits only the partitions whose crossing predicates carry its
+  attribute, which ``partitions`` indexes once per expression;
+* ``SearchUniverse`` numbers its groups densely, in the order enumeration
+  first meets them; each id carries its expression's relation bitmask and
+  its alternatives' child ids, the tables ``costmodel.BestCost`` runs on.
+  It also interns partition sides by relation mask, so one expression has
+  one signature object across the universe;
 * symmetric operators (hash, merge) are emitted once in canonical side
   order, the asymmetric indexed nested-loop join is emitted once per
   indexed inner side, with the indexed inner on the left;
@@ -31,6 +38,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -151,7 +159,11 @@ AltKey = tuple[int, str]
 
 @dataclass(frozen=True)
 class Alternative:
-    """One physical plan alternative (an AND node) for an (expr, prop) pair."""
+    """One physical plan alternative (an AND node) for an (expr, prop) pair.
+
+    ``key`` is built once: every row key, parent-index entry and DP
+    candidate of the alternative then shares one tuple.
+    """
 
     index: int
     log_op: str
@@ -160,10 +172,10 @@ class Alternative:
     l_prop: PropertySpec | None = None
     r_expr: ExprSig | None = None
     r_prop: PropertySpec | None = None
+    key: AltKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> AltKey:
-        return (self.index, self.phy_op)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.index, self.phy_op))
 
     @property
     def is_scan(self) -> bool:
@@ -318,7 +330,35 @@ def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
 Partition = tuple[ExprSig, ExprSig, tuple[tuple[PropertySpec, PropertySpec], ...]]
 
 
-def partitions(e: ExprSig, cat: Catalog) -> tuple[Partition, ...]:
+class Partitions(tuple):
+    """One expression's partitions in ``split`` order.
+
+    ``crossed_by`` indexes them by predicate, flat, three items per
+    predicate inside the expression: its left attribute, its right
+    attribute and a position mask whose bit ``k`` is set when partition
+    ``k`` has a crossing pair from it.  A sort order on an attribute comes
+    only from those partitions, so ``split`` visits no other.
+    """
+
+    crossed_by: tuple
+
+    def sorted_on(self, attr: str) -> list[Partition]:
+        """The partitions with a crossing pair sorted on ``attr``, in order."""
+        positions = 0
+        flat = iter(self.crossed_by)
+        for left, right, crossed in zip(flat, flat, flat):
+            if attr == left or attr == right:
+                positions |= crossed
+        out = []
+        while positions:
+            low = positions & -positions
+            out.append(self[low.bit_length() - 1])
+            positions ^= low
+        return out
+
+
+def partitions(e: ExprSig, cat: Catalog,
+               sigs: dict[int, ExprSig] | None = None) -> Partitions:
     """The connected-complement partitions of composite ``e``, in ``split`` order.
 
     Side a is a connected subset of at most half of ``e`` whose complement,
@@ -326,7 +366,11 @@ def partitions(e: ExprSig, cat: Catalog) -> tuple[Partition, ...]:
     When the halves are equal, side a is the one holding ``e``'s first
     relation.  Ordered by the size of side a, then by its relation tuple:
     the order in which ``itertools.combinations`` would list side a.
+    ``sigs`` interns the sides by relation mask, so every partition of a
+    universe that names an expression shares one signature.
     """
+    if sigs is None:
+        sigs = {}
     full = _expr_mask(e, cat)
     adj = cat.adjacency_masks
     first = cat.relation_bits[e.rels[0]]
@@ -336,22 +380,37 @@ def partitions(e: ExprSig, cat: Catalog) -> tuple[Partition, ...]:
     for lbit, rbit, pred in cat.predicate_bits:
         if lbit & full and rbit & full:
             left, right = PropertySpec.sorted_on(pred.left), PropertySpec.sorted_on(pred.right)
-            preds.append((lbit, rbit, (left, right), (right, left)))
+            preds.append((lbit, rbit, (left, right), (right, left), pred))
     n = len(e)
-    out: list[Partition] = []
+    found = []
     for s in _connected_subsets(full, adj, n // 2):
         if 2 * s.bit_count() == n and not s & first:
             continue
         rest = full ^ s
         if not _mask_connected(rest, adj):
             continue
-        crossing = tuple(fwd if lbit & s else rev
-                         for lbit, rbit, fwd, rev in preds
-                         if bool(lbit & s) != bool(rbit & s))
+        crossing = []
+        crossed = 0  # bit j: predicate j crosses this partition
+        for j, (lbit, rbit, fwd, rev, _) in enumerate(preds):
+            if bool(lbit & s) != bool(rbit & s):
+                crossing.append(fwd if lbit & s else rev)
+                crossed |= 1 << j
         if crossing:
-            out.append((_sig_of(s, e, cat), _sig_of(rest, e, cat), crossing))
-    out.sort(key=lambda part: (len(part[0]), part[0].rels))
-    return tuple(out)
+            a_sig = sigs.get(s) or sigs.setdefault(s, _sig_of(s, e, cat))
+            b_sig = sigs.get(rest) or sigs.setdefault(rest, _sig_of(rest, e, cat))
+            found.append((a_sig, b_sig, tuple(crossing), crossed))
+    found.sort(key=lambda part: (len(part[0]), part[0].rels))
+    positions = [0] * len(preds)
+    for k, part in enumerate(found):
+        crossed = part[3]
+        while crossed:
+            low = crossed & -crossed
+            positions[low.bit_length() - 1] |= 1 << k
+            crossed ^= low
+    parts = Partitions(part[:3] for part in found)
+    parts.crossed_by = tuple(item for (_, _, _, _, pred), at in zip(preds, positions)
+                             for item in (pred.left, pred.right, at))
+    return parts
 
 
 def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alternative]:
@@ -373,7 +432,7 @@ def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alterna
 
 
 def split(e: ExprSig, p: PropertySpec, cat: Catalog,
-          parts: tuple[Partition, ...] | None = None) -> list[Alternative]:
+          parts: Partitions | None = None) -> list[Alternative]:
     """Enumerate join alternatives for composite ``e`` under output property ``p``.
 
     ``parts`` is ``partitions(e, cat)``, computed here when not given.
@@ -393,10 +452,8 @@ def split(e: ExprSig, p: PropertySpec, cat: Catalog,
              r_expr: ExprSig, r_prop: PropertySpec) -> None:
         out.append(Alternative(len(out) + 1, LOG_JOIN, phy_op, l_expr, l_prop, r_expr, r_prop))
 
-    none = p.is_none
-    sorted_attr = p.attr if p.kind == PROP_SORTED else None
-    for a_sig, b_sig, crossing in parts:
-        if none:
+    if p.is_none:
+        for a_sig, b_sig, crossing in parts:
             emit(HASH_JOIN, a_sig, PropertySpec.none(), b_sig, PropertySpec.none())
             for sort_a, sort_b in crossing:
                 for inner_sig, inner_attr, outer_sig in (
@@ -409,9 +466,15 @@ def split(e: ExprSig, p: PropertySpec, cat: Catalog,
                     if bare in cat.relation(rel_name).indexed_on:
                         emit(INDEX_NL_JOIN, inner_sig, PropertySpec.index_on(inner_attr),
                              outer_sig, PropertySpec.none())
-        for sort_a, sort_b in crossing:
-            if none or sorted_attr in (sort_a.attr, sort_b.attr):
+            for sort_a, sort_b in crossing:
                 emit(MERGE_JOIN, a_sig, sort_a, b_sig, sort_b)
+    elif p.kind == PROP_SORTED:
+        # only a merge join yields an order, and only from a partition with
+        # a crossing pair sorted on the attribute
+        for a_sig, b_sig, crossing in parts.sorted_on(p.attr):
+            for sort_a, sort_b in crossing:
+                if p.attr in (sort_a.attr, sort_b.attr):
+                    emit(MERGE_JOIN, a_sig, sort_a, b_sig, sort_b)
     if not out:
         raise NoAlternatives(f"no operator yields {p} for {e}")
     return out
@@ -426,13 +489,25 @@ class SearchUniverse:
     pruning/update-ratio denominators.  A group's raw split output is
     dropped once its buildable alternatives are known (an unbuildable group
     memoizes none), so ``split`` still runs once per group.
+
+    Groups get dense ids in the order ``alternatives`` first meets them (a
+    group, then its alternatives' children).  Per id: ``group_keys`` is its
+    key, ``group_masks`` its expression's relation bitmask, ``group_alts``
+    its alternatives (None until computed) and ``group_kids`` the ids of
+    their children, left then right, two per join alternative.
     """
 
     def __init__(self, cat: Catalog, query: Query):
         self.catalog = cat
         self.query = query
         self.root: GroupKey = (query.sig, PropertySpec.none())
-        self._parts: dict[ExprSig, tuple[Partition, ...]] = {}
+        self._ids: dict[GroupKey, int] = {}
+        self.group_keys: list[GroupKey] = []
+        self.group_masks: list[int] = []
+        self.group_alts: list[tuple[Alternative, ...] | None] = []
+        self.group_kids: list[array | None] = []
+        self._parts: dict[ExprSig, Partitions] = {}
+        self._sigs: dict[int, ExprSig] = {_expr_mask(query.sig, cat): query.sig}
         self._raw: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._alts: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._buildable: dict[GroupKey, bool] = {}
@@ -447,7 +522,7 @@ class SearchUniverse:
             else:
                 parts = self._parts.get(e)
                 if parts is None:
-                    parts = self._parts[e] = partitions(e, self.catalog)
+                    parts = self._parts[e] = partitions(e, self.catalog, self._sigs)
                 try:
                     got = tuple(split(e, p, self.catalog, parts))
                 except NoAlternatives:
@@ -474,14 +549,47 @@ class SearchUniverse:
     def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
         got = self._alts.get(group)
         if got is None:
-            got = tuple(
-                a for a in self.raw_alternatives(group)
-                if all(self.buildable(c) for c in a.children())
-            )
-            self._alts[group] = got
+            i = self._number(group)
+            kept: list[Alternative] = []
+            kids = array("i")
+            for a in self.raw_alternatives(group):
+                if a.is_scan:
+                    kept.append(a)
+                    continue
+                left, right = a.children()
+                if self.buildable(left) and self.buildable(right):
+                    kept.append(a)
+                    kids.append(self._number(left))
+                    kids.append(self._number(right))
+            got = self._alts[group] = tuple(kept)
             self._buildable[group] = bool(got)
             del self._raw[group]
+            self.group_alts[i] = got
+            self.group_kids[i] = kids
         return got
+
+    def _number(self, group: GroupKey) -> int:
+        i = self._ids.get(group)
+        if i is None:
+            i = self._ids[group] = len(self.group_keys)
+            self.group_keys.append(group)
+            self.group_masks.append(_expr_mask(group[0], self.catalog))
+            self.group_alts.append(None)
+            self.group_kids.append(None)
+        return i
+
+    def group_id(self, group: GroupKey) -> int:
+        """``group``'s dense id, with its alternatives and their child ids
+        computed."""
+        i = self._ids.get(group)
+        if i is None or self.group_alts[i] is None:
+            alts = self.alternatives(group)
+            i = self._number(group)
+            if self.group_alts[i] is None:
+                # unbuildable, so ``buildable`` memoized it without numbering
+                self.group_alts[i] = alts
+                self.group_kids[i] = array("i")
+        return i
 
     @property
     def feasible(self) -> bool:

@@ -15,7 +15,10 @@ bug, never a modelling artifact.
 
 The oracle and System-R share their DP with the declarative engine's
 pruned-group fallback; the test suite checks them against an enumerator of
-whole plan trees built straight from the catalog.
+whole plan trees built straight from the catalog.  The DP runs over the
+universe's dense group ids, each group's local costs held in one array; its
+``memo`` still reads as GroupKey -> best in resolution order, which is what
+the visit counts and ``visit_log`` report.
 """
 from __future__ import annotations
 
@@ -69,9 +72,10 @@ def _resolve(ctx: CostContext, universe: SearchUniverse, order, start: float
     dp = BestCost(universe, ctx)
     for g in order:
         dp.best(g)
+    memo = dp.memo
     metrics = BaselineMetrics(
-        visited_and=sum(len(universe.alternatives(g)) for g in dp.memo),
-        visited_or=len(dp.memo), visit_log=list(dp.memo))
+        visited_and=sum(len(universe.alternatives(g)) for g in memo),
+        visited_or=len(memo), visit_log=list(memo))
     plan = build_plan(universe, ctx, dp.best, universe.root)
     metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return plan, metrics

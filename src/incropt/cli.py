@@ -1,7 +1,8 @@
 """Command-line surface: optimize / reoptimize / bench / verify.
 
-Exit codes: 0 success; 1 parse/validation/state errors; 2 infeasible query;
-3 verification mismatch.  All commands are deterministic; bench and verify
+Exit codes: 0 success; 1 parse/validation/state errors (a state that fails
+``verify --audit-state`` included); 2 infeasible query; 3 verification
+mismatch.  All commands are deterministic; bench and verify
 draw their workloads from --seed (INCROPT_SEED overrides it); bench omits
 wall-clock columns unless --timing is given so identical seeds produce
 byte-identical CSV.
@@ -126,14 +127,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_reoptimize(args) -> int:
+def _read_state(path: str) -> dict:
     try:
-        with open(args.state, "r", encoding="utf-8") as fh:
-            snap = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read state file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateMismatch(f"corrupted state snapshot: {exc}") from exc
+
+
+def cmd_reoptimize(args) -> int:
+    snap = _read_state(args.state)
     if args.catalog:
         cat = load_catalog(args.catalog)
         if cat.content_hash() != snap.get("catalog_hash"):
@@ -283,7 +288,22 @@ def _verify_trial(shape: str, n: int, seed: int, k_updates: int,
     return problems
 
 
+def _audit_state(path: str) -> int:
+    """Load a saved state and audit it by direct scan; any violation is a
+    ``StateMismatch`` (exit 1)."""
+    opt = DeclarativeOptimizer.from_snapshot(_read_state(path))
+    problems = opt.audit_refcounts() + opt.audit_fixpoint() + opt.audit_costs()
+    for problem in problems:
+        print(f"verify: {problem}", file=sys.stderr)
+    if problems:
+        raise StateMismatch(f"state {path} fails {len(problems)} audit check(s)")
+    print(f"verify: state {path} OK ({len(opt.groups)} groups audited)")
+    return 0
+
+
 def cmd_verify(args) -> int:
+    if args.audit_state:
+        return _audit_state(args.audit_state)
     _require_counts(args)
     if args.max_rels < 3:
         raise ValidationError(
@@ -384,6 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", default=None, choices=ENGINES,
                    help="testing hook: perturb one engine's cost model")
     p.add_argument("--reproducer-out", default=None)
+    p.add_argument("--audit-state", default=None, metavar="STATE",
+                   help="instead of the trials, load a saved state and check its "
+                        "refcounts, bounds and row costs against a direct scan")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("fixtures", help="write the TPC-H-shaped fixture files")

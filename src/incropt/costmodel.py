@@ -15,11 +15,19 @@ Summaries (estimated output cardinalities) are a logical property of an
 expression: every partition of the same expression gets the identical
 value because the context memoizes one canonical computation per
 expression signature.
+
+``BestCost``, the one best-cost DP, runs over ``SearchUniverse``'s dense
+group ids: per id a best value and an ``array('d')`` of local costs.  An
+update is tested against each id's relation bitmask, and a local cost it
+cannot reach is kept: a scan-cost update moves only its relation's leaf
+scans, since join local costs read summaries and no summary reads
+``scan_cost_factor``.
 """
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,7 +35,7 @@ from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, Query,
     SearchUniverse,
 )
-from .catalog import JOIN_SELECTIVITY, Catalog, StatUpdate
+from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate
 from .errors import InfeasibleQuery, ParseError
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
 
 
 class BestCost:
-    """The memoized best-cost DP over a search universe.
+    """The memoized best-cost DP over a search universe's dense group ids.
 
     ``best(g)`` is the group's smallest ``(cost, (index, phy_op))`` tuple
     over its alternatives, each costed with its children's ``best``; tuple
@@ -191,35 +199,99 @@ class BestCost:
     resolver backs the exhaustive oracle, System-R (which asks for groups
     bottom-up, so it never recurses) and the declarative engine's cost
     composition through groups whose maintained entries are pruned away.
-    ``memo`` keeps groups in resolution order: a group is entered after
-    every child it needed.
+
+    The tables are indexed by ``SearchUniverse`` group id: per id, the best
+    value and the local cost of each alternative (an ``array('d')``), which
+    ``sum_cost`` adds to the children's best.  ``invalidate`` tests relation
+    bitmasks and keeps every local cost an update cannot reach, so a
+    re-resolution recomputes only those it can.  ``memo`` lists the resolved
+    groups in resolution order: a group is entered after every child it
+    needed.
     """
 
     def __init__(self, universe: SearchUniverse, ctx: CostContext):
         self.universe = universe
         self.ctx = ctx
-        self.memo: dict[GroupKey, tuple[float, AltKey]] = {}
+        self._best: list[tuple[float, AltKey] | None] = []
+        self._local: list[array | None] = []
+        self._order: list[int] = []
+
+    @property
+    def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
+        keys, best = self.universe.group_keys, self._best
+        return {keys[i]: best[i] for i in self._order}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
-        got = self.memo.get(g)
-        if got is None:
-            got = min(((alternative_cost(self.ctx, g, alt, self.best), alt.key)
-                       for alt in self.universe.alternatives(g)), default=None)
-            if got is None:
-                raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
-            self.memo[g] = got
+        i = self.universe.group_id(g)
+        if len(self._best) < len(self.universe.group_keys):
+            self._grow()
+        return self._best[i] or self._solve(i)
+
+    def local_costs(self, g: GroupKey) -> array | None:
+        """The retained local cost of each of ``g``'s alternatives, in their
+        order, or None when none is retained."""
+        i = self.universe.group_id(g)
+        return self._local[i] if i < len(self._local) else None
+
+    def _grow(self) -> None:
+        missing = len(self.universe.group_keys) - len(self._best)
+        self._best.extend([None] * missing)
+        self._local.extend([None] * missing)
+
+    def _solve(self, i: int) -> tuple[float, AltKey]:
+        u = self.universe
+        alts = u.group_alts[i]
+        if alts is None:
+            alts = u.group_alts[u.group_id(u.group_keys[i])]
+            self._grow()
+        if not alts:
+            g = u.group_keys[i]
+            raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
+        local = self._local[i]
+        if local is None:
+            e, p = u.group_keys[i]
+            local_cost = self.ctx.local_cost
+            local = self._local[i] = array("d", [local_cost(e, p, a) for a in alts])
+        kids = u.group_kids[i]
+        if kids:
+            best, solve = self._best, self._solve
+            pairs = iter(kids)
+            got = min((sum_cost((best[l] or solve(l))[0], (best[r] or solve(r))[0], lc),
+                       a.key)
+                      for a, lc, l, r in zip(alts, local, pairs, pairs))
+        else:
+            got = min((sum_cost(None, None, lc), a.key) for a, lc in zip(alts, local))
+        self._best[i] = got
+        self._order.append(i)
         return got
 
     def invalidate(self, updates: Iterable[StatUpdate],
                    ctx: CostContext) -> None:
         """Adopt the context for the catalog ``updates`` produced and forget
-        the best cost of every group whose expression contains all of some
-        update's target relations.
+        what some update reaches: an update reaches a group whose relation
+        bitmask holds all of its target relations.
 
-        No other group's cost can move: its summaries, local costs and
-        children all lie outside every update.
+        A reached group loses its best cost.  A join-selectivity update also
+        drops its local costs, since they read the summaries it moves; a
+        scan-cost update drops only the local costs of its relation's leaf
+        groups, since join local costs read only summaries and summaries do
+        not read ``scan_cost_factor``.  No other value can move.
         """
         self.ctx = ctx
-        targets = [u.target_relations() for u in updates]
-        self.memo = {g: v for g, v in self.memo.items()
-                     if not _reaches(targets, g[0])}
+        bits = self.universe.catalog.relation_bits
+        best, local = self._best, self._local
+        masks = self.universe.group_masks[:len(best)]
+        for u in updates:
+            targets = u.target_relations()
+            if not all(r in bits for r in targets):
+                continue
+            t = 0
+            for r in targets:
+                t |= bits[r]
+            keep_joins = u.kind == SCAN_COST
+            for i, m in enumerate(masks):
+                if m & t == t:
+                    best[i] = None
+                    if not keep_joins or m == t:
+                        local[i] = None
+        self._order = [i for i in self._order if best[i] is not None]

@@ -16,7 +16,8 @@ result provably equals a from-scratch optimization over the updated
 catalog.  The catalog swap drops cached summaries and fallback best costs by
 the same subset rule: an update reaches an expression only when the
 expression holds all of its target relations (see
-``CostContext.rebased``).
+``CostContext.rebased`` and ``BestCost.invalidate``, which also keeps every
+fallback local cost a scan-cost update cannot move).
 """
 from __future__ import annotations
 

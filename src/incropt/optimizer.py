@@ -598,6 +598,21 @@ class DeclarativeOptimizer:
                     bad.append(f"{g[0]}|{g[1]}: bound {gs.bound} != {expect_bound}")
         return bad
 
+    def audit_costs(self) -> list[str]:
+        """Check each retained row cost against a from-scratch best-cost DP
+        on the current catalog: an alive group's rows hold exactly their
+        plan costs, a dead group's hold none."""
+        self._require_quiescent()
+        dp = BestCost(self.universe, CostContext(self.catalog, self.query, self.ctx.config))
+        bad = []
+        for g, gs in self.groups.items():
+            for ak, alt in gs.alts.items():
+                got = gs.mins.cost_of(ak)
+                want = alternative_cost(dp.ctx, g, alt, dp.best) if gs.alive else None
+                if got != want:
+                    bad.append(f"{g[0]}|{g[1]}: row {ak} cost {got} != {want}")
+        return bad
+
     # -- digests / snapshots -------------------------------------------------
 
     def state_digest(self) -> list[dict]:
@@ -710,8 +725,8 @@ class DeclarativeOptimizer:
                        updates: Iterable[StatUpdate]) -> None:
         """Swap in the catalog ``updates`` produced; structure (join graph,
         indexes) must be unchanged, only numbers may differ.  Cached
-        summaries and fallback best costs are dropped exactly where an
-        update reaches them."""
+        summaries and the fallback DP's best and local costs are dropped
+        exactly where an update reaches them (``BestCost.invalidate``)."""
         updates = list(updates)
         self.catalog = new_cat
         self.ctx = self.ctx.rebased(new_cat, updates)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from incropt.algebra import Query, SearchUniverse
@@ -9,6 +11,7 @@ from incropt.baselines import (
 from incropt.catalog import Catalog, RelationMeta, validate_catalog
 from incropt.costmodel import CostContext, alternative_cost
 from incropt.errors import InfeasibleQuery, TooLarge
+from incropt.fixtures import q3s, q5s, q8joins
 from incropt.workload import make_workload
 
 
@@ -105,3 +108,32 @@ def test_shared_tie_break_yields_identical_trees():
     ref, _ = brute_force_optimize(q, cat)
     assert systemr_optimize(q, cat)[0] == ref
     assert volcano_optimize(q, cat)[0] == ref
+
+
+# (visited_and, visited_or, pruned_and, pruned_or, first 16 hex digits of the
+# sha256 of the visit log, one "rels|prop" line per group), as the
+# GroupKey-keyed memo DP reported them before the DP moved to dense ids
+_PINNED_METRICS = {
+    ("q3s", "oracle"): (23, 14, 0, 0, "27e2e5d0c31b03b0"),
+    ("q3s", "systemr"): (23, 14, 0, 0, "72d47c0226ceef22"),
+    ("q3s", "volcano"): (15, 13, 7, 0, "c0e0dfcb15fae21d"),
+    ("q5s", "oracle"): (120, 40, 0, 0, "73bcf97fcfcf85cb"),
+    ("q5s", "systemr"): (120, 40, 0, 0, "b14e64c218d27532"),
+    ("q5s", "volcano"): (26, 37, 85, 12, "77a9308d1126c4fb"),
+    ("q8joins", "oracle"): (161, 54, 0, 0, "ab38e16d142b9a47"),
+    ("q8joins", "systemr"): (161, 54, 0, 0, "79803c8014576010"),
+    ("q8joins", "volcano"): (56, 49, 100, 8, "a41d47e45ab27f12"),
+}
+_FIXTURES = {"q3s": q3s, "q5s": q5s, "q8joins": q8joins}
+_ENGINES = {"oracle": brute_force_optimize, "systemr": systemr_optimize,
+            "volcano": volcano_optimize}
+
+
+@pytest.mark.parametrize("fixture,engine", sorted(_PINNED_METRICS))
+def test_baseline_metrics_are_pinned(fixture, engine):
+    cat, q = _FIXTURES[fixture]()
+    _, m = _ENGINES[engine](q, cat)
+    log = "\n".join(f"{'/'.join(g[0].rels)}|{g[1]}" for g in m.visit_log)
+    digest = hashlib.sha256(log.encode()).hexdigest()[:16]
+    assert (m.visited_and, m.visited_or, m.pruned_and, m.pruned_or, digest) == \
+        _PINNED_METRICS[fixture, engine]

@@ -10,6 +10,7 @@ import pytest
 
 from incropt.cli import SCHEMA_VERSION, main
 from incropt.fixtures import write_fixture_files
+from incropt.optimizer import DeclarativeOptimizer
 
 
 @pytest.fixture()
@@ -323,3 +324,59 @@ def test_module_entry_point_smoke(fixture_files, tmp_path):
     done = cli("reoptimize", "--state", str(resumed), "--updates", str(updates))
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
+
+
+def _triple_non_best_root_row(snap: dict) -> None:
+    rels = sorted(snap["query"]["relations"])
+    root = next(g for g in snap["groups"] if g["expr"] == rels and g["prop"] == "none")
+    best = root["best"]
+    row = next(r for r in root["rows"] if r["cost"] is not None
+               and (r["index"], r["phy_op"]) != (best["index"], best["phy_op"]))
+    row["cost"] *= 3
+
+
+def test_verify_audit_state_accepts_saved_states(fixture_files, tmp_path, capsys):
+    state = _save_state(fixture_files, tmp_path)
+    resumed = tmp_path / "resumed.json"
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps([
+        {"kind": "join_selectivity", "target": "orders.o_orderkey=lineitem.l_orderkey",
+         "factor": 0.125},
+        {"kind": "scan_cost", "target": "lineitem", "factor": 8.0}]))
+    assert run("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(resumed)) == 0
+    for path in (state, resumed):
+        capsys.readouterr()
+        assert run("verify", "--audit-state", str(path)) == 0
+        assert "OK" in capsys.readouterr().out
+
+
+def test_verify_audit_state_rejects_a_tampered_row_cost(fixture_files, tmp_path, capsys):
+    """A non-best row cost tripled stays above the group minimum, so the
+    state loads and both fixpoint audits pass; the row-cost audit does not."""
+    state = _save_state(fixture_files, tmp_path)
+    snap = json.loads(state.read_text())
+    _triple_non_best_root_row(snap)
+    loaded = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
+    assert loaded.audit_refcounts() == [] and loaded.audit_fixpoint() == []
+    assert len(loaded.audit_costs()) == 1
+    state.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run("verify", "--audit-state", str(state)) == 1
+    err = capsys.readouterr().err
+    assert "cost" in err and "fails 1 audit check" in err
+
+
+def test_verify_audit_state_rejects_unloadable_states(fixture_files, tmp_path,
+                                                      capsys, state_tamper):
+    state = _save_state(fixture_files, tmp_path)
+    snap = json.loads(state.read_text())
+    tamper, message = state_tamper
+    tamper(snap)
+    state.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run("verify", "--audit-state", str(state)) == 1
+    assert message in capsys.readouterr().err
+    state.write_text("{truncated")
+    assert run("verify", "--audit-state", str(state)) == 1
+    assert run("verify", "--audit-state", str(tmp_path / "missing.json")) == 1

@@ -11,8 +11,10 @@ from incropt.costmodel import (
     BestCost, CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
     scan_cost, scan_summary, sum_cost,
 )
-from incropt.fixtures import q5s
-from incropt.workload import make_workload
+from incropt.fixtures import q5s, q8joins
+from incropt.incremental import ReoptSession
+from incropt.optimizer import DeclarativeOptimizer
+from incropt.workload import make_update_batch, make_workload
 
 
 def make_cat():
@@ -182,3 +184,91 @@ def test_update_invalidates_exactly_what_it_reaches(make):
             assert set(kept) == {e for e in summaries if not ends <= set(e.rels)}
         for e, s in kept.items():
             assert s == fresh.ctx.summary(e), (u, e)
+
+
+def _assert_dp_equals_fresh(dp: BestCost, fresh: BestCost, step) -> int:
+    """Every value and every retained local cost ``dp`` holds equals a fresh
+    DP's on the same catalog, bit for bit; returns how many it checked."""
+    checked = 0
+    for g, kept in dp.memo.items():
+        assert kept == fresh.best(g), (step, g)
+        checked += 1
+    for g in dp.universe.group_keys:
+        local = dp.local_costs(g)
+        if local is not None:
+            e, p = g
+            want = [fresh.ctx.local_cost(e, p, a) for a in dp.universe.alternatives(g)]
+            assert [x.hex() for x in local] == [x.hex() for x in want], (step, g)
+            checked += len(local)
+    return checked
+
+
+_DRIFT_WORKLOADS = {
+    "clique-5": lambda: make_workload("clique", 5, 4),
+    "star-6": lambda: make_workload("star", 6, 2),
+    "q8joins": q8joins,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_WORKLOADS))
+def test_dp_after_mixed_updates_equals_a_fresh_dp(name):
+    """After each of 40 mixed updates, a DP that invalidated and re-resolved
+    holds only values and local costs equal to a from-scratch DP's; so does
+    the engine's pruned-group fallback after the same 40 updates."""
+    cat, q = _DRIFT_WORKLOADS[name]()
+    stream = make_update_batch(cat, 40, 11)
+    assert {u.kind for u in stream} == {"scan_cost", "join_selectivity"}
+    universe = SearchUniverse(cat, q)
+    ctx = CostContext(cat, q)
+    dp = BestCost(universe, ctx)
+    for g in universe.groups():
+        dp.best(g)
+    opt = DeclarativeOptimizer(cat, q).run()
+    session = ReoptSession(opt)
+    for step, u in enumerate(stream):
+        cat = apply_update(cat, u)
+        ctx = ctx.rebased(cat, [u])
+        dp.invalidate([u], ctx)
+        dp.best(universe.root)
+        fresh = BestCost(universe, CostContext(cat, q))
+        assert _assert_dp_equals_fresh(dp, fresh, step)
+        session.add_updates([u])
+        session.reoptimize()
+    fresh = BestCost(opt.universe, CostContext(opt.catalog, q))
+    _assert_dp_equals_fresh(opt._dp, fresh, "engine")
+
+
+@pytest.mark.parametrize("make", [q5s, lambda: make_workload("clique", 5, 4)],
+                         ids=["q5s", "clique-5"])
+def test_update_keeps_every_local_cost_it_cannot_reach(make):
+    """A scan-cost update drops the local costs of its relation's leaf
+    groups only, keeping every join group's; a join-selectivity update drops
+    those of the groups holding both endpoints.  Best values go by the same
+    subset rule."""
+    cat, q = make()
+    universe = SearchUniverse(cat, q)
+    for u in (StatUpdate("scan_cost", cat.relations[0].name, 8.0),
+              StatUpdate("join_selectivity", cat.predicates[0].name, 0.125)):
+        dp = BestCost(universe, CostContext(cat, q))
+        for g in universe.groups():
+            dp.best(g)
+        before = {g: dp.local_costs(g) for g in universe.groups()}
+        new_cat = apply_update(cat, u)
+        dp.invalidate([u], dp.ctx.rebased(new_cat, [u]))
+        ends = u.target_relations()
+        joins = 0
+        for g, local in before.items():
+            reached = ends <= set(g[0].rels)
+            assert (g in dp.memo) != reached, (u, g)
+            if u.kind == "scan_cost":
+                dropped = g[0].rels == (u.target,)
+            else:
+                dropped = reached
+            if dropped:
+                assert dp.local_costs(g) is None, (u, g)
+            else:
+                assert dp.local_costs(g) is local, (u, g)
+            joins += not g[0].is_leaf and reached and not dropped
+        # a scan-cost update reaches join groups whose local costs it keeps
+        assert joins if u.kind == "scan_cost" else not joins
+
