@@ -494,7 +494,10 @@ class SearchUniverse:
     group, then its alternatives' children).  Per id: ``group_keys`` is its
     key, ``group_masks`` its expression's relation bitmask, ``group_alts``
     its alternatives (None until computed) and ``group_kids`` the ids of
-    their children, left then right, two per join alternative.
+    their children, left then right, two per join alternative.  Within a
+    group, alternative indexes rise with position, so position order is
+    ``(index, phy_op)`` order.  ``parents()`` is the reverse of
+    ``group_kids`` over the whole universe.
     """
 
     def __init__(self, cat: Catalog, query: Query):
@@ -512,6 +515,7 @@ class SearchUniverse:
         self._alts: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._buildable: dict[GroupKey, bool] = {}
         self._groups: list[GroupKey] | None = None
+        self._parents: list[list[tuple[int, int]]] | None = None
 
     def raw_alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
         got = self._raw.get(group)
@@ -611,6 +615,22 @@ class SearchUniverse:
                             frontier.append(child)
             self._groups = order
         return self._groups
+
+    def parents(self) -> list[list[tuple[int, int]]]:
+        """Per group id, the ``(parent id, position)`` of every alternative
+        with that group as a child, in parent id then position order.
+
+        Enumerates every group reachable from the root, once; a universe
+        enumerated breadth-first from its root numbers groups in the order
+        a FIFO build creates them."""
+        if self._parents is None:
+            self.groups()
+            parents: list[list[tuple[int, int]]] = [[] for _ in self.group_keys]
+            for p, kids in enumerate(self.group_kids):
+                for k, c in enumerate(kids or ()):
+                    parents[c].append((p, k >> 1))
+            self._parents = parents
+        return self._parents
 
     def totals(self) -> tuple[int, int]:
         """(number of groups, number of alternatives) over the full space."""

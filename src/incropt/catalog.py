@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -230,10 +231,15 @@ def validate_catalog(cat: Catalog) -> None:
     if len(set(names)) != len(names):
         raise ValidationError("relation names are not unique")
     for r in cat.relations:
-        if r.cardinality < 1:
-            raise ValidationError(f"relation {r.name}: cardinality must be >= 1")
-        if r.scan_cost_factor <= 0:
-            raise ValidationError(f"relation {r.name}: scan_cost_factor must be positive")
+        # NaN fails every comparison, so each test is written to pass
+        # only a finite value in range
+        if not (math.isfinite(r.cardinality) and r.cardinality >= 1):
+            raise ValidationError(
+                f"relation {r.name}: cardinality must be finite and >= 1, got {r.cardinality}")
+        if not (math.isfinite(r.scan_cost_factor) and r.scan_cost_factor > 0):
+            raise ValidationError(
+                f"relation {r.name}: scan_cost_factor must be finite and positive, "
+                f"got {r.scan_cost_factor}")
         attrs = set(r.attributes)
         if r.sorted_on is not None and r.sorted_on not in attrs:
             raise ValidationError(f"relation {r.name}: sorted_on {r.sorted_on!r} not an attribute")
@@ -285,10 +291,20 @@ def load_updates(path: str) -> list[StatUpdate]:
             raise ParseError(f"malformed update entry: {exc}") from exc
         if u.kind not in (SCAN_COST, JOIN_SELECTIVITY):
             raise ParseError(f"unknown update kind {u.kind!r}")
-        if u.factor <= 0:
-            raise ValidationError(f"update factor must be positive, got {u.factor}")
+        _check_factor(u.factor)
         out.append(u)
     return out
+
+
+def _check_factor(factor: float) -> None:
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValidationError(f"update factor must be finite and positive, got {factor}")
+
+
+def _check_folded(what: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"update makes {what} {value}, not a finite number")
+    return value
 
 
 def _find_predicate(cat: Catalog, target: str) -> JoinPredicate:
@@ -304,18 +320,21 @@ def _find_predicate(cat: Catalog, target: str) -> JoinPredicate:
 def apply_update(cat: Catalog, u: StatUpdate) -> Catalog:
     """Return a catalog with the one targeted number multiplied by ``u.factor``.
 
-    Everything else is carried over bit-identically.
+    Everything else is carried over bit-identically.  A factor, or a
+    folded value, that is not a finite number is rejected.
     """
-    if u.factor <= 0:
-        raise ValidationError("update factor must be positive")
+    _check_factor(u.factor)
     if u.kind == SCAN_COST:
         rel = cat.relation(u.target)
-        new_rel = replace(rel, scan_cost_factor=rel.scan_cost_factor * u.factor)
+        factor = _check_folded(f"scan_cost_factor of {rel.name}",
+                               rel.scan_cost_factor * u.factor)
+        new_rel = replace(rel, scan_cost_factor=factor)
         rels = tuple(new_rel if r.name == u.target else r for r in cat.relations)
         return Catalog(relations=rels, predicates=cat.predicates)
     if u.kind == JOIN_SELECTIVITY:
         pred = _find_predicate(cat, u.target)
-        new_pred = replace(pred, selectivity=pred.selectivity * u.factor)
+        new_pred = replace(pred, selectivity=_check_folded(
+            f"selectivity of {pred.name}", pred.selectivity * u.factor))
         preds = tuple(new_pred if p is pred else p for p in cat.predicates)
         return Catalog(relations=cat.relations, predicates=preds)
     raise UnknownTarget(f"unknown update kind {u.kind!r}")

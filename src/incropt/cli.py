@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -69,6 +70,15 @@ def _load_inputs(args) -> tuple[Catalog, Query, CostConfig]:
     return cat, query, config
 
 
+def _require_finite(plan) -> None:
+    """Reject a plan whose cost overflowed: the inputs are finite, but their
+    products are not, and no plan or state is written for them."""
+    if not math.isfinite(plan.cost):
+        raise ValidationError(
+            f"best plan cost is {plan.cost!r}, not a finite number: the catalog "
+            f"and updates overflow the cost model")
+
+
 def _run_engine(engine: str, cat: Catalog, query: Query, config: CostConfig,
                 strategies: Strategies):
     """Returns (plan, metrics_dict, optimizer_or_None)."""
@@ -115,6 +125,7 @@ def cmd_optimize(args) -> int:
     cat, query, config = _load_inputs(args)
     strategies = Strategies.parse(args.strategies) if args.strategies else Strategies.all()
     plan, metrics, opt = _run_engine(args.engine, cat, query, config, strategies)
+    _require_finite(plan)
     if args.emit_plan:
         _write_json(args.emit_plan, plan.to_dict())
     if args.metrics:
@@ -147,6 +158,7 @@ def cmd_reoptimize(args) -> int:
     session = ReoptSession(opt)
     session.add_updates(load_updates(args.updates))
     plan, metrics = session.reoptimize()
+    _require_finite(plan)
     if args.emit_plan:
         _write_json(args.emit_plan, plan.to_dict())
     if args.metrics:

@@ -9,18 +9,19 @@ Cost formulas (dimensionless work units):
 * index NL:    outer_rows * (1 + log_b(1 + inner_rows)) + output_rows,
                inner = the indexed (left) child
 * plan cost:   left_cost + right_cost + local_cost, written once in
-               ``alternative_cost`` for every engine and oracle
+               ``sum_cost`` for every engine and oracle
 
 Summaries (estimated output cardinalities) are a logical property of an
 expression: every partition of the same expression gets the identical
 value because the context memoizes one canonical computation per
-expression signature.
+expression, keyed by its relation tuple.
 
 ``BestCost``, the one best-cost DP, runs over ``SearchUniverse``'s dense
-group ids: per id a best value and an ``array('d')`` of local costs.  An
-update is tested against each id's relation bitmask, and a local cost it
-cannot reach is kept: a scan-cost update moves only its relation's leaf
-scans, since join local costs read summaries and no summary reads
+group ids: per id a best value and an ``array('d')`` of local costs, the
+one local-cost table, which the declarative engine's ``recost`` rule reads
+too.  An update is tested against each id's relation bitmask, and a local
+cost it cannot reach is kept: a scan-cost update moves only its relation's
+leaf scans, since join local costs read summaries and no summary reads
 ``scan_cost_factor``.
 """
 from __future__ import annotations
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import (
-    Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, Query,
+    Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, LOG_SCAN, Query,
     SearchUniverse,
 )
 from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate
-from .errors import InfeasibleQuery, ParseError
+from .errors import InfeasibleQuery, ParseError, ValidationError
 
 @dataclass(frozen=True)
 class Summary:
@@ -59,10 +60,23 @@ class CostConfig:
         extra = set(data) - {"index_scan_surcharge", "inlj_log_base"}
         if extra:
             raise ParseError(f"unknown keys {sorted(extra)} in cost config")
-        return cls(
-            index_scan_surcharge=float(data.get("index_scan_surcharge", 1.2)),
-            inlj_log_base=float(data.get("inlj_log_base", 2.0)),
-        )
+        try:
+            cfg = cls(
+                index_scan_surcharge=float(data.get("index_scan_surcharge", 1.2)),
+                inlj_log_base=float(data.get("inlj_log_base", 2.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed cost config: {exc}") from exc
+        # a surcharge of 0 or less makes costs free or negative, and a log
+        # base of 1 or less divides by zero or turns probe costs negative
+        if not (math.isfinite(cfg.index_scan_surcharge) and cfg.index_scan_surcharge > 0):
+            raise ValidationError(
+                f"cost config index_scan_surcharge must be finite and > 0, "
+                f"got {cfg.index_scan_surcharge}")
+        if not (math.isfinite(cfg.inlj_log_base) and cfg.inlj_log_base > 1):
+            raise ValidationError(
+                f"cost config inlj_log_base must be finite and > 1, got {cfg.inlj_log_base}")
+        return cfg
 
     @classmethod
     def load(cls, path: str) -> "CostConfig":
@@ -127,10 +141,10 @@ class CostContext:
         self.catalog = cat
         self.query = query
         self.config = config or CostConfig()
-        self._summaries: dict[ExprSig, Summary] = {}
+        self._summaries: dict[tuple[str, ...], Summary] = {}
 
     def summary(self, e: ExprSig) -> Summary:
-        got = self._summaries.get(e)
+        got = self._summaries.get(e.rels)
         if got is None:
             if e.is_leaf:
                 got = scan_summary(e, self.catalog, self.query)
@@ -141,11 +155,11 @@ class CostContext:
                 rest = ExprSig.of(e.rels[1:])
                 got = nonscan_summary(e, head, self.summary(head),
                                       rest, self.summary(rest), self.catalog)
-            self._summaries[e] = got
+            self._summaries[e.rels] = got
         return got
 
     def local_cost(self, e: ExprSig, p, alt: Alternative) -> float:
-        if alt.is_scan:
+        if alt.log_op == LOG_SCAN:
             return scan_cost(e, p, alt.phy_op, self.summary(e), self.catalog, self.config)
         return nonscan_cost(alt, self.summary(e), self.summary(alt.l_expr),
                             self.summary(alt.r_expr), self.config)
@@ -167,19 +181,20 @@ class CostContext:
         return ctx
 
 
-def _reaches(targets: list[frozenset[str]], e: ExprSig) -> bool:
-    """True iff some target set lies wholly inside ``e``: an update can
-    change an expression's summary or cost only then."""
-    return any(t.issubset(e.rels) for t in targets)
+def _reaches(targets: list[frozenset[str]], rels: tuple[str, ...]) -> bool:
+    """True iff some target set lies wholly inside the expression over
+    ``rels``: an update can change its summary or cost only then."""
+    return any(t.issubset(rels) for t in targets)
 
 
 def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
                      child_best) -> float:
     """Full plan cost of one alternative given a child-best resolver.
 
-    ``child_best(group) -> (cost, alt_key)``.  The one plan-cost formula:
-    the declarative engine's ``recost`` rule, ``BestCost`` and the test
-    oracles all call it, so the arithmetic is identical everywhere.
+    ``child_best(group) -> (cost, alt_key)``.  The test oracles and the
+    state audit call it; the declarative engine's ``recost`` rule and
+    ``BestCost`` add the same local cost, read from ``BestCost``'s table,
+    with the same ``sum_cost``, so the arithmetic is identical everywhere.
     """
     e, p = group
     local = ctx.local_cost(e, p, alt)
@@ -222,7 +237,10 @@ class BestCost:
         return {keys[i]: best[i] for i in self._order}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
-        i = self.universe.group_id(g)
+        return self.best_id(self.universe.group_id(g))
+
+    def best_id(self, i: int) -> tuple[float, AltKey]:
+        """``best`` by group id."""
         if len(self._best) < len(self.universe.group_keys):
             self._grow()
         return self._best[i] or self._solve(i)
@@ -232,6 +250,20 @@ class BestCost:
         order, or None when none is retained."""
         i = self.universe.group_id(g)
         return self._local[i] if i < len(self._local) else None
+
+    def local_table(self, i: int) -> array:
+        """The local cost of each alternative of group id ``i``, in their
+        order: the retained table, computed first when there is none.  The
+        group's alternatives must be computed."""
+        if len(self._local) < len(self.universe.group_keys):
+            self._grow()
+        local = self._local[i]
+        if local is None:
+            e, p = self.universe.group_keys[i]
+            local_cost = self.ctx.local_cost
+            local = self._local[i] = array(
+                "d", [local_cost(e, p, a) for a in self.universe.group_alts[i]])
+        return local
 
     def _grow(self) -> None:
         missing = len(self.universe.group_keys) - len(self._best)
@@ -247,11 +279,7 @@ class BestCost:
         if not alts:
             g = u.group_keys[i]
             raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
-        local = self._local[i]
-        if local is None:
-            e, p = u.group_keys[i]
-            local_cost = self.ctx.local_cost
-            local = self._local[i] = array("d", [local_cost(e, p, a) for a in alts])
+        local = self.local_table(i)
         kids = u.group_kids[i]
         if kids:
             best, solve = self._best, self._solve

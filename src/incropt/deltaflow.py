@@ -71,6 +71,10 @@ class MinGroupState:
         self._min: tuple[float, Any] | None = None
         self._visible: set[Any] = set()
 
+    def __len__(self) -> int:
+        """The number of members holding a value."""
+        return len(self._costs)
+
     def members(self) -> dict[Any, float]:
         return dict(self._costs)
 

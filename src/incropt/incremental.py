@@ -11,13 +11,16 @@ recost deltas aimed at exactly the state the changed numbers can reach:
   whose expression contains both endpoint relations, since their output or
   input summaries change.
 
-Everything else is reached through ordinary fixpoint propagation, and the
-result provably equals a from-scratch optimization over the updated
-catalog.  The catalog swap drops cached summaries and fallback best costs by
-the same subset rule: an update reaches an expression only when the
-expression holds all of its target relations (see
-``CostContext.rebased`` and ``BestCost.invalidate``, which also keeps every
-fallback local cost a scan-cost update cannot move).
+Both tests run on the universe's relation bitmasks (``group_masks``), one
+per group id, and each seed is a row ``(group id, position)``.  Everything
+else is reached through ordinary fixpoint propagation, and the result
+provably equals a from-scratch optimization over the updated catalog.
+
+The catalog swap drops cached summaries and fallback best costs by the same
+subset rule: an update reaches an expression only when the expression holds
+all of its target relations (see ``CostContext.rebased`` and
+``BestCost.invalidate``, which also keeps every local cost a scan-cost
+update cannot move; ``recost`` reads those retained local costs too).
 """
 from __future__ import annotations
 
@@ -64,32 +67,36 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:
         raise UnknownTarget(f"unknown update kind {u.kind!r}")
     if u.factor == 1.0:
         return []
-    targets = u.target_relations()
+    bits = opt.universe.catalog.relation_bits
+    t = 0
+    for r in u.target_relations():
+        t |= bits[r]
+    masks, alts, kids = opt.universe.group_masks, opt.universe.group_alts, opt.universe.group_kids
+    groups = opt.groups
     out: list[Delta] = []
-    for g, gs in opt.groups.items():
+    for i, gs in groups.items():
         if not gs.alive:
             continue
-        expr = set(g[0].rels)
+        m = masks[i]
         if u.kind == JOIN_SELECTIVITY:
-            if targets <= expr:
-                out.extend(Delta("recost", INSERT, (g, ak)) for ak in gs.alts)
+            if m & t == t:
+                out.extend(Delta("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
             continue
         # scan-cost update: leaf rows over the relation, plus rows whose
         # affected child is currently pruned and hence unreachable by
         # propagation
-        if not (targets & expr):
+        if not m & t:
             continue
-        if g[0].is_leaf:
-            out.extend(Delta("recost", INSERT, (g, ak)) for ak in gs.alts)
+        k = kids[i]
+        if not k:
+            out.extend(Delta("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
             continue
-        for ak, alt in gs.alts.items():
-            for child in alt.children():
-                if not (targets & set(child[0].rels)):
-                    continue
-                cgs = opt.groups.get(child)
-                if cgs is None or not cgs.alive:
-                    out.append(Delta("recost", INSERT, (g, ak)))
-                break
+        for pos in range(len(alts[i])):
+            # the children split the relations, so exactly one holds the target
+            c = k[2 * pos] if masks[k[2 * pos]] & t else k[2 * pos + 1]
+            cgs = groups.get(c)
+            if cgs is None or not cgs.alive:
+                out.append(Delta("recost", INSERT, (i, pos)))
     return out
 
 

@@ -1,17 +1,20 @@
 """The declarative, incrementally-maintainable join-order optimizer.
 
 All search and cost state lives in maintained relations, driven to fixpoint
-by delta propagation.  Each group (OR node) owns its state: one
-``MinGroupState`` holds its row costs, their minimum and its visible set.
+by delta propagation, keyed by ``SearchUniverse``'s dense group ids: a group
+is an ``int``, a row ``(group id, position in universe.group_alts[id])``.
+Position order is ``(index, phy_op)`` order, so tie-breaks are unchanged;
+``GroupKey`` appears only in snapshots, plans, ``trace`` lines and audit
+messages.  Each group (OR node) owns its state: one ``MinGroupState`` holds
+its row costs by position, their minimum and its visible set.
 
 * ``searchspace``  -- one row per physical alternative (AND node); a row has
   exactly one derivation, so its visibility is a flag in its group's visible
   set;
 * ``plancost``     -- the current full cost of each alternative, retained by
   its group even while a row is pruned, so the next-best plan is
-  recoverable; the ``recost`` rule derives it with
-  ``costmodel.alternative_cost`` (local cost plus the children's
-  ``bestcost``), the formula every baseline shares;
+  recoverable; the ``recost`` rule adds the row's local cost, read from the
+  fallback DP's table, to its children's ``bestcost`` with ``sum_cost``;
 * ``bestcost``     -- the per-group (OR node) minimum, with deterministic
   (cost, index, phy_op) tie-breaking shared with every baseline;
 * ``refcount``     -- per-group count of visible parent AND rows; at zero a
@@ -34,21 +37,20 @@ settle, and tiering it grew its drain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
-from .algebra import (
-    Alternative, AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse,
-)
+from .algebra import AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse
 from .catalog import Catalog, StatUpdate
-from .costmodel import BestCost, CostConfig, CostContext, alternative_cost
+from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
 from .deltaflow import (
     Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
 
-RowKey = tuple[GroupKey, AltKey]
+Row = tuple[int, int]                 # (group id, position)
+RowKey = tuple[GroupKey, AltKey]      # a row at the edges
 
 STRATEGY_NAMES = ("aggsel", "refcount", "bounding")
 
@@ -96,25 +98,20 @@ STRATEGY_SUBSETS = {
 }
 
 
+@dataclass(slots=True, eq=False)
 class GroupState:
-    """Mutable per-(expr, prop) state: the OR node.  ``alts`` maps each row
-    key to its alternative; ``mins`` holds the row costs, their minimum and
-    the visible set."""
+    """Mutable per-group state: the OR node.  ``mins`` holds the row costs
+    by position, their minimum and the visible set."""
 
-    __slots__ = ("alts", "mins", "refcount", "synthetic", "alive",
-                 "contribs", "maxbound", "bound")
-
-    def __init__(self, synthetic: int = 0):
-        self.alts: dict[AltKey, Alternative] = {}
-        self.mins = MinGroupState()
-        self.refcount = 0
-        self.synthetic = synthetic
-        self.alive = True
-        # parent-bound contributions keyed by parent row: a join row's two
-        # children are disjoint expressions, so it holds at most one slot here
-        self.contribs: dict[RowKey, float] = {}
-        self.maxbound: float | None = None
-        self.bound: float | None = None
+    synthetic: int = 0
+    mins: MinGroupState = field(default_factory=MinGroupState)
+    refcount: int = 0
+    alive: bool = True
+    # parent-bound contributions keyed by parent row: a join row's two
+    # children are disjoint expressions, so it holds at most one slot here
+    contribs: dict[Row, float] = field(default_factory=dict)
+    maxbound: float | None = None
+    bound: float | None = None
 
 
 # the re-optimization drain's tiers: costs, then bounds, then visibility
@@ -133,7 +130,7 @@ def _maxbound(gs: GroupState) -> float | None:
     return max(gs.contribs.values()) if gs.contribs else None
 
 
-def _bound(best: tuple[float, AltKey] | None,
+def _bound(best: tuple[float, int] | None,
            maxbound: float | None) -> float | None:
     """A group's bound: the smaller of its best cost and its maxbound, or
     None when it has neither."""
@@ -154,14 +151,18 @@ class DeclarativeOptimizer:
         self.query = query
         self.strategies = strategies or Strategies.all()
         self.ctx = CostContext(cat, query, config)
-        self.universe = SearchUniverse(cat, query)
-        self._dp = BestCost(self.universe, self.ctx)
-        self.root: GroupKey = self.universe.root
-        self.groups: dict[GroupKey, GroupState] = {}
-        self.parent_index: dict[GroupKey, list[RowKey]] = {}
+        self.universe = u = SearchUniverse(cat, query)
+        self._dp = BestCost(u, self.ctx)
+        self.root: GroupKey = u.root
+        self.root_id = u.group_id(u.root)
+        # enumerates the whole universe, as every cold build does anyway
+        self.parent_index: list[list[Row]] = u.parents()
+        self._alts = u.group_alts
+        self._kids = u.group_kids
+        self.groups: dict[int, GroupState] = {}
         self.trace = trace
-        self.touched_and: set[RowKey] = set()
-        self.touched_or: set[GroupKey] = set()
+        self.touched_and: set[Row] = set()
+        self.touched_or: set[int] = set()
         self._tracking = False
         self.engine = FixpointEngine(
             {
@@ -186,8 +187,8 @@ class DeclarativeOptimizer:
         if not self.universe.feasible:
             raise InfeasibleQuery(
                 f"no plan satisfies {self.root[1]} for {self.root[0]}")
-        if self.root not in self.groups:
-            self.engine.push(Delta("expr", INSERT, self.root))
+        if self.root_id not in self.groups:
+            self.engine.push(Delta("expr", INSERT, self.root_id))
         self.engine.run()
         return self
 
@@ -223,237 +224,228 @@ class DeclarativeOptimizer:
         elif rel == "refcount":
             self.touched_or.add(d.payload[0])
 
+    # -- edges: group keys and alternative keys ----------------------------
+
+    def _row_key(self, row: Row) -> RowKey:
+        return self.universe.group_keys[row[0]], self._alts[row[0]][row[1]].key
+
+    def _keyed(self, i: int, m: tuple[float, int] | None) -> tuple[float, AltKey] | None:
+        """A group minimum ``(cost, position)`` as ``(cost, alternative key)``."""
+        return None if m is None else (m[0], self._alts[i][m[1]].key)
+
+    def _name(self, i: int) -> str:
+        e, p = self.universe.group_keys[i]
+        return f"{e}|{p}"
+
     # -- group lifecycle -------------------------------------------------
 
-    def _alloc_group(self, g: GroupKey, synthetic: int = 0) -> GroupState:
-        gs = GroupState(synthetic=synthetic)
-        for alt in self.universe.alternatives(g):
-            gs.alts[alt.key] = alt
-            for child in alt.children():
-                self.parent_index.setdefault(child, []).append((g, alt.key))
-        self.groups[g] = gs
-        return gs
+    def _create_group(self, i: int, synthetic: int = 0) -> list[Delta]:
+        self.groups[i] = GroupState(synthetic)
+        return [d for pos in range(len(self._alts[i]))
+                for d in self._apply_row_visibility((i, pos), INSERT)]
 
-    def _create_group(self, g: GroupKey, synthetic: int = 0) -> list[Delta]:
-        gs = self._alloc_group(g, synthetic=synthetic)
-        out: list[Delta] = []
-        for ak in gs.alts:
-            out.extend(self._apply_row_visibility((g, ak), INSERT))
-        return out
-
-    def _kill_group(self, g: GroupKey) -> list[Delta]:
-        gs = self.groups[g]
+    def _kill_group(self, i: int) -> list[Delta]:
+        gs = self.groups[i]
         gs.alive = False
-        out: list[Delta] = []
-        for ak in gs.alts:
-            if gs.mins.cost_of(ak) is not None:
-                out.extend(self._set_row_cost(g, ak, gs, None))
-        out.append(Delta("refilter", INSERT, g))
+        out = [d for pos in range(len(self._alts[i])) if gs.mins.cost_of(pos) is not None
+               for d in self._set_row_cost(i, pos, gs, None)]
+        out.append(Delta("refilter", INSERT, i))
         return out
 
-    def _revive_group(self, g: GroupKey) -> list[Delta]:
-        gs = self.groups[g]
+    def _revive_group(self, i: int) -> list[Delta]:
+        gs = self.groups[i]
         gs.alive = True
         gs.contribs.clear()
-        gs.maxbound = None
-        gs.bound = None
-        out = [Delta("recost", INSERT, (g, ak)) for ak in gs.alts]
-        out.append(Delta("refilter", INSERT, g))
+        gs.maxbound = gs.bound = None
+        out = [Delta("recost", INSERT, (i, pos)) for pos in range(len(self._alts[i]))]
+        out.append(Delta("refilter", INSERT, i))
         if self.strategies.bounding:
-            out.append(Delta("bound", INSERT, g))
+            out.append(Delta("bound", INSERT, i))
         return out
 
     # -- cost composition --------------------------------------------------
 
-    def _child_best(self, g: GroupKey) -> tuple[float, AltKey]:
-        gs = self.groups.get(g)
+    def _child_cost(self, i: int) -> float:
+        gs = self.groups.get(i)
         if gs is not None and gs.alive:
             m = gs.mins.min_of()
             if m is not None:
-                return m
-        return self._dp.best(g)
+                return m[0]
+        return self._dp.best_id(i)[0]
 
     # -- handlers ----------------------------------------------------------
 
     def _h_expr(self, d: Delta) -> list[Delta]:
-        g = d.payload
-        if g in self.groups:
-            return []
-        return self._create_group(g, synthetic=1 if g == self.root else 0)
+        i = d.payload
+        return [] if i in self.groups else self._create_group(i, int(i == self.root_id))
 
-    def _apply_row_visibility(self, rowkey: RowKey, op: str) -> list[Delta]:
-        """Flip one searchspace row's visibility synchronously.
-
-        Both callers ask only for a flip (a new row, or a row whose filter
-        verdict differs from its visibility), so the write needs no edge
-        detection: every call is one transition and emits its follow-ups.
-        """
+    def _apply_row_visibility(self, row: Row, op: str) -> list[Delta]:
+        """Flip one searchspace row's visibility synchronously.  Callers ask
+        only for a flip (a new row, or a row whose verdict differs from its
+        visibility), so every call is one transition and emits its follow-ups."""
         if self._tracking:
-            self.touched_and.add(rowkey)
-        g, ak = rowkey
-        gs = self.groups[g]
-        alt = gs.alts[ak]
+            self.touched_and.add(row)
+        i, pos = row
         visible = op == INSERT
-        gs.mins.set_visible(ak, visible)
+        self.groups[i].mins.set_visible(pos, visible)
         if self.trace is not None:
-            self.trace(f"searchspace {op} {rowkey!r} {int(not visible)} {int(visible)}")
-        out = [Delta("refcount", op, (child, rowkey)) for child in alt.children()]
+            self.trace(f"searchspace {op} {self._row_key(row)!r} "
+                       f"{int(not visible)} {int(visible)}")
+        kids = self._kids[i][2 * pos:2 * pos + 2]
+        out = [Delta("refcount", op, (c, row)) for c in kids]
         if visible:
-            out.append(Delta("recost", INSERT, rowkey))
-        if self.strategies.bounding and not alt.is_scan:
-            out.append(Delta("pbound", INSERT, rowkey))
+            out.append(Delta("recost", INSERT, row))
+        if self.strategies.bounding and kids:
+            out.append(Delta("pbound", INSERT, row))
         return out
 
     def _h_recost(self, d: Delta) -> list[Delta]:
-        g, ak = d.payload
-        gs = self.groups.get(g)
+        i, pos = d.payload
+        gs = self.groups.get(i)
         if gs is None or not gs.alive:
             return []
-        cost = alternative_cost(self.ctx, g, gs.alts[ak], self._child_best)
-        if cost == gs.mins.cost_of(ak):
+        local = self._dp.local_table(i)[pos]
+        kids = self._kids[i]
+        if kids:
+            cost = sum_cost(self._child_cost(kids[2 * pos]),
+                            self._child_cost(kids[2 * pos + 1]), local)
+        else:
+            cost = sum_cost(None, None, local)
+        if cost == gs.mins.cost_of(pos):
             return []
-        return self._set_row_cost(g, ak, gs, cost)
+        return self._set_row_cost(i, pos, gs, cost)
 
-    def _set_row_cost(self, g: GroupKey, ak: AltKey, gs: GroupState,
+    def _set_row_cost(self, i: int, pos: int, gs: GroupState,
                       cost: float | None) -> list[Delta]:
         """Write one plancost value (None retracts it) and its group-min
-        effect atomically.
-
-        The group's min structure holds the value and its minimum, so a
-        shuffled drain can never interleave an older value over a newer one.
-        Only change notifications go through the queue; the ``refilterrow``
-        one, always emitted, also records the row as touched.
-        """
-        out = [Delta("refilterrow", INSERT, (g, ak))]
-        if self.strategies.bounding and gs.mins.is_visible(ak):
-            out.append(Delta("pbound", INSERT, (g, ak)))
-        if gs.mins.update(ak, cost):
-            out.append(Delta("bestcost", INSERT, g))
+        effect atomically, so a shuffled drain never puts an older value over
+        a newer one.  Only change notifications go through the queue; the
+        always emitted ``refilterrow`` also records the row as touched."""
+        out = [Delta("refilterrow", INSERT, (i, pos))]
+        if self.strategies.bounding and gs.mins.is_visible(pos):
+            out.append(Delta("pbound", INSERT, (i, pos)))
+        if gs.mins.update(pos, cost):
+            out.append(Delta("bestcost", INSERT, i))
         return out
 
     def _h_bestcost(self, d: Delta) -> list[Delta]:
-        g = d.payload
+        i = d.payload
+        bounding = self.strategies.bounding
         out: list[Delta] = []
-        for rowkey in self.parent_index.get(g, ()):
-            pgs = self.groups.get(rowkey[0])
+        pbounds: list[Delta] = []
+        for row in self.parent_index[i]:
+            pgs = self.groups.get(row[0])
             if pgs is not None and pgs.alive:
-                out.append(Delta("recost", INSERT, rowkey))
-        out.append(Delta("refilter", INSERT, g))
-        if self.strategies.bounding:
-            out.append(Delta("bound", INSERT, g))
-            for pg, pak in self.parent_index.get(g, ()):
-                if self.groups[pg].mins.is_visible(pak):
-                    out.append(Delta("pbound", INSERT, (pg, pak)))
-        return out
+                out.append(Delta("recost", INSERT, row))
+            if bounding and pgs is not None and pgs.mins.is_visible(row[1]):
+                pbounds.append(Delta("pbound", INSERT, row))
+        out.append(Delta("refilter", INSERT, i))
+        if bounding:
+            out.append(Delta("bound", INSERT, i))
+        return out + pbounds
 
     def _h_refcount(self, d: Delta) -> list[Delta]:
-        g, _src = d.payload
+        i, _src = d.payload
         out: list[Delta] = []
-        gs = self.groups.get(g)
+        gs = self.groups.get(i)
         if gs is None:
-            out.extend(self._create_group(g))
-            gs = self.groups[g]
+            out.extend(self._create_group(i))
+            gs = self.groups[i]
         gs.refcount += 1 if d.op == INSERT else -1
         if not self.strategies.refcount:
             return out
         total = gs.refcount + gs.synthetic
         if gs.alive and total <= 0:
-            out.extend(self._kill_group(g))
+            out.extend(self._kill_group(i))
         elif not gs.alive and total > 0:
-            out.extend(self._revive_group(g))
+            out.extend(self._revive_group(i))
         return out
 
-    def _pruned(self, gs: GroupState, ak: AltKey) -> bool:
-        cost = gs.mins.cost_of(ak)
+    def _pruned(self, gs: GroupState, pos: int) -> bool:
+        cost = gs.mins.cost_of(pos)
         if cost is None:
             return False
-        if self.strategies.aggsel:
-            m = gs.mins.min_of()
-            if m is not None and (cost, ak) != m:
-                return True
-        if self.strategies.bounding and gs.bound is not None and cost > gs.bound:
+        # a costed row means the group has a minimum
+        if self.strategies.aggsel and (cost, pos) != gs.mins.min_of():
             return True
-        return False
+        return self.strategies.bounding and gs.bound is not None and cost > gs.bound
 
-    def _refilter_row(self, g: GroupKey, ak: AltKey, gs: GroupState) -> list[Delta]:
-        target = gs.alive and not self._pruned(gs, ak)
-        if target == gs.mins.is_visible(ak):
+    def _refilter_row(self, i: int, pos: int, gs: GroupState) -> list[Delta]:
+        target = gs.alive and not self._pruned(gs, pos)
+        if target == gs.mins.is_visible(pos):
             return []
-        return self._apply_row_visibility((g, ak), INSERT if target else DELETE)
+        return self._apply_row_visibility((i, pos), INSERT if target else DELETE)
 
     def _h_refilter(self, d: Delta) -> list[Delta]:
-        gs = self.groups.get(d.payload)
+        """Re-check a group's rows.  A dead group hides every row, so only
+        visible ones can flip; under aggregate selection a fully costed group
+        hides every row but its minimum, so only those and the minimum can."""
+        i = d.payload
+        gs = self.groups.get(i)
         if gs is None:
             return []
-        out: list[Delta] = []
-        for ak in gs.alts:
-            out.extend(self._refilter_row(d.payload, ak, gs))
-        return out
+        mins, n = gs.mins, len(self._alts[i])
+        if not gs.alive:
+            positions: Iterable[int] = sorted(mins.visible())
+        elif self.strategies.aggsel and len(mins) == n:
+            positions = sorted({*mins.visible(), mins.min_of()[1]})
+        else:
+            positions = range(n)
+        return [d for pos in positions for d in self._refilter_row(i, pos, gs)]
 
     def _h_refilterrow(self, d: Delta) -> list[Delta]:
-        g, ak = d.payload
-        gs = self.groups.get(g)
-        if gs is None:
-            return []
-        return self._refilter_row(g, ak, gs)
+        i, pos = d.payload
+        gs = self.groups.get(i)
+        return [] if gs is None else self._refilter_row(i, pos, gs)
 
     def _h_pbound(self, d: Delta) -> list[Delta]:
-        rowkey = d.payload
-        g, ak = rowkey
-        gs = self.groups.get(g)
-        if gs is None:
+        row = d.payload
+        i, pos = row
+        gs = self.groups.get(i)
+        kids = self._kids[i]
+        if gs is None or not kids:
             return []
-        alt = gs.alts.get(ak)
-        if alt is None or alt.is_scan:
-            return []
-        visible = gs.mins.is_visible(ak)
+        visible = gs.mins.is_visible(pos)
         out: list[Delta] = []
-        for childkey in alt.children():
-            val = self._contribution(gs, ak, childkey) if visible else None
-            cgs = self.groups.get(childkey)
-            if cgs is None:
-                continue
-            if cgs.contribs.get(rowkey) == val:
+        for c in kids[2 * pos:2 * pos + 2]:
+            val = self._contribution(gs, pos, c) if visible else None
+            cgs = self.groups.get(c)
+            if cgs is None or cgs.contribs.get(row) == val:
                 continue
             if val is None:
-                del cgs.contribs[rowkey]
+                del cgs.contribs[row]
             else:
-                cgs.contribs[rowkey] = val
-            out.append(Delta("maxbound", INSERT, childkey))
+                cgs.contribs[row] = val
+            out.append(Delta("maxbound", INSERT, c))
         return out
 
-    def _contribution(self, gs: GroupState, ak: AltKey,
-                      childkey: GroupKey) -> float | None:
-        """The parent-bound contribution of visible join row ``ak`` of group
-        ``gs`` to its child ``childkey``, or None when it gives none.
+    def _contribution(self, gs: GroupState, pos: int, c: int) -> float | None:
+        """The parent-bound contribution of visible join row ``pos`` of group
+        ``gs`` to its child group ``c``, or None when it gives none.
 
         Parent bound minus sibling best minus local cost, computed as
-        child_best + (bound - row_cost): algebraically identical but free of
-        the cancellation that could land one ulp below the child's own best
-        and wrongly prune the optimal row.  It reads no local cost, and each
-        input it does read (row cost, child best, bound, visibility) emits a
-        ``pbound`` when it changes.
-        """
-        cost = gs.mins.cost_of(ak)
+        child_best + (bound - row_cost): the same value without the
+        cancellation that could land one ulp below the child's best and
+        prune the optimal row.  Each input it reads (row cost, child best,
+        bound, visibility) emits a ``pbound`` when it changes."""
+        cost = gs.mins.cost_of(pos)
         if not gs.alive or gs.bound is None or cost is None:
             return None
-        child = self.groups.get(childkey)
+        child = self.groups.get(c)
         if child is None or not child.alive:
             return None
         cm = child.mins.min_of()
         return None if cm is None else cm[0] + (gs.bound - cost)
 
-    def _contributions(self):
+    def _contributions(self) -> Iterator[tuple[int, Row, float]]:
         """Every parent-bound contribution the visible state implies, as
-        ``(child key, parent row, value)``."""
-        for g, gs in self.groups.items():
-            for ak, alt in gs.alts.items():
-                if alt.is_scan or not gs.mins.is_visible(ak):
-                    continue
-                for childkey in alt.children():
-                    val = self._contribution(gs, ak, childkey)
+        ``(child id, parent row, value)``."""
+        for i, gs in self.groups.items():
+            for pos in sorted(gs.mins.visible()):
+                for c in self._kids[i][2 * pos:2 * pos + 2]:
+                    val = self._contribution(gs, pos, c)
                     if val is not None:
-                        yield childkey, (g, ak), val
+                        yield c, (i, pos), val
 
     def _h_maxbound(self, d: Delta) -> list[Delta]:
         gs = self.groups.get(d.payload)
@@ -466,18 +458,18 @@ class DeclarativeOptimizer:
         return [Delta("bound", INSERT, d.payload)]
 
     def _h_bound(self, d: Delta) -> list[Delta]:
-        g = d.payload
-        gs = self.groups.get(g)
+        i = d.payload
+        gs = self.groups.get(i)
         if gs is None:
             return []
         b = _bound(gs.mins.min_of(), gs.maxbound)
         if b == gs.bound:
             return []
         gs.bound = b
-        out = [Delta("refilter", INSERT, g)]
-        for ak, alt in gs.alts.items():
-            if not alt.is_scan and gs.mins.is_visible(ak):
-                out.append(Delta("pbound", INSERT, (g, ak)))
+        out = [Delta("refilter", INSERT, i)]
+        if self._kids[i]:
+            out.extend(Delta("pbound", INSERT, (i, pos))
+                       for pos in range(len(self._alts[i])) if gs.mins.is_visible(pos))
         return out
 
     # -- read-side ---------------------------------------------------------
@@ -486,55 +478,58 @@ class DeclarativeOptimizer:
         if self.engine.pending:
             raise NotQuiescent(f"{self.engine.pending} deltas still pending")
 
-    def _best(self, g: GroupKey) -> tuple[float, AltKey]:
-        gs = self.groups.get(g)
+    def _best_id(self, i: int) -> tuple[float, int]:
+        gs = self.groups.get(i)
         m = None if gs is None else gs.mins.min_of()
         if m is None:
-            raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no plan")
+            raise InfeasibleQuery(f"group {self._name(i)} has no plan")
         return m
+
+    def _best(self, g: GroupKey) -> tuple[float, AltKey]:
+        i = self.universe.group_id(g)
+        return self._keyed(i, self._best_id(i))
 
     def best_cost(self) -> float:
         self._require_quiescent()
-        return self._best(self.root)[0]
+        return self._best_id(self.root_id)[0]
 
     def best_plan(self) -> PlanNode:
         self._require_quiescent()
         return build_plan(self.universe, self.ctx, self._best, self.root)
 
-    def _visible(self) -> Iterable[RowKey]:
+    def _visible(self) -> Iterator[Row]:
         """Every visible searchspace row, in no particular order."""
-        for g, gs in self.groups.items():
-            for ak in gs.mins.visible():
-                yield g, ak
+        for i, gs in self.groups.items():
+            for pos in gs.mins.visible():
+                yield i, pos
 
     def visible_rows(self) -> list[RowKey]:
-        rows = list(self._visible())
-        rows.sort(key=lambda rk: (rk[0][0].rels, str(rk[0][1]), rk[1]))
-        return rows
+        return sorted(map(self._row_key, self._visible()),
+                      key=lambda rk: (rk[0][0].rels, str(rk[0][1]), rk[1]))
 
     def visible_counts(self) -> tuple[int, int]:
         """(groups with a visible row, visible rows)."""
         rows = list(self._visible())
-        return len({rk[0] for rk in rows}), len(rows)
+        return len({r[0] for r in rows}), len(rows)
 
     def optimal_tree_rows(self) -> set[RowKey]:
         self._require_quiescent()
         rows: set[RowKey] = set()
 
-        def walk(g: GroupKey) -> None:
-            ak = self._best(g)[1]
-            rows.add((g, ak))
-            for child in self.groups[g].alts[ak].children():
-                walk(child)
+        def walk(i: int) -> None:
+            pos = self._best_id(i)[1]
+            rows.add(self._row_key((i, pos)))
+            for c in self._kids[i][2 * pos:2 * pos + 2]:
+                walk(c)
 
-        walk(self.root)
+        walk(self.root_id)
         return rows
 
     def final_state_check(self) -> dict:
         """Compare the visible state against the optimal tree's node set."""
         tree_rows = self.optimal_tree_rows()
-        visible = set(self._visible())
-        alive_groups = {g for g, gs in self.groups.items() if gs.alive}
+        visible = {self._row_key(r) for r in self._visible()}
+        alive_groups = {self.universe.group_keys[i] for i, gs in self.groups.items() if gs.alive}
         tree_groups = {g for g, _ in tree_rows}
         return {
             "ok": visible == tree_rows,
@@ -548,54 +543,53 @@ class DeclarativeOptimizer:
 
     # -- audits ------------------------------------------------------------
 
-    def recount_oracle(self) -> dict[GroupKey, int]:
-        """Brute-force recount: visible parent AND rows per group."""
-        counts: dict[GroupKey, int] = {g: 0 for g in self.groups}
-        for g, ak in self._visible():
-            for child in self.groups[g].alts[ak].children():
-                counts[child] = counts.get(child, 0) + 1
-        return counts
-
     def audit_refcounts(self) -> list[str]:
+        """Check each refcount against a brute-force recount of visible
+        parent rows."""
         self._require_quiescent()
-        recount = self.recount_oracle()
+        recount = dict.fromkeys(self.groups, 0)
+        for i, pos in self._visible():
+            for c in self._kids[i][2 * pos:2 * pos + 2]:
+                recount[c] = recount.get(c, 0) + 1
         bad = []
-        for g, gs in self.groups.items():
-            if gs.refcount != recount.get(g, 0):
-                bad.append(f"{g[0]}|{g[1]}: refcount {gs.refcount} != recount {recount.get(g, 0)}")
+        for i, gs in self.groups.items():
+            if gs.refcount != recount[i]:
+                bad.append(f"{self._name(i)}: refcount {gs.refcount} != recount {recount[i]}")
             if gs.refcount < 0:
-                bad.append(f"{g[0]}|{g[1]}: negative refcount at quiescence")
+                bad.append(f"{self._name(i)}: negative refcount at quiescence")
         return bad
 
     def audit_fixpoint(self) -> list[str]:
         """Check the bestcost/bound defining equations by direct scan."""
         self._require_quiescent()
         bad = []
-        expected_contribs: dict[GroupKey, dict[RowKey, float]] = {}
+        expected_contribs: dict[int, dict[Row, float]] = {}
         if self.strategies.bounding:
-            for childkey, slot, val in self._contributions():
-                expected_contribs.setdefault(childkey, {})[slot] = val
-        for g, gs in self.groups.items():
+            for c, slot, val in self._contributions():
+                expected_contribs.setdefault(c, {})[slot] = val
+        for i, gs in self.groups.items():
             if not gs.alive:
                 continue
+            name = self._name(i)
             entries = gs.mins.members()
             m = gs.mins.min_of()
             expect = min(zip(entries.values(), entries), default=None)
             if m != expect:
-                bad.append(f"{g[0]}|{g[1]}: bestcost {m} != min over plancost {expect}")
-            vmin = min(((c, ak) for ak, c in entries.items()
-                        if gs.mins.is_visible(ak)), default=None)
+                bad.append(f"{name}: bestcost {self._keyed(i, m)} != "
+                           f"min over plancost {self._keyed(i, expect)}")
+            vmin = min(((c, pos) for pos, c in entries.items()
+                        if gs.mins.is_visible(pos)), default=None)
             if gs.mins.visible_min() != vmin:
-                bad.append(f"{g[0]}|{g[1]}: visible min mismatch")
+                bad.append(f"{name}: visible min mismatch")
             if self.strategies.bounding:
-                if expected_contribs.get(g, {}) != gs.contribs:
-                    bad.append(f"{g[0]}|{g[1]}: parentbound contributions mismatch")
+                if expected_contribs.get(i, {}) != gs.contribs:
+                    bad.append(f"{name}: parentbound contributions mismatch")
                 mb = _maxbound(gs)
                 if mb != gs.maxbound:
-                    bad.append(f"{g[0]}|{g[1]}: maxbound {gs.maxbound} != max {mb}")
+                    bad.append(f"{name}: maxbound {gs.maxbound} != max {mb}")
                 expect_bound = _bound(m, gs.maxbound)
                 if expect_bound != gs.bound:
-                    bad.append(f"{g[0]}|{g[1]}: bound {gs.bound} != {expect_bound}")
+                    bad.append(f"{name}: bound {gs.bound} != {expect_bound}")
         return bad
 
     def audit_costs(self) -> list[str]:
@@ -605,12 +599,13 @@ class DeclarativeOptimizer:
         self._require_quiescent()
         dp = BestCost(self.universe, CostContext(self.catalog, self.query, self.ctx.config))
         bad = []
-        for g, gs in self.groups.items():
-            for ak, alt in gs.alts.items():
-                got = gs.mins.cost_of(ak)
+        for i, gs in self.groups.items():
+            g = self.universe.group_keys[i]
+            for pos, alt in enumerate(self._alts[i]):
+                got = gs.mins.cost_of(pos)
                 want = alternative_cost(dp.ctx, g, alt, dp.best) if gs.alive else None
                 if got != want:
-                    bad.append(f"{g[0]}|{g[1]}: row {ak} cost {got} != {want}")
+                    bad.append(f"{self._name(i)}: row {alt.key} cost {got} != {want}")
         return bad
 
     # -- digests / snapshots -------------------------------------------------
@@ -622,17 +617,17 @@ class DeclarativeOptimizer:
     def to_snapshot(self) -> dict:
         """JSON dump of the maintained relations, resumable by `reoptimize`."""
         self._require_quiescent()
+        keys = self.universe.group_keys
         groups = []
-        for g in sorted(self.groups, key=lambda k: (k[0].rels, str(k[1]))):
-            gs = self.groups[g]
-            rows = []
-            for ak in sorted(gs.alts):
-                rows.append({
-                    "index": ak[0], "phy_op": ak[1],
-                    "ss_count": int(gs.mins.is_visible(ak)),
-                    "cost": gs.mins.cost_of(ak),
-                })
-            best = gs.mins.min_of()
+        for i, gs in sorted(self.groups.items(),
+                            key=lambda item: (keys[item[0]][0].rels, str(keys[item[0]][1]))):
+            g = keys[i]
+            # position order is (index, phy_op) order
+            rows = [{"index": alt.index, "phy_op": alt.phy_op,
+                     "ss_count": int(gs.mins.is_visible(pos)),
+                     "cost": gs.mins.cost_of(pos)}
+                    for pos, alt in enumerate(self._alts[i])]
+            best = self._keyed(i, gs.mins.min_of())
             groups.append({
                 "expr": list(g[0].rels),
                 "prop": str(g[1]),
@@ -675,46 +670,50 @@ class DeclarativeOptimizer:
             opt = cls(cat, query, strategies=strategies, config=config)
             for gobj in snap["groups"]:
                 g = (ExprSig.of(gobj["expr"]), PropertySpec.parse(gobj["prop"]))
+                i = opt.universe.group_id(g)
+                if i >= len(opt.parent_index):
+                    raise StateMismatch(
+                        f"snapshot group {g[0]}|{g[1]} unknown to enumeration")
                 # at quiescence only the root is synthetic, and a group is
                 # alive exactly when refcounting keeps it referenced
                 synthetic = int(gobj["synthetic"])
-                if synthetic != int(g == opt.root):
+                if synthetic != int(i == opt.root_id):
                     raise StateMismatch(
                         f"snapshot group {g[0]}|{g[1]} has synthetic {synthetic}, "
                         f"but only the root group is synthetic")
-                gs = opt._alloc_group(g, synthetic=synthetic)
+                gs = opt.groups[i] = GroupState(synthetic)
                 gs.refcount = int(gobj["refcount"])
                 gs.alive = bool(gobj["alive"])
                 if gs.alive != (not strategies.refcount or gs.refcount + synthetic > 0):
                     raise StateMismatch(
                         f"snapshot group {g[0]}|{g[1]} has alive {gs.alive}, "
                         f"inconsistent with its refcount {gs.refcount}")
-                gs.bound = gobj["bound"]
-                gs.maxbound = gobj["maxbound"]
+                gs.bound, gs.maxbound = gobj["bound"], gobj["maxbound"]
+                position = {alt.key: pos for pos, alt in enumerate(opt._alts[i])}
                 for robj in gobj["rows"]:
                     ak = (int(robj["index"]), robj["phy_op"])
-                    if ak not in gs.alts:
+                    if ak not in position:
                         raise StateMismatch(f"snapshot row {ak} unknown to enumeration")
-                    cost = robj["cost"]
                     count = int(robj["ss_count"])
                     if count not in (0, 1):
                         raise StateMismatch(
                             f"snapshot row {ak} of group {g[0]}|{g[1]} has "
                             f"ss_count {count}, not a 0/1 visibility flag")
-                    gs.mins.set_visible(ak, count == 1)
-                    if cost is not None:
-                        gs.mins.update(ak, cost)
+                    gs.mins.set_visible(position[ak], count == 1)
+                    if robj["cost"] is not None:
+                        gs.mins.update(position[ak], robj["cost"])
                 best = gobj["best"]
                 stored = None if best is None else (
                     best["cost"], (int(best["index"]), best["phy_op"]))
-                if stored != gs.mins.min_of():
+                got = opt._keyed(i, gs.mins.min_of())
+                if stored != got:
                     raise StateMismatch(
                         f"snapshot best {stored} of group {g[0]}|{g[1]} is not "
-                        f"the minimum of its rows {gs.mins.min_of()}")
+                        f"the minimum of its rows {got}")
             # bound contributions are pure; rebuild them directly
             if strategies.bounding:
-                for childkey, slot, val in opt._contributions():
-                    opt.groups[childkey].contribs[slot] = val
+                for c, slot, val in opt._contributions():
+                    opt.groups[c].contribs[slot] = val
             return opt
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise StateMismatch(f"corrupted state snapshot: {exc}") from exc

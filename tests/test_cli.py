@@ -179,6 +179,103 @@ def test_reoptimize_tampered_best_exits_1(fixture_files, tmp_path, capsys, state
     assert message in capsys.readouterr().err
 
 
+GOLDEN_STATE = Path(__file__).resolve().parent / "data" / "q5s_reoptimized.state.json"
+
+
+def test_reoptimized_q5s_state_matches_the_golden_file(fixture_files, tmp_path):
+    """optimize q5s under every strategy, then reoptimize it with a
+    join-selectivity and a scan-cost update: the saved state is the
+    committed file byte for byte, and that file loads and saves unchanged."""
+    state, resumed = tmp_path / "state.json", tmp_path / "resumed.json"
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps([
+        {"kind": "join_selectivity", "target": "orders.o_orderkey=lineitem.l_orderkey",
+         "factor": 0.125},
+        {"kind": "scan_cost", "target": "lineitem", "factor": 8.0}]))
+    assert run("optimize",
+               "--catalog", str(fixture_files / "q5s.catalog.json"),
+               "--query", str(fixture_files / "q5s.query.json"),
+               "--strategies", "aggsel,refcount,bounding",
+               "--save-state", str(state)) == 0
+    assert run("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(resumed)) == 0
+    golden = GOLDEN_STATE.read_text()
+    assert resumed.read_text() == golden
+    back = DeclarativeOptimizer.from_snapshot(json.loads(golden))
+    assert json.dumps(back.to_snapshot(), indent=2, sort_keys=True) + "\n" == golden
+
+
+def _set_first_relation(key, value):
+    def edit(cat: dict) -> None:
+        cat["relations"][0][key] = value
+    return edit
+
+
+# inputs holding a number that is not finite or out of range: each makes the
+# command exit 1 with an ``error:`` line, never a traceback or a NaN plan
+_BAD_CATALOGS = {
+    "cardinality-nan": _set_first_relation("cardinality", float("nan")),
+    "cardinality-inf": _set_first_relation("cardinality", float("inf")),
+    "scan-cost-factor-nan": _set_first_relation("scan_cost_factor", float("nan")),
+    "scan-cost-factor-inf": _set_first_relation("scan_cost_factor", float("inf")),
+}
+_BAD_COST_CONFIGS = {
+    "inlj-log-base-1": {"inlj_log_base": 1.0},
+    "inlj-log-base-nan": {"inlj_log_base": float("nan")},
+    "surcharge-negative": {"index_scan_surcharge": -5},
+    "surcharge-inf": {"index_scan_surcharge": float("inf")},
+}
+_BAD_UPDATES = {
+    "factor-nan": [{"kind": "scan_cost", "target": "lineitem", "factor": float("nan")}],
+    "factor-inf": [{"kind": "join_selectivity",
+                    "target": "orders.o_orderkey=lineitem.l_orderkey",
+                    "factor": float("inf")}],
+    "folds-to-inf": [{"kind": "scan_cost", "target": "lineitem", "factor": 1e308}] * 2,
+    "cost-overflows": [{"kind": "scan_cost", "target": "lineitem", "factor": 1e308}],
+}
+
+
+def _assert_clean_exit_1(code, capsys) -> str:
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CATALOGS))
+def test_optimize_rejects_a_non_finite_catalog_number(case, fixture_files, capsys):
+    path = fixture_files / "q5s.catalog.json"
+    cat = json.loads(path.read_text())
+    _BAD_CATALOGS[case](cat)
+    path.write_text(json.dumps(cat))
+    code = run("optimize", "--catalog", str(path),
+               "--query", str(fixture_files / "q5s.query.json"))
+    assert "finite" in _assert_clean_exit_1(code, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COST_CONFIGS))
+def test_optimize_rejects_a_bad_cost_config(case, fixture_files, tmp_path, capsys):
+    config = tmp_path / "cost.json"
+    config.write_text(json.dumps(_BAD_COST_CONFIGS[case]))
+    code = run("optimize", "--catalog", str(fixture_files / "q5s.catalog.json"),
+               "--query", str(fixture_files / "q5s.query.json"),
+               "--cost-config", str(config))
+    assert "cost config" in _assert_clean_exit_1(code, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_UPDATES))
+def test_reoptimize_rejects_a_non_finite_update(case, fixture_files, tmp_path, capsys):
+    state = _save_state(fixture_files, tmp_path)
+    saved = state.read_text()
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps(_BAD_UPDATES[case]))
+    capsys.readouterr()
+    code = run("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(state))
+    assert "finite" in _assert_clean_exit_1(code, capsys)
+    assert state.read_text() == saved
+
+
 def test_optimize_has_no_seed_flag(fixture_files):
     assert run("optimize",
                "--catalog", str(fixture_files / "q3s.catalog.json"),

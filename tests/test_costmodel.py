@@ -181,9 +181,9 @@ def test_update_invalidates_exactly_what_it_reaches(make):
         if u.kind == "scan_cost":
             assert kept == summaries
         else:
-            assert set(kept) == {e for e in summaries if not ends <= set(e.rels)}
-        for e, s in kept.items():
-            assert s == fresh.ctx.summary(e), (u, e)
+            assert set(kept) == {rels for rels in summaries if not ends <= set(rels)}
+        for rels, s in kept.items():
+            assert s == fresh.ctx.summary(ExprSig(rels)), (u, rels)
 
 
 def _assert_dp_equals_fresh(dp: BestCost, fresh: BestCost, step) -> int:

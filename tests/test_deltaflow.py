@@ -95,13 +95,14 @@ class TestCountedState:
         lines = []
         opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
         rk = (opt.root, opt._best(opt.root)[1])
-        mins = opt.groups[opt.root].mins
-        assert mins.is_visible(rk[1])
+        mins = opt.groups[opt.root_id].mins
+        row = (opt.root_id, mins.min_of()[1])
+        assert mins.is_visible(row[1])
         lines.clear()
-        opt._apply_row_visibility(rk, DELETE)
-        assert not mins.is_visible(rk[1])
-        opt._apply_row_visibility(rk, INSERT)
-        assert mins.is_visible(rk[1])
+        opt._apply_row_visibility(row, DELETE)
+        assert not mins.is_visible(row[1])
+        opt._apply_row_visibility(row, INSERT)
+        assert mins.is_visible(row[1])
         assert lines == [f"searchspace - {rk!r} 1 0", f"searchspace + {rk!r} 0 1"]
 
 

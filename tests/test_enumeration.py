@@ -221,3 +221,18 @@ def test_partition_orients_each_crossing_predicate():
 def test_universe_totals_are_pinned(shape, n, seed, totals):
     cat, query = make_workload(shape, n, seed)
     assert SearchUniverse(cat, query).totals() == totals
+
+
+@pytest.mark.parametrize("make", [q3s, q5s, q8joins, lambda: make_workload("clique", 6, 1)],
+                         ids=["q3s", "q5s", "q8joins", "clique-6"])
+def test_position_order_is_alternative_key_order(make):
+    """Engine rows and group minima are keyed by position in
+    ``group_alts``; the ``(cost, index, phy_op)`` tie-break holds only if,
+    in every group, position order is strictly ``(index, phy_op)`` order."""
+    cat, query = make()
+    u = SearchUniverse(cat, query)
+    groups = u.groups()
+    for g in groups:
+        keys = [a.key for a in u.group_alts[u.group_id(g)]]
+        assert keys and all(a < b for a, b in zip(keys, keys[1:])), g
+    assert len(groups) == len(u.parents())

@@ -35,8 +35,10 @@ def test_scan_update_targets_exactly_leaf_rows(q3s_fixture):
     opt.rebind_catalog(apply_update(cat, u), [u])
     deltas = stat_to_deltas(StatUpdate("scan_cost", "lineitem", 8.0), opt)
     rows = {d.payload for d in deltas}
-    expect = {(g, ak) for g, gs in opt.groups.items()
-              if g[0] == ExprSig.of(["lineitem"]) for ak in gs.alts}
+    universe = opt.universe
+    expect = {(i, pos) for i in opt.groups
+              if universe.group_keys[i][0] == ExprSig.of(["lineitem"])
+              for pos in range(len(universe.group_alts[i]))}
     assert rows == expect and rows
 
 
@@ -276,11 +278,12 @@ def test_retained_costs_equal_a_fresh_dp(name, label):
             session.reoptimize()
         dp = BestCost(opt.universe, CostContext(opt.catalog, q, opt.ctx.config))
         checked = 0
-        for g, gs in opt.groups.items():
+        for i, gs in opt.groups.items():
             if not gs.alive:
                 continue
-            for alt in opt.universe.alternatives(g):
-                cost = gs.mins.cost_of(alt.key)
+            g = opt.universe.group_keys[i]
+            for pos, alt in enumerate(opt.universe.group_alts[i]):
+                cost = gs.mins.cost_of(pos)
                 if cost is not None:
                     assert cost == alternative_cost(dp.ctx, g, alt, dp.best), (g, alt, step)
                     checked += 1

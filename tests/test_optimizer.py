@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,9 @@ from incropt.baselines import brute_force_optimize
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
 from incropt.costmodel import CostConfig
 from incropt.errors import InfeasibleQuery, StateMismatch, ValidationError
+from incropt.incremental import ReoptSession
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
+from incropt.workload import make_update_batch, make_workload
 
 ALL = Strategies.all()
 NONE = Strategies.none()
@@ -17,6 +20,19 @@ AGGSEL = Strategies(True, False, False)
 AGGSEL_RC = Strategies(True, True, False)
 AGGSEL_BB = Strategies(True, False, True)
 SUBSETS = tuple(STRATEGY_SUBSETS.values())
+
+
+def _group(opt, g):
+    """Group ``g``'s engine state and alternatives; a row's position in its
+    alternatives is its member key in ``state.mins``."""
+    i = opt.universe.group_id(g)
+    return opt.groups[i], opt.universe.group_alts[i]
+
+
+def _groups(opt):
+    """(group key, state, alternatives) for every engine group."""
+    u = opt.universe
+    return [(u.group_keys[i], gs, u.group_alts[i]) for i, gs in opt.groups.items()]
 
 
 def test_strategies_validation_and_parse():
@@ -77,41 +93,41 @@ def test_no_strategy_state_matches_brute_force(q3s_fixture):
         return best[g]
 
     for g in universe.groups():
-        assert opt.groups[g].mins.min_of() == resolve(g)
-        for a in universe.alternatives(g):
+        gs, alts = _group(opt, g)
+        cost, pos = gs.mins.min_of()
+        assert (cost, alts[pos].key) == resolve(g)
+        for pos, a in enumerate(alts):
             from incropt.costmodel import alternative_cost
-            assert opt.groups[g].mins.cost_of(a.key) == \
-                alternative_cost(opt.ctx, g, a, resolve)
+            assert gs.mins.cost_of(pos) == alternative_cost(opt.ctx, g, a, resolve)
 
 
 def test_leaf_rows_costed_via_scan_cost(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=NONE).run()
     g = (ExprSig.of(["customer"]), PropertySpec.none())
-    gs = opt.groups[g]
-    (ak, alt), = gs.alts.items()
+    gs, (alt,) = _group(opt, g)
     assert alt.phy_op == "seq_scan"
-    assert gs.mins.cost_of(ak) == cat.relation("customer").cardinality
+    assert gs.mins.cost_of(0) == cat.relation("customer").cardinality
 
 
 def test_join_rows_cost_children_best_plus_local(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=NONE).run()
-    for g, gs in opt.groups.items():
-        for ak, alt in gs.alts.items():
+    for g, gs, alts in _groups(opt):
+        for pos, alt in enumerate(alts):
             if alt.is_scan:
                 continue
-            bl = opt.groups[(alt.l_expr, alt.l_prop)].mins.min_of()
-            br = opt.groups[(alt.r_expr, alt.r_prop)].mins.min_of()
+            bl = _group(opt, (alt.l_expr, alt.l_prop))[0].mins.min_of()
+            br = _group(opt, (alt.r_expr, alt.r_prop))[0].mins.min_of()
             local = opt.ctx.local_cost(g[0], g[1], alt)
-            assert gs.mins.cost_of(ak) == (bl[0] + br[0]) + local
+            assert gs.mins.cost_of(pos) == (bl[0] + br[0]) + local
 
 
 def test_aggsel_keeps_only_group_minimum(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL).run()
-    for g, gs in opt.groups.items():
-        visible = [ak for ak in gs.alts if gs.mins.is_visible(ak)]
+    for g, gs, alts in _groups(opt):
+        visible = [pos for pos in range(len(alts)) if gs.mins.is_visible(pos)]
         assert len(visible) == 1
         best = gs.mins.min_of()
         assert (gs.mins.cost_of(visible[0]), visible[0]) == best
@@ -135,11 +151,11 @@ def test_aggsel_tie_break_is_deterministic_first_key():
     q = Query(("A", "B", "C"))
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL).run()
     root = opt.root
-    gs = opt.groups[root]
-    costs = sorted(gs.mins.cost_of(ak) for ak in gs.alts)
+    gs, alts = _group(opt, root)
+    costs = sorted(gs.mins.cost_of(pos) for pos in range(len(alts)))
     assert costs[0] == costs[1], "fixture should produce a root-cost tie"
-    best = gs.mins.min_of()
-    tied = [ak for ak in gs.alts if gs.mins.cost_of(ak) == best[0]]
+    best = opt._best(root)
+    tied = [a.key for pos, a in enumerate(alts) if gs.mins.cost_of(pos) == best[0]]
     assert best[1] == min(tied)
     ref, _ = brute_force_optimize(q, cat)
     assert opt.best_plan() == ref
@@ -152,47 +168,50 @@ def test_refcount_matches_recount_and_table_shape(q3s_fixture):
     # with the full space visible, (orders, none) is referenced by parent
     # rows in both the (customer, orders) and (lineitem, orders) groups
     g = (ExprSig.of(["orders"]), PropertySpec.none())
-    parents = {pg[0] for pg, pak in opt.parent_index[g]
-               if opt.groups[pg].mins.is_visible(pak)}
+    keys = opt.universe.group_keys
+    i = opt.universe.group_id(g)
+    parents = {keys[p][0] for p, pos in opt.parent_index[i]
+               if opt.groups[p].mins.is_visible(pos)}
     assert ExprSig.of(["customer", "orders"]) in parents
     assert ExprSig.of(["lineitem", "orders"]) in parents
-    assert opt.groups[g].refcount >= 2
+    assert opt.groups[i].refcount >= 2
 
 
 def test_dead_group_after_parents_pruned(q3s_fixture):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=ALL).run()
     tree_groups = {g for g, _ in opt.optimal_tree_rows()}
-    for g, gs in opt.groups.items():
+    for g, gs, alts in _groups(opt):
         if g in tree_groups:
             assert gs.alive
         else:
             assert not gs.alive
-            assert all(gs.mins.cost_of(ak) is None for ak in gs.alts)
-            assert all(not gs.mins.is_visible(ak) for ak in gs.alts)
+            assert all(gs.mins.cost_of(pos) is None for pos in range(len(alts)))
+            assert all(not gs.mins.is_visible(pos) for pos in range(len(alts)))
 
 
 def test_bound_equations_at_quiescence(q5s_fixture):
     cat, q = q5s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=ALL).run()
     assert opt.audit_fixpoint() == []
-    root_gs = opt.groups[opt.root]
+    root_gs, _ = _group(opt, opt.root)
+    keys = opt.universe.group_keys
     # the root has no parents: maxbound absent, bound equals best cost
     assert root_gs.maxbound is None
     assert root_gs.bound == root_gs.mins.min_of()[0]
     # every other alive group's bound is min(best, maxbound), and each
     # contribution equals parent bound minus sibling best minus local cost
     saw_contribution = False
-    for g, gs in opt.groups.items():
+    for g, gs, _alts in _groups(opt):
         if not gs.alive or g == opt.root:
             continue
-        for (pk, pak), val in gs.contribs.items():
+        for (p, pos), val in gs.contribs.items():
             saw_contribution = True
-            pgs = opt.groups[pk]
-            alt = pgs.alts[pak]
+            pk, pgs = keys[p], opt.groups[p]
+            alt = opt.universe.group_alts[p][pos]
             sib, = (c for c in alt.children() if c != g)
             local = opt.ctx.local_cost(pk[0], pk[1], alt)
-            textbook = pgs.bound - opt.groups[sib].mins.min_of()[0] - local
+            textbook = pgs.bound - _group(opt, sib)[0].mins.min_of()[0] - local
             assert val == pytest.approx(textbook, rel=1e-9)
         if gs.contribs:
             assert gs.maxbound == max(gs.contribs.values())
@@ -214,13 +233,13 @@ def test_maxbound_is_max_over_multiple_parents(q5s_fixture):
 def test_bound_prunes_cost_above_bound(q5s_fixture):
     cat, q = q5s_fixture
     opt = DeclarativeOptimizer(cat, q, strategies=AGGSEL_BB).run()
-    for g, gs in opt.groups.items():
+    for g, gs, alts in _groups(opt):
         if not gs.alive or gs.bound is None:
             continue
-        for ak in gs.alts:
-            cost = gs.mins.cost_of(ak)
+        for pos in range(len(alts)):
+            cost = gs.mins.cost_of(pos)
             if cost is not None and cost > gs.bound:
-                assert not gs.mins.is_visible(ak)
+                assert not gs.mins.is_visible(pos)
 
 
 def test_final_state_check_by_strategy(q3s_fixture):
@@ -347,8 +366,56 @@ def test_not_quiescent_guard(q3s_fixture):
     from incropt.errors import NotQuiescent
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q).run()
-    opt.engine.push(Delta("refilter", INSERT, opt.root))
+    opt.engine.push(Delta("refilter", INSERT, opt.root_id))
     with pytest.raises(NotQuiescent):
         opt.best_plan()
     opt.engine.run()
     assert opt.best_plan()
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_narrowed_refilter_flips_what_a_full_rescan_flips(label):
+    """``_h_refilter`` checks only a visible row or the minimum row of a dead
+    group or of a fully costed group under aggregate selection.  Over cold
+    builds and 20 re-optimizations each of clique-5 and star-6 (seeds 1, 2),
+    under a FIFO and a shuffled drain, every refilter delta flips exactly the
+    rows, in the same order, that a check of every row would; its emitted
+    deltas follow from those flips."""
+    strategies = STRATEGY_SUBSETS[label]
+    checked = narrowed = 0
+    for (shape, n), seed, order in product((("clique", 5), ("star", 6)), (1, 2),
+                                           ("fifo", "random")):
+        cat, q = make_workload(shape, n, seed)
+        opt = DeclarativeOptimizer(cat, q, strategies=strategies,
+                                   drain_order=order, drain_seed=seed)
+        flips = []
+        opt._apply_row_visibility = (
+            lambda row, op, apply=opt._apply_row_visibility, flips=flips:
+            flips.append((row, op)) or apply(row, op))
+        handler = opt.engine.handlers["refilter"]
+
+        def refilter(d, handler=handler, opt=opt, flips=flips):
+            nonlocal checked, narrowed
+            i = d.payload
+            gs = opt.groups.get(i)
+            n_alts = len(opt.universe.group_alts[i])
+            full = []
+            if gs is not None:
+                for pos in range(n_alts):
+                    target = gs.alive and not opt._pruned(gs, pos)
+                    if target != gs.mins.is_visible(pos):
+                        full.append(((i, pos), "+" if target else "-"))
+                narrowed += not gs.alive or (strategies.aggsel and len(gs.mins) == n_alts)
+            del flips[:]
+            out = handler(d)
+            assert flips == full, (shape, n, seed, i)
+            checked += 1
+            return out
+
+        opt.engine.handlers["refilter"] = refilter
+        session = ReoptSession(opt.run())
+        for u in make_update_batch(cat, 20, seed):
+            session.add_updates([u])
+            session.reoptimize()
+    assert checked
+    assert narrowed if strategies.aggsel else not narrowed
