@@ -42,7 +42,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
-from .catalog import Catalog
+from .catalog import Catalog, json_array, json_object
 from .errors import NoAlternatives, ParseError, ValidationError
 
 LOG_JOIN = "join"
@@ -207,20 +207,23 @@ _FILTER_KEYS = {"relation", "selectivity"}
 
 
 def query_from_dict(data: dict, cat: Catalog) -> Query:
-    if not isinstance(data, dict):
-        raise ParseError("query root must be a JSON object")
+    json_object(data, "query root")
     extra = set(data) - _QUERY_KEYS
     if extra:
         raise ParseError(f"unknown keys {sorted(extra)} in query")
-    rels = data.get("relations")
+    rels = json_array(data, "relations", "query")
     if not rels:
         raise ValidationError("query declares no relations")
     filters = []
-    for obj in data.get("filters", []):
+    for k, obj in enumerate(json_array(data, "filters", "query")):
+        json_object(obj, f"query filter entry {k}")
         extra = set(obj) - _FILTER_KEYS
         if extra:
             raise ParseError(f"unknown keys {sorted(extra)} in query filter")
-        filters.append((obj["relation"], float(obj["selectivity"])))
+        try:
+            filters.append((obj["relation"], float(obj["selectivity"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed query filter entry {k}: {exc}") from exc
     q = Query(relations=tuple(rels), filters=tuple(filters))
     validate_query(q, cat)
     return q
@@ -305,7 +308,8 @@ def _connected_subsets(mask: int, adj: tuple[int, ...], limit: int) -> list[int]
     return out
 
 
-def _expr_mask(e: ExprSig, cat: Catalog) -> int:
+def expr_mask(e: ExprSig, cat: Catalog) -> int:
+    """``e``'s relations as a bitmask of ``cat.relation_bits``."""
     bits = cat.relation_bits
     mask = 0
     for r in e.rels:
@@ -320,7 +324,7 @@ def _sig_of(mask: int, e: ExprSig, cat: Catalog) -> ExprSig:
 
 def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
     """All subsets of the query inducing a connected join subgraph."""
-    full = _expr_mask(query, cat)
+    full = expr_mask(query, cat)
     return {_sig_of(s, query, cat)
             for s in _connected_subsets(full, cat.adjacency_masks, len(query))}
 
@@ -371,7 +375,7 @@ def partitions(e: ExprSig, cat: Catalog,
     """
     if sigs is None:
         sigs = {}
-    full = _expr_mask(e, cat)
+    full = expr_mask(e, cat)
     adj = cat.adjacency_masks
     first = cat.relation_bits[e.rels[0]]
     # the sort orders are built once per predicate, so every merge join of
@@ -510,12 +514,13 @@ class SearchUniverse:
         self.group_alts: list[tuple[Alternative, ...] | None] = []
         self.group_kids: list[array | None] = []
         self._parts: dict[ExprSig, Partitions] = {}
-        self._sigs: dict[int, ExprSig] = {_expr_mask(query.sig, cat): query.sig}
+        self._sigs: dict[int, ExprSig] = {expr_mask(query.sig, cat): query.sig}
         self._raw: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._alts: dict[GroupKey, tuple[Alternative, ...]] = {}
         self._buildable: dict[GroupKey, bool] = {}
         self._groups: list[GroupKey] | None = None
         self._parents: list[list[tuple[int, int]]] | None = None
+        self._totals: tuple[int, int] | None = None
 
     def raw_alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
         got = self._raw.get(group)
@@ -577,7 +582,7 @@ class SearchUniverse:
         if i is None:
             i = self._ids[group] = len(self.group_keys)
             self.group_keys.append(group)
-            self.group_masks.append(_expr_mask(group[0], self.catalog))
+            self.group_masks.append(expr_mask(group[0], self.catalog))
             self.group_alts.append(None)
             self.group_kids.append(None)
         return i
@@ -633,6 +638,9 @@ class SearchUniverse:
         return self._parents
 
     def totals(self) -> tuple[int, int]:
-        """(number of groups, number of alternatives) over the full space."""
-        gs = self.groups()
-        return len(gs), sum(len(self.alternatives(g)) for g in gs)
+        """(number of groups, number of alternatives) over the full space,
+        counted once: ``groups()`` never changes once built."""
+        if self._totals is None:
+            gs = self.groups()
+            self._totals = len(gs), sum(len(self.alternatives(g)) for g in gs)
+        return self._totals

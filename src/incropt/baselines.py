@@ -11,7 +11,8 @@ bug, never a modelling artifact.
   increasing subset-size order, so each group is resolved from children
   already resolved; no pruning.
 * ``volcano_optimize``     -- top-down recursion with memoization and
-  branch-and-bound cost limits passed into child exploration.
+  branch-and-bound cost limits passed into child exploration; it reads its
+  local costs from ``BestCost``'s tables, as the other engines do.
 
 The oracle and System-R share their DP with the declarative engine's
 pruned-group fallback; the test suite checks them against an enumerator of
@@ -122,19 +123,27 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     """Top-down exploration with memoization; the cost limit handed to each
     child is the remaining budget after the local operator and any sibling
     already resolved.  Initial upper bound is infinity, so pruning is
-    conservative and the returned cost equals the oracle's exactly."""
+    conservative and the returned cost equals the oracle's exactly.
+
+    Groups are explored by dense id; a group's local costs are read from
+    ``BestCost``'s table, filled once when the group is first explored."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
+    tables = BestCost(universe, ctx)
     metrics = BaselineMetrics()
-    memo: dict[GroupKey, _VolcanoMemo] = {}
-    completed: set[tuple[GroupKey, AltKey]] = set()
-    pruned_alts: set[tuple[GroupKey, AltKey]] = set()
+    memo: dict[int, _VolcanoMemo] = {}
+    completed: set[tuple[int, int]] = set()
+    pruned_alts: set[tuple[int, int]] = set()
+    keys, alts_of, kids_of = universe.group_keys, universe.group_alts, universe.group_kids
 
-    def explore(g: GroupKey, limit: float) -> tuple[float, AltKey] | None:
-        entry = memo.get(g)
+    def explore(i: int, limit: float) -> tuple[float, AltKey] | None:
+        entry = memo.get(i)
         if entry is None:
-            entry = memo[g] = _VolcanoMemo()
-            metrics.visit_log.append(g)
+            entry = memo[i] = _VolcanoMemo()
+            metrics.visit_log.append(keys[i])
+            if alts_of[i] is None:
+                # numbered as a child, alternatives not computed yet
+                universe.group_id(keys[i])
         if entry.exact is not None:
             return entry.exact if entry.exact[0] <= limit else None
         if limit <= entry.fail_limit:
@@ -142,28 +151,27 @@ def volcano_optimize(query: Query, cat: Catalog, *,
 
         best: tuple[float, AltKey] | None = None
         any_pruned = False
-        e, p = g
-        for alt in universe.alternatives(g):
+        kids = kids_of[i]
+        for pos, (alt, local) in enumerate(zip(alts_of[i], tables.local_table(i))):
             bound = limit
             if best is not None:
                 bound = min(bound, best[0])
-            local = ctx.local_cost(e, p, alt)
-            if alt.is_scan:
+            if not kids:
                 cost = sum_cost(None, None, local)
             else:
                 # a child is explored only within what the local cost, and
                 # the left child for the right one, leave of the bound
                 left = right = None
                 if local <= bound:
-                    left = explore((alt.l_expr, alt.l_prop), bound - local)
+                    left = explore(kids[2 * pos], bound - local)
                 if left is not None:
-                    right = explore((alt.r_expr, alt.r_prop), bound - local - left[0])
+                    right = explore(kids[2 * pos + 1], bound - local - left[0])
                 if right is None:
                     any_pruned = True
-                    pruned_alts.add((g, alt.key))
+                    pruned_alts.add((i, pos))
                     continue
                 cost = sum_cost(left[0], right[0], local)
-            completed.add((g, alt.key))
+            completed.add((i, pos))
             cand = (cost, alt.key)
             if best is None or cand < best:
                 best = cand
@@ -178,7 +186,7 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             entry.exact = best
         return None
 
-    result = explore(universe.root, math.inf)
+    result = explore(universe.group_id(universe.root), math.inf)
     assert result is not None  # root limit is infinite
     metrics.visited_or = len(memo)
     metrics.visited_and = len(completed)
@@ -186,12 +194,13 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     metrics.pruned_or = sum(1 for m in memo.values() if m.exact is None)
 
     def resolved(g: GroupKey) -> tuple[float, AltKey]:
-        entry = memo.get(g)
+        i = universe.group_id(g)
+        entry = memo.get(i)
         if entry is not None and entry.exact is not None:
             return entry.exact
         # resolve children of the winning plan that were memoized only under
         # a limit: re-explore without pressure (pure, deterministic)
-        got = explore(g, math.inf)
+        got = explore(i, math.inf)
         assert got is not None
         return got
 

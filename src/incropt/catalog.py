@@ -177,6 +177,22 @@ _CATALOG_KEYS = {"relations", "predicates"}
 _UPDATE_KEYS = {"kind", "target", "factor"}
 
 
+def json_object(obj, where: str) -> dict:
+    """``obj`` when it is a JSON object, else a ParseError naming ``where``
+    and the value found there."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be a JSON object, got {json.dumps(obj)}")
+    return obj
+
+
+def json_array(data: dict, key: str, where: str) -> list:
+    """``data[key]`` (an empty list when absent) when it is a JSON array."""
+    got = data.get(key, [])
+    if not isinstance(got, list):
+        raise ParseError(f"{where} {key!r} must be a JSON array, got {json.dumps(got)}")
+    return got
+
+
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     extra = set(obj) - allowed
     if extra:
@@ -192,11 +208,11 @@ def _qualified(attr: str, where: str) -> tuple[str, str]:
 
 def catalog_from_dict(data: dict) -> Catalog:
     """Build and validate a catalog from the JSON object layout."""
-    if not isinstance(data, dict):
-        raise ParseError("catalog root must be a JSON object")
+    json_object(data, "catalog root")
     _reject_unknown(data, _CATALOG_KEYS, "catalog")
     relations = []
-    for obj in data.get("relations", []):
+    for k, obj in enumerate(json_array(data, "relations", "catalog")):
+        json_object(obj, f"catalog relation entry {k}")
         _reject_unknown(obj, _RELATION_KEYS, f"relation {obj.get('name')!r}")
         try:
             relations.append(RelationMeta(
@@ -210,7 +226,8 @@ def catalog_from_dict(data: dict) -> Catalog:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed relation entry: {exc}") from exc
     predicates = []
-    for obj in data.get("predicates", []):
+    for k, obj in enumerate(json_array(data, "predicates", "catalog")):
+        json_object(obj, f"catalog predicate entry {k}")
         _reject_unknown(obj, _PREDICATE_KEYS, "predicate")
         try:
             predicates.append(JoinPredicate(
@@ -283,7 +300,8 @@ def load_updates(path: str) -> list[StatUpdate]:
     if not isinstance(data, list):
         raise ParseError("updates file must be a JSON array")
     out = []
-    for obj in data:
+    for k, obj in enumerate(data):
+        json_object(obj, f"update entry {k}")
         _reject_unknown(obj, _UPDATE_KEYS, "update")
         try:
             u = StatUpdate(kind=obj["kind"], target=obj["target"], factor=float(obj["factor"]))

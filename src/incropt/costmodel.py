@@ -14,15 +14,23 @@ Cost formulas (dimensionless work units):
 Summaries (estimated output cardinalities) are a logical property of an
 expression: every partition of the same expression gets the identical
 value because the context memoizes one canonical computation per
-expression, keyed by its relation tuple.
+expression.  That memo is keyed by relation bitmask, the same masks
+``SearchUniverse.group_masks`` holds, and a rebased context drops an entry
+by the mask test ``BestCost.invalidate`` uses.
 
 ``BestCost``, the one best-cost DP, runs over ``SearchUniverse``'s dense
 group ids: per id a best value and an ``array('d')`` of local costs, the
-one local-cost table, which the declarative engine's ``recost`` rule reads
-too.  An update is tested against each id's relation bitmask, and a local
-cost it cannot reach is kept: a scan-cost update moves only its relation's
-leaf scans, since join local costs read summaries and no summary reads
-``scan_cost_factor``.
+one local-cost table, which the declarative engine's ``recost`` rule and
+Volcano read too.  The kernel fills a join group's table from its own mask
+and its children's, one memo read each, through ``join_local_cost``, the
+one copy of the join arithmetic, which ``nonscan_cost`` calls as well.  An
+update is tested against each id's relation bitmask, and a local cost it
+cannot reach is kept: a scan-cost update moves only its relation's leaf
+scans, since join local costs read summaries and no summary reads
+``scan_cost_factor``.  A group's best is a flat ``min`` over its
+candidates' costs, then ``index`` of it: alternatives sit in ``(index,
+phy_op)`` order, so the first position holding the minimum is the
+smallest ``(cost, index, phy_op)`` tuple, the tie-break every engine shares.
 """
 from __future__ import annotations
 
@@ -34,9 +42,9 @@ from typing import Iterable
 
 from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, LOG_SCAN, Query,
-    SearchUniverse,
+    SearchUniverse, expr_mask,
 )
-from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate
+from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, json_object
 from .errors import InfeasibleQuery, ParseError, ValidationError
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class CostConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostConfig":
-        extra = set(data) - {"index_scan_surcharge", "inlj_log_base"}
+        extra = set(json_object(data, "cost config")) - {"index_scan_surcharge", "inlj_log_base"}
         if extra:
             raise ParseError(f"unknown keys {sorted(extra)} in cost config")
         try:
@@ -115,14 +123,22 @@ def scan_cost(e: ExprSig, p, phy_op: str, s: Summary, cat: Catalog,
     return cost
 
 
+def join_local_cost(inlj: bool, out_rows: float, left_rows: float,
+                    right_rows: float, log_base: float) -> float:
+    """Local cost of a join from its three cardinalities: the one copy of
+    the join arithmetic, which ``nonscan_cost`` and ``BestCost``'s tables
+    both call, so every engine's local costs agree bit for bit."""
+    if inlj:
+        # left child is the indexed inner by convention
+        return right_rows * (1.0 + math.log(1.0 + left_rows, log_base)) + out_rows
+    return left_rows + right_rows + out_rows
+
+
 def nonscan_cost(alt: Alternative, s: Summary, l_sum: Summary, r_sum: Summary,
                  cfg: CostConfig = CostConfig()) -> float:
     """Local (root operator) cost of a join alternative; children excluded."""
-    if alt.phy_op == INDEX_NL_JOIN:
-        # left child is the indexed inner by convention
-        probe = 1.0 + math.log(1.0 + l_sum.cardinality, cfg.inlj_log_base)
-        return r_sum.cardinality * probe + s.cardinality
-    return l_sum.cardinality + r_sum.cardinality + s.cardinality
+    return join_local_cost(alt.phy_op == INDEX_NL_JOIN, s.cardinality, l_sum.cardinality,
+                           r_sum.cardinality, cfg.inlj_log_base)
 
 
 def sum_cost(l_cost: float | None, r_cost: float | None, local_cost: float) -> float:
@@ -135,16 +151,25 @@ class CostContext:
 
     All engines costing the same (catalog, query) share the identical
     arithmetic path through this class, so their costs agree exactly.
+    ``summaries`` is the one memo, keyed by relation bitmask (the catalog's
+    ``relation_bits``, as ``SearchUniverse.group_masks`` are), so
+    ``BestCost`` reads it straight from a group id's mask.
     """
 
     def __init__(self, cat: Catalog, query: Query, config: CostConfig | None = None):
         self.catalog = cat
         self.query = query
         self.config = config or CostConfig()
-        self._summaries: dict[tuple[str, ...], Summary] = {}
+        self.summaries: dict[int, Summary] = {}
+        # relation tuple -> bitmask; numbers never move a mask, so a rebased
+        # context shares this table
+        self._masks: dict[tuple[str, ...], int] = {}
 
     def summary(self, e: ExprSig) -> Summary:
-        got = self._summaries.get(e.rels)
+        mask = self._masks.get(e.rels)
+        if mask is None:
+            mask = self._masks[e.rels] = expr_mask(e, self.catalog)
+        got = self.summaries.get(mask)
         if got is None:
             if e.is_leaf:
                 got = scan_summary(e, self.catalog, self.query)
@@ -155,7 +180,7 @@ class CostContext:
                 rest = ExprSig.of(e.rels[1:])
                 got = nonscan_summary(e, head, self.summary(head),
                                       rest, self.summary(rest), self.catalog)
-            self._summaries[e.rels] = got
+            self.summaries[mask] = got
         return got
 
     def local_cost(self, e: ExprSig, p, alt: Alternative) -> float:
@@ -169,22 +194,30 @@ class CostContext:
         """New context for the catalog ``updates`` produced, keeping every
         summary they cannot reach.
 
-        A join-selectivity update reaches the summary of an expression that
-        contains both endpoints; a scan-cost update reaches none, since
-        cardinality does not depend on ``scan_cost_factor``.
+        A join-selectivity update reaches the summary of an expression whose
+        bitmask holds both endpoints (the test ``BestCost.invalidate`` uses);
+        a scan-cost update reaches none, since cardinality does not depend
+        on ``scan_cost_factor``.
         """
         ctx = CostContext(cat, self.query, self.config)
-        stale = [u.target_relations() for u in updates
-                 if u.kind == JOIN_SELECTIVITY]
-        ctx._summaries = {e: s for e, s in self._summaries.items()
-                          if not _reaches(stale, e)}
+        ctx._masks = self._masks
+        stale = [_target_mask(u, cat) for u in updates if u.kind == JOIN_SELECTIVITY]
+        stale = [t for t in stale if t]
+        ctx.summaries = {m: s for m, s in self.summaries.items()
+                         if not any(m & t == t for t in stale)}
         return ctx
 
 
-def _reaches(targets: list[frozenset[str]], rels: tuple[str, ...]) -> bool:
-    """True iff some target set lies wholly inside the expression over
-    ``rels``: an update can change its summary or cost only then."""
-    return any(t.issubset(rels) for t in targets)
+def _target_mask(u: StatUpdate, cat: Catalog) -> int:
+    """The bitmask of ``u``'s target relations, or 0 when one of them is
+    not in ``cat`` (then no expression over ``cat`` holds them all)."""
+    bits = cat.relation_bits
+    t = 0
+    for r in u.target_relations():
+        if r not in bits:
+            return 0
+        t |= bits[r]
+    return t
 
 
 def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
@@ -229,6 +262,9 @@ class BestCost:
         self.ctx = ctx
         self._best: list[tuple[float, AltKey] | None] = []
         self._local: list[array | None] = []
+        # per id, which alternatives are index nested-loop joins: structure,
+        # so kept across invalidation
+        self._inlj: list[list[bool] | None] = []
         self._order: list[int] = []
 
     @property
@@ -253,22 +289,43 @@ class BestCost:
 
     def local_table(self, i: int) -> array:
         """The local cost of each alternative of group id ``i``, in their
-        order: the retained table, computed first when there is none.  The
+        order: the retained table, filled first when there is none.  The
         group's alternatives must be computed."""
         if len(self._local) < len(self.universe.group_keys):
             self._grow()
         local = self._local[i]
         if local is None:
-            e, p = self.universe.group_keys[i]
-            local_cost = self.ctx.local_cost
-            local = self._local[i] = array(
-                "d", [local_cost(e, p, a) for a in self.universe.group_alts[i]])
+            local = self._local[i] = self._fill(i)
         return local
+
+    def _fill(self, i: int) -> array:
+        """Group id ``i``'s local-cost table.  A join group's entries come
+        from its own cardinality and its children's, each one memo read by
+        relation bitmask; a leaf's go through ``CostContext.local_cost``."""
+        u, ctx = self.universe, self.ctx
+        alts, kids = u.group_alts[i], u.group_kids[i]
+        if not kids:
+            e, p = u.group_keys[i]
+            return array("d", [ctx.local_cost(e, p, a) for a in alts])
+        inlj = self._inlj[i]
+        if inlj is None:
+            inlj = self._inlj[i] = [a.phy_op == INDEX_NL_JOIN for a in alts]
+        masks, keys = u.group_masks, u.group_keys
+        memo, summary = ctx.summaries, ctx.summary
+        out = (memo.get(masks[i]) or summary(keys[i][0])).cardinality
+        base = ctx.config.inlj_log_base
+        pairs = iter(kids)
+        return array("d", [
+            join_local_cost(flag, out,
+                            (memo.get(masks[l]) or summary(keys[l][0])).cardinality,
+                            (memo.get(masks[r]) or summary(keys[r][0])).cardinality, base)
+            for flag, l, r in zip(inlj, pairs, pairs)])
 
     def _grow(self) -> None:
         missing = len(self.universe.group_keys) - len(self._best)
         self._best.extend([None] * missing)
         self._local.extend([None] * missing)
+        self._inlj.extend([None] * missing)
 
     def _solve(self, i: int) -> tuple[float, AltKey]:
         u = self.universe
@@ -284,12 +341,14 @@ class BestCost:
         if kids:
             best, solve = self._best, self._solve
             pairs = iter(kids)
-            got = min((sum_cost((best[l] or solve(l))[0], (best[r] or solve(r))[0], lc),
-                       a.key)
-                      for a, lc, l, r in zip(alts, local, pairs, pairs))
+            costs = [sum_cost((best[l] or solve(l))[0], (best[r] or solve(r))[0], lc)
+                     for lc, l, r in zip(local, pairs, pairs)]
         else:
-            got = min((sum_cost(None, None, lc), a.key) for a, lc in zip(alts, local))
-        self._best[i] = got
+            costs = [sum_cost(None, None, lc) for lc in local]
+        # position order is key order, so the first position holding the
+        # minimum is the smallest (cost, index, phy_op)
+        cost = min(costs)
+        got = self._best[i] = (cost, alts[costs.index(cost)].key)
         self._order.append(i)
         return got
 
@@ -306,16 +365,12 @@ class BestCost:
         not read ``scan_cost_factor``.  No other value can move.
         """
         self.ctx = ctx
-        bits = self.universe.catalog.relation_bits
         best, local = self._best, self._local
         masks = self.universe.group_masks[:len(best)]
         for u in updates:
-            targets = u.target_relations()
-            if not all(r in bits for r in targets):
+            t = _target_mask(u, self.universe.catalog)
+            if not t:
                 continue
-            t = 0
-            for r in targets:
-                t |= bits[r]
             keep_joins = u.kind == SCAN_COST
             for i, m in enumerate(masks):
                 if m & t == t:

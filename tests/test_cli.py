@@ -276,6 +276,55 @@ def test_reoptimize_rejects_a_non_finite_update(case, fixture_files, tmp_path, c
     assert state.read_text() == saved
 
 
+def _set_entry(key, value):
+    def edit(data: dict) -> None:
+        data[key] = [value] + list(data.get(key, []))[1:]
+    return edit
+
+
+# an entry that is not a JSON object where one is expected: (file edited,
+# edit, the text the error line must name)
+_NON_OBJECT_INPUTS = {
+    "relation-entry": ("catalog", _set_entry("relations", 5), "relation entry 0"),
+    "predicate-entry": ("catalog", _set_entry("predicates", "x"), "predicate entry 0"),
+    "query-filter": ("query", _set_entry("filters", 5), "query filter entry 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_OBJECT_INPUTS))
+def test_optimize_rejects_a_non_object_entry(case, fixture_files, capsys):
+    which, edit, named = _NON_OBJECT_INPUTS[case]
+    path = fixture_files / f"q5s.{which}.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = run("optimize", "--catalog", str(fixture_files / "q5s.catalog.json"),
+               "--query", str(fixture_files / "q5s.query.json"))
+    err = _assert_clean_exit_1(code, capsys)
+    assert named in err and "must be a JSON object" in err
+
+
+def test_optimize_rejects_a_non_object_cost_config(fixture_files, tmp_path, capsys):
+    config = tmp_path / "cost.json"
+    config.write_text("5")
+    code = run("optimize", "--catalog", str(fixture_files / "q5s.catalog.json"),
+               "--query", str(fixture_files / "q5s.query.json"),
+               "--cost-config", str(config))
+    assert "cost config must be a JSON object" in _assert_clean_exit_1(code, capsys)
+
+
+def test_reoptimize_rejects_a_non_object_update(fixture_files, tmp_path, capsys):
+    state = _save_state(fixture_files, tmp_path)
+    saved = state.read_text()
+    updates = tmp_path / "updates.json"
+    updates.write_text("[5]")
+    capsys.readouterr()
+    code = run("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(state))
+    assert "update entry 0 must be a JSON object" in _assert_clean_exit_1(code, capsys)
+    assert state.read_text() == saved
+
+
 def test_optimize_has_no_seed_flag(fixture_files):
     assert run("optimize",
                "--catalog", str(fixture_files / "q3s.catalog.json"),

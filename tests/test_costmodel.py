@@ -8,10 +8,10 @@ import pytest
 from incropt.algebra import Alternative, ExprSig, PropertySpec, Query, SearchUniverse
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, apply_update
 from incropt.costmodel import (
-    BestCost, CostConfig, CostContext, Summary, nonscan_cost, nonscan_summary,
+    BestCost, CostConfig, CostContext, Summary, alternative_cost, nonscan_cost, nonscan_summary,
     scan_cost, scan_summary, sum_cost,
 )
-from incropt.fixtures import q5s, q8joins
+from incropt.fixtures import q3s, q5s, q8joins
 from incropt.incremental import ReoptSession
 from incropt.optimizer import DeclarativeOptimizer
 from incropt.workload import make_update_batch, make_workload
@@ -167,7 +167,7 @@ def test_update_invalidates_exactly_what_it_reaches(make):
         dp = BestCost(universe, ctx)
         dp.best(universe.root)
         before = set(dp.memo)
-        summaries = dict(ctx._summaries)
+        summaries = dict(ctx.summaries)
         new_cat = apply_update(cat, u)
         rebased = ctx.rebased(new_cat, [u])
         dp.invalidate([u], rebased)
@@ -177,13 +177,18 @@ def test_update_invalidates_exactly_what_it_reaches(make):
         assert len(dp.memo) < len(before)
         for g, kept in dp.memo.items():
             assert kept == fresh.best(g), (u, g)
-        kept = rebased._summaries
+        kept = rebased.summaries
         if u.kind == "scan_cost":
             assert kept == summaries
         else:
-            assert set(kept) == {rels for rels in summaries if not ends <= set(rels)}
-        for rels, s in kept.items():
-            assert s == fresh.ctx.summary(ExprSig(rels)), (u, rels)
+            assert set(kept) == {m for m in summaries if not ends <= _rels_of(cat, m)}
+        for m, s in kept.items():
+            assert s == fresh.ctx.summary(ExprSig.of(_rels_of(cat, m))), (u, m)
+
+
+def _rels_of(cat, mask: int) -> set[str]:
+    """The relations of a summary memo key (a ``relation_bits`` mask)."""
+    return {name for name, bit in cat.relation_bits.items() if mask & bit}
 
 
 def _assert_dp_equals_fresh(dp: BestCost, fresh: BestCost, step) -> int:
@@ -272,3 +277,73 @@ def test_update_keeps_every_local_cost_it_cannot_reach(make):
         # a scan-cost update reaches join groups whose local costs it keeps
         assert joins if u.kind == "scan_cost" else not joins
 
+
+
+@pytest.mark.parametrize("make", [q5s, q8joins], ids=["q5s", "q8joins"])
+def test_flat_minimum_breaks_ties_by_alternative_key(make):
+    """``BestCost`` takes the first position holding its group's minimum
+    cost; with index scans as cheap as sequential ones, hash and merge joins
+    tie, and every group's winner still equals the smallest
+    ``(cost, index, phy_op)`` a reference recursion finds."""
+    cat, q = make()
+    ctx = CostContext(cat, q, CostConfig(index_scan_surcharge=1.0))
+    universe = SearchUniverse(cat, q)
+    dp = BestCost(universe, ctx)
+    ref_memo, ties = {}, 0
+
+    def ref(g):
+        nonlocal ties
+        got = ref_memo.get(g)
+        if got is None:
+            cands = sorted((alternative_cost(ctx, g, a, ref), a.key)
+                           for a in universe.alternatives(g))
+            ties += len(cands) > 1 and cands[0][0] == cands[1][0]
+            got = ref_memo[g] = cands[0]
+        return got
+
+    for g in universe.groups():
+        assert dp.best_id(universe.group_id(g)) == ref(g), g
+    assert ties
+
+
+_KERNEL_WORKLOADS = {
+    "q3s": q3s,
+    "q5s": q5s,
+    "q8joins": q8joins,
+    "clique-6": lambda: make_workload("clique", 6, 3),
+    "star-7": lambda: make_workload("star", 7, 5),
+}
+
+
+def _assert_tables_equal_local_cost(dp: BestCost, cat, q, step) -> int:
+    """Every group's local-cost table equals ``CostContext.local_cost`` on a
+    fresh context, in ``float.hex``; returns how many INLJ rows it saw."""
+    ctx = CostContext(cat, q)
+    inlj = 0
+    for g in dp.universe.groups():
+        e, p = g
+        alts = dp.universe.alternatives(g)
+        got = dp.local_table(dp.universe.group_id(g))
+        want = [ctx.local_cost(e, p, a) for a in alts]
+        assert [x.hex() for x in got] == [x.hex() for x in want], (step, g)
+        inlj += sum(a.phy_op == "index_nl_join" for a in alts)
+    return inlj
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_WORKLOADS))
+def test_local_tables_equal_local_cost_bit_for_bit(name):
+    """The kernel's tables, filled from group ids and the bitmask-keyed
+    memo, hold exactly what ``CostContext.local_cost`` computes: cold, and
+    after each of 20 seeded updates that rebase and invalidate."""
+    cat, q = _KERNEL_WORKLOADS[name]()
+    universe = SearchUniverse(cat, q)
+    dp = BestCost(universe, CostContext(cat, q))
+    dp.best(universe.root)
+    inlj = _assert_tables_equal_local_cost(dp, cat, q, "cold")
+    for step, u in enumerate(make_update_batch(cat, 20, 13)):
+        cat = apply_update(cat, u)
+        dp.invalidate([u], dp.ctx.rebased(cat, [u]))
+        dp.best(universe.root)
+        _assert_tables_equal_local_cost(dp, cat, q, step)
+    if name in ("q5s", "q8joins"):
+        assert inlj

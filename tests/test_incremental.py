@@ -316,3 +316,17 @@ def test_unchanged_plan_kills_and_revives_no_group(label):
                     assert flips == [], (shape, n, seed, u)
                     unchanged += 1
     assert unchanged
+
+
+def test_universe_totals_are_kept_and_stay_exact():
+    """``ReoptSession`` reads ``totals()`` on every op; the universe counts
+    them once, and after 30 updates they still equal a recount."""
+    cat, q = make_workload("clique", 6, 3)
+    session = ReoptSession(DeclarativeOptimizer(cat, q).run())
+    universe = session.opt.universe
+    for u in make_update_batch(cat, 30, 5):
+        session.add_updates([u])
+        _, m = session.reoptimize()
+    gs = universe.groups()
+    recount = (len(gs), sum(len(universe.alternatives(g)) for g in gs))
+    assert universe.totals() == recount == (m.total_or, m.total_and)
