@@ -11,15 +11,22 @@ that can satisfy the property.
 Conventions baked in here:
 
 * bushy enumeration over connected partitions only (no cross products);
-* partitions come from connected-complement enumeration over relation
-  bitmasks: the connected subsets of at most half the expression (grown
-  DPccp-style, Moerkotte & Neumann, VLDB 2006) whose complement is
-  connected too; no subset of the expression is scanned;
+* partitions come from the csg-cmp pairs of the query (DPccp, Moerkotte &
+  Neumann, VLDB 2006): every pair of disjoint connected relation subsets
+  linked by a predicate, listed once per universe over relation bitmasks
+  and bucketed by union, so an expression's partitions are its bucket; no
+  subset of an expression is scanned;
 * partitions are ordered by the size of the smaller side, then by its
   lexicographic relation tuple; with equal halves only the lexicographically
-  smaller side (the one holding the expression's first relation) is kept.
+  smaller side (the one holding the expression's first relation) is side a.
   Alternative indexes, and with them the ``(cost, index, phy_op)``
   tie-break, follow this order;
+* buildability is decided by sortable sets, the attributes an expression
+  can be produced sorted on, computed bottom-up from its partitions; no
+  ``split`` output is kept or probed to decide it.  ``split`` takes the
+  sortable sets and skips the merge joins whose sides cannot produce their
+  orders, each skipped join keeping its index, so ``SearchUniverse`` keeps
+  exactly what ``split`` emits;
 * ``SearchUniverse`` computes each expression's partitions once and hands
   them to ``split`` for every property of that expression; a sort-order
   property visits only the partitions whose crossing predicates carry its
@@ -39,8 +46,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .catalog import Catalog, json_array, json_object
 from .errors import NoAlternatives, ParseError, ValidationError
@@ -126,11 +133,11 @@ class PropertySpec:
 
     @classmethod
     def sorted_on(cls, attr: str) -> "PropertySpec":
-        return cls(PROP_SORTED, attr)
+        return _spec(PROP_SORTED, attr)
 
     @classmethod
     def index_on(cls, attr: str) -> "PropertySpec":
-        return cls(PROP_INDEX, attr)
+        return _spec(PROP_INDEX, attr)
 
     @property
     def is_none(self) -> bool:
@@ -152,6 +159,13 @@ class PropertySpec:
 
 
 _PROP_NONE_SINGLETON = PropertySpec(PROP_NONE, None)
+
+
+@lru_cache(maxsize=4096)
+def _spec(kind: str, attr: str) -> PropertySpec:
+    """One spec per (kind, attribute): enumeration asks for each
+    predicate's orders once per expression holding it."""
+    return PropertySpec(kind, attr)
 
 GroupKey = tuple[ExprSig, PropertySpec]
 AltKey = tuple[int, str]
@@ -264,48 +278,73 @@ def _neighbours(mask: int, adj: tuple[int, ...]) -> int:
     return out
 
 
-def _mask_connected(mask: int, adj: tuple[int, ...]) -> bool:
-    """Flood fill from the lowest bit; true when it reaches all of ``mask``."""
-    reached = frontier = mask & -mask
-    while frontier:
-        frontier = _neighbours(frontier, adj) & mask & ~reached
-        reached |= frontier
-    return reached == mask
+def _grow(s: int, excluded: int, mask: int, adj: tuple[int, ...], out: list[int]) -> None:
+    """EnumerateCsgRec: every connected subset of ``mask`` that strictly
+    contains ``s`` and reaches no relation in ``excluded``, once each.
+
+    A growth step adds a nonempty subset of the neighbours not yet offered;
+    the neighbours it offered are excluded from every later step."""
+    frontier = _neighbours(s, adj) & mask & ~excluded
+    if not frontier:
+        return
+    grown = []
+    sub = frontier
+    while sub:
+        grown.append(s | sub)
+        sub = (sub - 1) & frontier
+    out.extend(grown)
+    excluded |= frontier
+    for t in grown:
+        _grow(t, excluded, mask, adj, out)
 
 
-def _connected_subsets(mask: int, adj: tuple[int, ...], limit: int) -> list[int]:
-    """Every connected subset of ``mask`` with at most ``limit`` members, once each.
+def _connected_subsets(mask: int, adj: tuple[int, ...]) -> list[int]:
+    """Every connected subset of ``mask``, once each.
 
     EnumerateCsg (Moerkotte & Neumann, VLDB 2006): a subset is grown from
-    its lowest bit only, by adding neighbours above that bit which earlier
-    steps of the same growth have not already offered.
+    its lowest bit only, by adding neighbours above that bit.
     """
     out: list[int] = []
-
-    def grow(s: int, excluded: int) -> None:
-        frontier = _neighbours(s, adj) & mask & ~excluded
-        if not frontier:
-            return
-        room = limit - s.bit_count()
-        grown = []
-        sub = frontier
-        while sub:
-            if sub.bit_count() <= room:
-                grown.append(s | sub)
-            sub = (sub - 1) & frontier
-        out.extend(grown)
-        excluded |= frontier
-        for t in grown:
-            if t.bit_count() < limit:
-                grow(t, excluded)
-
     rest = mask
     while rest:
         low = rest & -rest
         out.append(low)
-        grow(low, (low << 1) - 1)
+        _grow(low, (low << 1) - 1, mask, adj, out)
         rest ^= low
     return out
+
+
+def csg_cmp_pairs(mask: int, adj: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
+    """Every csg-cmp pair of ``mask``, once each, bucketed by union mask.
+
+    A pair is two disjoint connected subsets joined by a predicate.
+    EnumerateCmp (DPccp, Moerkotte & Neumann, VLDB 2006) grows the
+    complement of each connected subset ``s1`` from its neighbours above
+    ``s1``'s lowest bit, avoiding ``s1`` and every relation at or below
+    that bit, so each unordered pair is listed once, lower-bit side first.
+    A union's bucket is then every split of it into two connected, linked
+    sides.
+    """
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    cmps: list[int] = []
+    for s1 in _connected_subsets(mask, adj):
+        low = s1 & -s1
+        excluded = s1 | (low - 1)  # s1 and every relation at or below its lowest bit
+        near = _neighbours(s1, adj) & mask & ~excluded
+        while near:
+            v = 1 << (near.bit_length() - 1)  # neighbours in descending order
+            near ^= v
+            cmps.append(v)
+            _grow(v, excluded | near | v, mask, adj, cmps)
+            for s2 in cmps:
+                union = s1 | s2
+                bucket = buckets.get(union)
+                if bucket is None:
+                    buckets[union] = [(s1, s2)]
+                else:
+                    bucket.append((s1, s2))
+            cmps.clear()
+    return buckets
 
 
 def expr_mask(e: ExprSig, cat: Catalog) -> int:
@@ -325,8 +364,7 @@ def _sig_of(mask: int, e: ExprSig, cat: Catalog) -> ExprSig:
 def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
     """All subsets of the query inducing a connected join subgraph."""
     full = expr_mask(query, cat)
-    return {_sig_of(s, query, cat)
-            for s in _connected_subsets(full, cat.adjacency_masks, len(query))}
+    return {_sig_of(s, query, cat) for s in _connected_subsets(full, cat.adjacency_masks)}
 
 
 # (side a, side b, one (sorted on side a's attribute, sorted on side b's
@@ -361,48 +399,59 @@ class Partitions(tuple):
         return out
 
 
-def partitions(e: ExprSig, cat: Catalog,
-               sigs: dict[int, ExprSig] | None = None) -> Partitions:
-    """The connected-complement partitions of composite ``e``, in ``split`` order.
+def partitions(e: ExprSig, cat: Catalog, sigs: dict[int, ExprSig] | None = None,
+               pairs: list[tuple[int, int]] | None = None) -> Partitions:
+    """The partitions of composite ``e`` into two connected, linked sides,
+    in ``split`` order.
 
-    Side a is a connected subset of at most half of ``e`` whose complement,
-    side b, is connected too and linked to it by at least one predicate.
-    When the halves are equal, side a is the one holding ``e``'s first
-    relation.  Ordered by the size of side a, then by its relation tuple:
-    the order in which ``itertools.combinations`` would list side a.
-    ``sigs`` interns the sides by relation mask, so every partition of a
-    universe that names an expression shares one signature.
+    ``pairs`` is ``e``'s bucket of ``csg_cmp_pairs``, enumerated here over
+    ``e`` alone when not given.  Side a is the smaller side; when the
+    halves are equal, it is the one holding ``e``'s first relation.
+    Ordered by the size of side a, then by its relation tuple: the order
+    in which ``itertools.combinations`` would list side a.  ``sigs``
+    interns the sides by relation mask, so every partition of a universe
+    that names an expression shares one signature.
     """
     if sigs is None:
         sigs = {}
     full = expr_mask(e, cat)
-    adj = cat.adjacency_masks
+    if pairs is None:
+        pairs = csg_cmp_pairs(full, cat.adjacency_masks).get(full, ())
     first = cat.relation_bits[e.rels[0]]
     # the sort orders are built once per predicate, so every merge join of
     # every property of ``e`` shares them
     preds = []
+    touching: dict[int, int] = {}  # relation bit -> bit j per predicate j on it
     for lbit, rbit, pred in cat.predicate_bits:
         if lbit & full and rbit & full:
+            j = 1 << len(preds)
+            touching[lbit] = touching.get(lbit, 0) | j
+            touching[rbit] = touching.get(rbit, 0) | j
             left, right = PropertySpec.sorted_on(pred.left), PropertySpec.sorted_on(pred.right)
-            preds.append((lbit, rbit, (left, right), (right, left), pred))
-    n = len(e)
+            preds.append((lbit, (left, right), (right, left), pred))
     found = []
-    for s in _connected_subsets(full, adj, n // 2):
-        if 2 * s.bit_count() == n and not s & first:
-            continue
-        rest = full ^ s
-        if not _mask_connected(rest, adj):
-            continue
-        crossing = []
+    for s, rest in pairs:
+        size, other = s.bit_count(), rest.bit_count()
+        if size > other or (size == other and not s & first):
+            s, rest = rest, s
+        # a predicate crosses when exactly one of its relations is on side
+        # a, so side a's relations' predicate masks XOR to the crossing ones
         crossed = 0  # bit j: predicate j crosses this partition
-        for j, (lbit, rbit, fwd, rev, _) in enumerate(preds):
-            if bool(lbit & s) != bool(rbit & s):
-                crossing.append(fwd if lbit & s else rev)
-                crossed |= 1 << j
-        if crossing:
-            a_sig = sigs.get(s) or sigs.setdefault(s, _sig_of(s, e, cat))
-            b_sig = sigs.get(rest) or sigs.setdefault(rest, _sig_of(rest, e, cat))
-            found.append((a_sig, b_sig, tuple(crossing), crossed))
+        m = s
+        while m:
+            low = m & -m
+            crossed ^= touching[low]
+            m ^= low
+        crossing = []
+        m = crossed
+        while m:
+            low = m & -m
+            lbit, fwd, rev, _ = preds[low.bit_length() - 1]
+            crossing.append(fwd if lbit & s else rev)
+            m ^= low
+        a_sig = sigs.get(s) or sigs.setdefault(s, _sig_of(s, e, cat))
+        b_sig = sigs.get(rest) or sigs.setdefault(rest, _sig_of(rest, e, cat))
+        found.append((a_sig, b_sig, tuple(crossing), crossed))
     found.sort(key=lambda part: (len(part[0]), part[0].rels))
     positions = [0] * len(preds)
     for k, part in enumerate(found):
@@ -412,7 +461,7 @@ def partitions(e: ExprSig, cat: Catalog,
             positions[low.bit_length() - 1] |= 1 << k
             crossed ^= low
     parts = Partitions(part[:3] for part in found)
-    parts.crossed_by = tuple(item for (_, _, _, _, pred), at in zip(preds, positions)
+    parts.crossed_by = tuple(item for (_, _, _, pred), at in zip(preds, positions)
                              for item in (pred.left, pred.right, at))
     return parts
 
@@ -435,64 +484,99 @@ def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alterna
     return []
 
 
-def split(e: ExprSig, p: PropertySpec, cat: Catalog,
-          parts: Partitions | None = None) -> list[Alternative]:
+def split(e: ExprSig, p: PropertySpec, cat: Catalog, parts: Partitions | None = None,
+          sortable: dict[ExprSig, frozenset[str]] | None = None) -> list[Alternative]:
     """Enumerate join alternatives for composite ``e`` under output property ``p``.
 
     ``parts`` is ``partitions(e, cat)``, computed here when not given.
     Deterministic: partitions ordered by the size of the smaller side, then
     by its relation tuple (with equal halves, only the lexicographically
     smaller side is side a); operators in a fixed order within each
-    partition; 1-based indexes in emission order.  Raises NoAlternatives
-    when no operator can satisfy ``p`` over any connected partition.
+    partition; 1-based indexes in emission order.
+
+    ``sortable``, when given, maps every side of ``parts`` to the
+    attributes it can be produced sorted on.  A merge join whose sides
+    cannot produce their orders is then skipped, but it still takes its
+    index, so every alternative kept has the index it has unfiltered.
+    Raises NoAlternatives when no operator is left to satisfy ``p``.
     """
     if e.is_leaf:
         raise ValidationError(f"split called on leaf {e}")
     if parts is None:
         parts = partitions(e, cat)
     out: list[Alternative] = []
-
-    def emit(phy_op: str, l_expr: ExprSig, l_prop: PropertySpec,
-             r_expr: ExprSig, r_prop: PropertySpec) -> None:
-        out.append(Alternative(len(out) + 1, LOG_JOIN, phy_op, l_expr, l_prop, r_expr, r_prop))
-
+    index = 0  # alternatives emitted or skipped so far
+    none = PropertySpec.none()
     if p.is_none:
         for a_sig, b_sig, crossing in parts:
-            emit(HASH_JOIN, a_sig, PropertySpec.none(), b_sig, PropertySpec.none())
+            index += 1
+            out.append(Alternative(index, LOG_JOIN, HASH_JOIN, a_sig, none, b_sig, none))
+            if len(a_sig) == 1 or len(b_sig) == 1:
+                for sort_a, sort_b in crossing:
+                    for inner_sig, inner_attr, outer_sig in (
+                        (a_sig, sort_a.attr, b_sig),
+                        (b_sig, sort_b.attr, a_sig),
+                    ):
+                        if not inner_sig.is_leaf:
+                            continue
+                        rel_name, _, bare = inner_attr.partition(".")
+                        if bare in cat.relation(rel_name).indexed_on:
+                            index += 1
+                            out.append(Alternative(index, LOG_JOIN, INDEX_NL_JOIN, inner_sig,
+                                                   PropertySpec.index_on(inner_attr),
+                                                   outer_sig, none))
+            a_sorts, b_sorts = _sorts(sortable, a_sig), _sorts(sortable, b_sig)
             for sort_a, sort_b in crossing:
-                for inner_sig, inner_attr, outer_sig in (
-                    (a_sig, sort_a.attr, b_sig),
-                    (b_sig, sort_b.attr, a_sig),
-                ):
-                    if not inner_sig.is_leaf:
-                        continue
-                    rel_name, _, bare = inner_attr.partition(".")
-                    if bare in cat.relation(rel_name).indexed_on:
-                        emit(INDEX_NL_JOIN, inner_sig, PropertySpec.index_on(inner_attr),
-                             outer_sig, PropertySpec.none())
-            for sort_a, sort_b in crossing:
-                emit(MERGE_JOIN, a_sig, sort_a, b_sig, sort_b)
+                index += 1
+                if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
+                    out.append(Alternative(index, LOG_JOIN, MERGE_JOIN,
+                                           a_sig, sort_a, b_sig, sort_b))
     elif p.kind == PROP_SORTED:
         # only a merge join yields an order, and only from a partition with
         # a crossing pair sorted on the attribute
         for a_sig, b_sig, crossing in parts.sorted_on(p.attr):
+            a_sorts, b_sorts = _sorts(sortable, a_sig), _sorts(sortable, b_sig)
             for sort_a, sort_b in crossing:
                 if p.attr in (sort_a.attr, sort_b.attr):
-                    emit(MERGE_JOIN, a_sig, sort_a, b_sig, sort_b)
+                    index += 1
+                    if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
+                        out.append(Alternative(index, LOG_JOIN, MERGE_JOIN,
+                                               a_sig, sort_a, b_sig, sort_b))
     if not out:
         raise NoAlternatives(f"no operator yields {p} for {e}")
     return out
 
 
+class _AnyOrder:
+    """The sortable set of a side when ``split`` is not filtered."""
+
+    def __contains__(self, attr: str) -> bool:
+        return True
+
+
+_ANY_ORDER = _AnyOrder()
+
+
+def _sorts(sortable: dict[ExprSig, frozenset[str]] | None, side: ExprSig):
+    return _ANY_ORDER if sortable is None else sortable[side]
+
+
 class SearchUniverse:
     """The reachable (expr, prop) group universe for one (catalog, query) pair.
 
-    Memoizes each expression's partitions and each group's split output,
-    filters alternatives down to the buildable ones (every child group can
-    produce at least one plan), and exposes the full-space totals used as
-    pruning/update-ratio denominators.  A group's raw split output is
-    dropped once its buildable alternatives are known (an unbuildable group
-    memoizes none), so ``split`` still runs once per group.
+    Enumerates bottom-up, with no speculative ``split``: on first use it
+    lists every csg-cmp pair of the query once (``csg_cmp_pairs``), and
+    each expression's partitions come from its bucket, which is dropped
+    once read.  Buildability comes from per-expression sortable sets, the
+    attributes an expression can be produced sorted on: a leaf's sorted
+    and indexed attributes, a composite's crossing pairs whose sides can
+    each produce their order.  A group is buildable when it is a leaf with
+    a scan, a composite with no required order and a partition, or a
+    composite whose sortable set holds its order.  ``split`` is called only
+    for buildable groups, once each, with the sortable sets, so what it
+    emits is exactly the group's alternatives; no raw split output is kept.
+    The universe also exposes the full-space totals used as
+    pruning/update-ratio denominators.
 
     Groups get dense ids in the order ``alternatives`` first meets them (a
     group, then its alternatives' children).  Per id: ``group_keys`` is its
@@ -515,67 +599,81 @@ class SearchUniverse:
         self.group_kids: list[array | None] = []
         self._parts: dict[ExprSig, Partitions] = {}
         self._sigs: dict[int, ExprSig] = {expr_mask(query.sig, cat): query.sig}
-        self._raw: dict[GroupKey, tuple[Alternative, ...]] = {}
-        self._alts: dict[GroupKey, tuple[Alternative, ...]] = {}
-        self._buildable: dict[GroupKey, bool] = {}
+        self._pairs: dict[int, list[tuple[int, int]]] | None = None
+        self._sortable: dict[ExprSig, frozenset[str]] = {}
         self._groups: list[GroupKey] | None = None
         self._parents: list[list[tuple[int, int]]] | None = None
         self._totals: tuple[int, int] | None = None
 
-    def raw_alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
-        got = self._raw.get(group)
+    def partitions(self, e: ExprSig) -> Partitions:
+        """``partitions(e)``, memoized, from ``e``'s bucket of the query's pairs."""
+        got = self._parts.get(e)
         if got is None:
-            e, p = group
+            if self._pairs is None:
+                self._pairs = csg_cmp_pairs(expr_mask(self.query.sig, self.catalog),
+                                            self.catalog.adjacency_masks)
+            mask = expr_mask(e, self.catalog)
+            got = self._parts[e] = partitions(e, self.catalog, self._sigs,
+                                              self._pairs.pop(mask, ()))
+        return got
+
+    def sortable(self, e: ExprSig) -> frozenset[str]:
+        """The attributes ``e`` can be produced sorted on (memoized)."""
+        got = self._sortable.get(e)
+        if got is None:
             if e.is_leaf:
-                got = tuple(leaf_alternatives(e, p, self.catalog))
+                rel = self.catalog.relation(e.sole)
+                got = frozenset(f"{rel.name}.{a}" for a in (rel.sorted_on, *rel.indexed_on) if a)
             else:
-                parts = self._parts.get(e)
-                if parts is None:
-                    parts = self._parts[e] = partitions(e, self.catalog, self._sigs)
-                try:
-                    got = tuple(split(e, p, self.catalog, parts))
-                except NoAlternatives:
-                    got = ()
-            self._raw[group] = got
+                attrs = set()
+                for a_sig, b_sig, crossing in self.partitions(e):
+                    a_sorts, b_sorts = self.sortable(a_sig), self.sortable(b_sig)
+                    for sort_a, sort_b in crossing:
+                        if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
+                            attrs.add(sort_a.attr)
+                            attrs.add(sort_b.attr)
+                got = frozenset(attrs)
+            self._sortable[e] = got
         return got
 
     def buildable(self, group: GroupKey) -> bool:
-        # not folded into ``alternatives``: ``any`` stops at the first
-        # buildable alternative, and one memo for both raised chain-16
-        # (seed 7) from 4880 to 5079 ``split`` calls
-        got = self._buildable.get(group)
-        if got is None:
-            got = any(
-                all(self.buildable(c) for c in alt.children())
-                for alt in self.raw_alternatives(group)
-            )
-            self._buildable[group] = got
-            if not got:
-                self._alts[group] = ()
-                del self._raw[group]
-        return got
+        """True when ``group`` has at least one plan."""
+        e, p = group
+        if e.is_leaf:
+            return bool(leaf_alternatives(e, p, self.catalog))
+        if p.is_none:
+            return bool(self.partitions(e))
+        return p.kind == PROP_SORTED and p.attr in self.sortable(e)
 
     def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
-        got = self._alts.get(group)
-        if got is None:
-            i = self._number(group)
-            kept: list[Alternative] = []
-            kids = array("i")
-            for a in self.raw_alternatives(group):
-                if a.is_scan:
-                    kept.append(a)
-                    continue
-                left, right = a.children()
-                if self.buildable(left) and self.buildable(right):
-                    kept.append(a)
-                    kids.append(self._number(left))
-                    kids.append(self._number(right))
-            got = self._alts[group] = tuple(kept)
-            self._buildable[group] = bool(got)
-            del self._raw[group]
-            self.group_alts[i] = got
-            self.group_kids[i] = kids
-        return got
+        """``group``'s buildable alternatives (none when it is unbuildable)."""
+        return self.group_alts[self.group_id(group)]
+
+    def group_id(self, group: GroupKey) -> int:
+        """``group``'s dense id, with its alternatives and their child ids
+        computed."""
+        i = self._number(group)
+        if self.group_alts[i] is None:
+            self._fill(i)
+        return i
+
+    def _fill(self, i: int) -> None:
+        """Compute group ``i``'s alternatives and number their children."""
+        group = self.group_keys[i]
+        e, p = group
+        kids = array("i")
+        if e.is_leaf:
+            got = tuple(leaf_alternatives(e, p, self.catalog))
+        elif self.buildable(group):
+            self.sortable(e)  # fills the sortable set of every side of ``e``
+            got = tuple(split(e, p, self.catalog, self.partitions(e), self._sortable))
+            for a in got:
+                kids.append(self._number((a.l_expr, a.l_prop)))
+                kids.append(self._number((a.r_expr, a.r_prop)))
+        else:
+            got = ()
+        self.group_alts[i] = got
+        self.group_kids[i] = kids
 
     def _number(self, group: GroupKey) -> int:
         i = self._ids.get(group)
@@ -587,19 +685,6 @@ class SearchUniverse:
             self.group_kids.append(None)
         return i
 
-    def group_id(self, group: GroupKey) -> int:
-        """``group``'s dense id, with its alternatives and their child ids
-        computed."""
-        i = self._ids.get(group)
-        if i is None or self.group_alts[i] is None:
-            alts = self.alternatives(group)
-            i = self._number(group)
-            if self.group_alts[i] is None:
-                # unbuildable, so ``buildable`` memoized it without numbering
-                self.group_alts[i] = alts
-                self.group_kids[i] = array("i")
-        return i
-
     @property
     def feasible(self) -> bool:
         return self.buildable(self.root)
@@ -607,18 +692,17 @@ class SearchUniverse:
     def groups(self) -> list[GroupKey]:
         """Buildable groups reachable from the root, root first, BFS order."""
         if self._groups is None:
-            order: list[GroupKey] = []
-            seen = {self.root}
-            frontier = deque([self.root])
-            while frontier:
-                g = frontier.popleft()
-                order.append(g)
-                for alt in self.alternatives(g):
-                    for child in alt.children():
-                        if child not in seen:
-                            seen.add(child)
-                            frontier.append(child)
-            self._groups = order
+            order = [self.group_id(self.root)]
+            seen = set(order)
+            alts, kids = self.group_alts, self.group_kids
+            for i in order:  # grows as the walk meets new groups
+                if alts[i] is None:
+                    self._fill(i)
+                for c in kids[i]:
+                    if c not in seen:
+                        seen.add(c)
+                        order.append(c)
+            self._groups = [self.group_keys[i] for i in order]
         return self._groups
 
     def parents(self) -> list[list[tuple[int, int]]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .incremental import ReoptSession
 from .optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
+from .plan import require_finite
 from .workload import SHAPES, make_update_batch, make_workload
 
 SCHEMA_VERSION = 1
@@ -68,15 +68,6 @@ def _load_inputs(args) -> tuple[Catalog, Query, CostConfig]:
     query = load_query(args.query, cat)
     config = CostConfig.load(args.cost_config) if args.cost_config else CostConfig()
     return cat, query, config
-
-
-def _require_finite(plan) -> None:
-    """Reject a plan whose cost overflowed: the inputs are finite, but their
-    products are not, and no plan or state is written for them."""
-    if not math.isfinite(plan.cost):
-        raise ValidationError(
-            f"best plan cost is {plan.cost!r}, not a finite number: the catalog "
-            f"and updates overflow the cost model")
 
 
 def _run_engine(engine: str, cat: Catalog, query: Query, config: CostConfig,
@@ -125,7 +116,7 @@ def cmd_optimize(args) -> int:
     cat, query, config = _load_inputs(args)
     strategies = Strategies.parse(args.strategies) if args.strategies else Strategies.all()
     plan, metrics, opt = _run_engine(args.engine, cat, query, config, strategies)
-    _require_finite(plan)
+    require_finite(plan)  # before any plan or state is written
     if args.emit_plan:
         _write_json(args.emit_plan, plan.to_dict())
     if args.metrics:
@@ -157,8 +148,7 @@ def cmd_reoptimize(args) -> int:
     opt = DeclarativeOptimizer.from_snapshot(snap)
     session = ReoptSession(opt)
     session.add_updates(load_updates(args.updates))
-    plan, metrics = session.reoptimize()
-    _require_finite(plan)
+    plan, metrics = session.reoptimize()  # rejects an overflowed plan itself
     if args.emit_plan:
         _write_json(args.emit_plan, plan.to_dict())
     if args.metrics:

@@ -31,7 +31,7 @@ from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
 from .deltaflow import Delta, INSERT
 from .errors import UnknownTarget
 from .optimizer import DeclarativeOptimizer
-from .plan import PlanNode
+from .plan import PlanNode, require_finite
 
 
 @dataclass
@@ -117,7 +117,12 @@ class ReoptSession:
         self.pending.extend(updates)
 
     def reoptimize(self) -> tuple[PlanNode, ReoptMetrics]:
-        """Apply the pending batch, drain to fixpoint, report touch metrics."""
+        """Apply the pending batch, drain to fixpoint, report touch metrics.
+
+        Raises ValidationError when the new best plan's cost is not finite
+        (finite factors whose products overflow).  ``plan`` then stays the
+        last finite plan, but the optimizer already holds the overflowed
+        costs, so the session must be discarded."""
         start = time.perf_counter()
         opt = self.opt
         batch, self.pending = self.pending, []
@@ -136,6 +141,7 @@ class ReoptSession:
         touched_and = len(opt.touched_and)
         touched_or = len(opt.touched_or)
         plan = opt.best_plan()
+        require_finite(plan)
         changed = plan.structure() != self._last_plan.structure()
         self._last_plan = plan
         total_or, total_and = opt.universe.totals()

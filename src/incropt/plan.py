@@ -1,10 +1,12 @@
 """Physical plan trees and their JSON form."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import ExprSig, GroupKey, PropertySpec
 from .costmodel import CostContext
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -52,3 +54,12 @@ def build_plan(universe, ctx: CostContext, best, group: GroupKey) -> PlanNode:
         expr=e, prop=p, log_op=alt.log_op, phy_op=alt.phy_op,
         cost=cost, summary_card=ctx.summary(e).cardinality, children=children,
     )
+
+
+def require_finite(plan: PlanNode) -> None:
+    """Reject a plan whose cost overflowed: the inputs are finite, but their
+    products are not."""
+    if not math.isfinite(plan.cost):
+        raise ValidationError(
+            f"best plan cost is {plan.cost!r}, not a finite number: the catalog "
+            f"and updates overflow the cost model")

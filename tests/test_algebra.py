@@ -181,7 +181,7 @@ def test_universe_buildable_filters_unreachable_props():
     # which no operator can produce: the raw split has it, the buildable
     # alternatives do not
     root = (ExprSig.of(["C", "O", "L"]), PropertySpec.none())
-    raw_ops = {(a.phy_op, a.l_expr.rels) for a in u.raw_alternatives(root)}
+    raw_ops = {(a.phy_op, a.l_expr.rels) for a in split(*root, cat)}
     assert ("merge_join", ("C",)) in raw_ops
     kept_ops = {(a.phy_op, a.l_expr.rels) for a in u.alternatives(root)}
     assert ("merge_join", ("C",)) not in kept_ops

@@ -1,10 +1,14 @@
-"""Connected-complement enumeration against the brute-force subset scan.
+"""Bottom-up enumeration against the brute-force subset scan.
 
 ``reference_split`` is the original enumerator: every ``combinations`` subset
 of at most half the expression, kept when both halves pass a set-based
-connectivity test.  The production ``split`` must emit exactly its
-alternatives, indexes included, because the ``(cost, index, phy_op)``
-tie-break depends on them.
+connectivity test.  ``ReferenceUniverse`` filters its output by the original
+recursive buildability rule (a group is buildable when one of its
+alternatives has only buildable children).  The production universe, built
+from csg-cmp pairs and sortable sets, must hold exactly the same groups, in
+the same order, with the same alternatives, indexes included, and the same
+child ids, because the ``(cost, index, phy_op)`` tie-break and the engine's
+dense ids depend on them.
 """
 from __future__ import annotations
 
@@ -15,7 +19,8 @@ import pytest
 from incropt import algebra
 from incropt.algebra import (
     HASH_JOIN, INDEX_NL_JOIN, LOG_JOIN, MERGE_JOIN, PROP_SORTED, Alternative,
-    ExprSig, PropertySpec, Query, SearchUniverse,
+    ExprSig, GroupKey, PropertySpec, Query, SearchUniverse, connected_subexprs,
+    expr_mask, leaf_alternatives,
 )
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
 from incropt.errors import NoAlternatives, ValidationError
@@ -102,19 +107,66 @@ def reference_split(e: ExprSig, p: PropertySpec, cat: Catalog,
     return out
 
 
-def _universe_rows(cat: Catalog, query: Query):
+class ReferenceUniverse:
+    """The universe by the subset scan and the recursive buildability rule.
+
+    ``probed`` maps every group whose buildability the rule asked for to
+    the answer, the way the rule memoized it."""
+
+    def __init__(self, cat: Catalog, query: Query):
+        self.cat = cat
+        self.root: GroupKey = (query.sig, PropertySpec.none())
+        self.probed: dict[GroupKey, bool] = {}
+
+    def raw(self, group: GroupKey) -> tuple[Alternative, ...]:
+        e, p = group
+        if e.is_leaf:
+            return tuple(leaf_alternatives(e, p, self.cat))
+        try:
+            return tuple(reference_split(e, p, self.cat))
+        except NoAlternatives:
+            return ()
+
+    def buildable(self, group: GroupKey) -> bool:
+        got = self.probed.get(group)
+        if got is None:
+            got = any(all(self.buildable(c) for c in alt.children())
+                      for alt in self.raw(group))
+            self.probed[group] = got
+        return got
+
+    def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
+        return tuple(a for a in self.raw(group)
+                     if all(self.buildable(c) for c in a.children()))
+
+    def rows(self) -> list[tuple[GroupKey, tuple[Alternative, ...], list[int]]]:
+        """Per group reachable from the root, breadth-first: its
+        alternatives and the ids of their children, left then right, a
+        group's id being the order in which the walk first meets it."""
+        ids = {self.root: 0}
+        order = [self.root]
+        rows = []
+        for g in order:
+            alts = self.alternatives(g)
+            kids = []
+            for alt in alts:
+                for child in alt.children():
+                    if child not in ids:
+                        ids[child] = len(order)
+                        order.append(child)
+                    kids.append(ids[child])
+            rows.append((g, alts, kids))
+        return rows
+
+
+def assert_same_universe(cat: Catalog, query: Query) -> None:
     u = SearchUniverse(cat, query)
-    return [(g, u.alternatives(g)) for g in u.groups()]
-
-
-def assert_same_universe(cat: Catalog, query: Query, monkeypatch) -> None:
-    got = _universe_rows(cat, query)
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "split", reference_split)
-        want = _universe_rows(cat, query)
-    assert [g for g, _ in got] == [g for g, _ in want]
-    for (g, alts), (_, ref) in zip(got, want):
+    got = [(g, u.alternatives(g), list(u.group_kids[u.group_id(g)])) for g in u.groups()]
+    want = ReferenceUniverse(cat, query).rows()
+    assert [g for g, _, _ in got] == [g for g, _, _ in want]
+    for (g, alts, kids), (_, ref, ref_kids) in zip(got, want):
         assert alts == ref, g
+        assert kids == ref_kids, g
 
 
 def _rel(name, attrs, indexed=()):
@@ -158,18 +210,18 @@ SEEDED = [(shape, n, seed)
 
 
 @pytest.mark.parametrize("shape,n,seed", SEEDED)
-def test_seeded_universe_matches_subset_scan(shape, n, seed, monkeypatch):
-    assert_same_universe(*make_workload(shape, n, seed), monkeypatch)
+def test_seeded_universe_matches_subset_scan(shape, n, seed):
+    assert_same_universe(*make_workload(shape, n, seed))
 
 
 @pytest.mark.parametrize("fixture", [q3s, q5s, q8joins])
-def test_fixture_universe_matches_subset_scan(fixture, monkeypatch):
-    assert_same_universe(*fixture(), monkeypatch)
+def test_fixture_universe_matches_subset_scan(fixture):
+    assert_same_universe(*fixture())
 
 
 @pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
-def test_edge_case_universe_matches_subset_scan(build, monkeypatch):
-    assert_same_universe(*build(), monkeypatch)
+def test_edge_case_universe_matches_subset_scan(build):
+    assert_same_universe(*build())
 
 
 @pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
@@ -236,3 +288,102 @@ def test_position_order_is_alternative_key_order(make):
         keys = [a.key for a in u.group_alts[u.group_id(g)]]
         assert keys and all(a < b for a, b in zip(keys, keys[1:])), g
     assert len(groups) == len(u.parents())
+
+
+def disconnected_catalog() -> tuple[Catalog, Query]:
+    # no predicate at all: the query has no partition and no plan
+    cat = Catalog(relations=(RelationMeta("A", 10.0, ("x",)), RelationMeta("B", 10.0, ("x",))),
+                  predicates=())
+    return cat, Query(("A", "B"))
+
+
+def _seeded(shape, n, seed):
+    return lambda: make_workload(shape, n, seed)
+
+
+PAIR_SHAPES = [(shape, n, seed) for shape, n in (("chain", 9), ("star", 8), ("clique", 7))
+               for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("build", [_seeded(*case) for case in PAIR_SHAPES]
+                         + [cycle_catalog, double_edge_catalog],
+                         ids=[f"{s}-{n}-{seed}" for s, n, seed in PAIR_SHAPES]
+                         + ["cycle", "double_edge"])
+def test_pair_buckets_match_subset_scan(build):
+    cat, query = build()
+    adj = _adjacency(cat)
+    bits = cat.relation_bits
+
+    def mask(rels) -> int:
+        return sum(bits[r] for r in rels)
+
+    buckets = algebra.csg_cmp_pairs(expr_mask(query.sig, cat), cat.adjacency_masks)
+    listed = 0
+    for e in connected_subexprs(query.sig, cat):
+        want = set()
+        for size in range(1, len(e)):
+            for combo in combinations(e.rels, size):
+                rest = tuple(r for r in e.rels if r not in combo)
+                if (_is_connected(combo, adj) and _is_connected(rest, adj)
+                        and _crossing(cat, combo, rest)):
+                    want.add(frozenset((mask(combo), mask(rest))))
+        got = buckets.get(expr_mask(e, cat), [])
+        assert all(not s1 & s2 for s1, s2 in got), e
+        assert len({frozenset(pair) for pair in got}) == len(got), e  # each pair once
+        assert {frozenset(pair) for pair in got} == want, e
+        listed += len(got)
+    # every bucket belongs to a connected sub-expression
+    assert listed == sum(len(b) for b in buckets.values())
+
+
+BUILDABILITY_CASES = [_seeded(*case) for case in SEEDED] + [
+    q3s, q5s, q8joins, cycle_catalog, double_edge_catalog, chain4_catalog,
+    disconnected_catalog]
+
+
+@pytest.mark.parametrize("build", BUILDABILITY_CASES,
+                         ids=[f"{s}-{n}-{seed}" for s, n, seed in SEEDED]
+                         + ["q3s", "q5s", "q8joins", "cycle", "double_edge", "chain4",
+                            "disconnected"])
+def test_mask_buildability_matches_recursive_rule(build):
+    cat, query = build()
+    ref = ReferenceUniverse(cat, query)
+    ref.buildable(ref.root)
+    ref.rows()
+    u = SearchUniverse(cat, query)
+    for g, want in ref.probed.items():
+        assert u.buildable(g) == want, g
+    assert u.feasible == ref.probed[ref.root]
+
+
+@pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog,
+                                   q5s, q8joins, _seeded("clique", 5, 1)],
+                         ids=["cycle", "double_edge", "chain4", "q5s", "q8joins", "clique-5-1"])
+def test_filtered_split_drops_only_unbuildable_merge_joins(build):
+    cat, query = build()
+    u = SearchUniverse(cat, query)
+    ref = ReferenceUniverse(cat, query)
+    subexprs = sorted(connected_subexprs(query.sig, cat))
+    sortable = {s: u.sortable(s) for s in subexprs}
+    props = [PropertySpec.none()] + [
+        PropertySpec.sorted_on(f"{r}.{a}") for r in query.relations
+        for a in cat.relation(r).attributes
+    ]
+    dropped = 0
+    for e in subexprs:
+        if e.is_leaf:
+            continue
+        for p in props:
+            try:
+                raw = algebra.split(e, p, cat)
+            except NoAlternatives:
+                raw = []
+            want = [a for a in raw if a.phy_op != MERGE_JOIN
+                    or all(ref.buildable(c) for c in a.children())]
+            dropped += len(raw) - len(want)
+            if not want:
+                with pytest.raises(NoAlternatives):
+                    algebra.split(e, p, cat, sortable=sortable)
+                continue
+            assert algebra.split(e, p, cat, sortable=sortable) == want, (e, p)
+    assert dropped  # the filter was exercised

@@ -9,7 +9,7 @@ from incropt.baselines import brute_force_optimize
 from incropt.catalog import StatUpdate, apply_update
 from incropt.costmodel import BestCost, CostContext, alternative_cost
 from incropt.fixtures import q3s, q5s, q8joins
-from incropt.errors import UnknownTarget
+from incropt.errors import UnknownTarget, ValidationError
 from incropt.incremental import ReoptSession, stat_to_deltas
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import UPDATE_FACTORS, make_update_batch, make_workload
@@ -95,6 +95,20 @@ def test_plan_change_is_detected(q5s_fixture):
     assert m.plan_changed == (plan.structure() != before.structure())
     assert m.plan_changed
     assert not session.converged()
+
+
+def test_overflowed_cost_is_rejected_and_plan_kept(q5s_fixture):
+    """A finite factor whose products overflow: the session raises instead
+    of returning an inf plan, and ``plan`` stays the last finite one."""
+    cat, q = q5s_fixture
+    _, session = fresh_session(cat, q)
+    before = session.plan
+    session.add_updates([StatUpdate("scan_cost", "lineitem", 1e308)])
+    with pytest.raises(ValidationError, match="finite"):
+        session.reoptimize()
+    assert session.plan is before
+    assert session.last_metrics is None
+    assert not session.pending
 
 
 def test_second_identical_reoptimize_touches_nothing(q5s_fixture):
