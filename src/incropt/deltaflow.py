@@ -2,9 +2,12 @@
 with next-best recovery and per-member visibility, and an order-independent
 fixpoint driver.
 
-A delta is a three-field record ``(relation, op, payload)`` with two ops,
+A delta is a three-field tuple ``(relation, op, payload)`` with two ops,
 insert and delete; a changed value travels as a notification naming its key,
-and the receiving rule reads the current value from maintained state.
+and the receiving rule reads the current value from maintained state.  Rules
+emit plain tuples and the engine reads every delta by position, so building
+one costs a tuple display; ``Delta`` is the same record as a NamedTuple, and
+pushes of either kind drain alike.
 
 State discipline: every row has exactly one derivation, so its visibility
 is a flag, kept as membership in its group's visible set, not a signed
@@ -22,6 +25,15 @@ tiers set by the caller.  The optimizer tiers its re-optimization drains
 instead of ones the update has made stale; its initial build stays plain
 FIFO, since a cold state holds no stale costs and tiering it costs more
 deltas than it saves.
+
+The drain kernel is two straight loops, one for a single queue (FIFO or
+shuffled) and one for tiers, which scans its lanes inline and routes each
+emitted delta through a relation -> lane map built at drain start.  Per
+delta a loop counts the drain, checks the ceiling, calls the observer only
+if one is installed, counts the relation and calls its rule.  The rules are
+read from ``handlers`` at drain start, so a caller may swap them between
+drains.  A drain cut short by an exception leaves its unprocessed deltas
+pending, in tier order.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -41,11 +53,17 @@ DELETE = "-"
 
 class Delta(NamedTuple):
     """A change flowing through the engine: ``payload`` is the tuple inserted
-    or deleted, or the key of the tuple whose value changed."""
+    or deleted, or the key of the tuple whose value changed.  The engine
+    reads any delta by position, so a plain ``(relation, op, payload)``
+    tuple is one too."""
 
     relation: str
     op: str
     payload: Any = None
+
+
+# what the engine queues and hands to rules: a Delta or a plain tuple
+DeltaTuple = tuple[str, str, Any]
 
 
 class MinGroupState:
@@ -137,6 +155,14 @@ class MinGroupState:
         return True
 
 
+# K: an optimizer's drain may process the deltas pushed before it started plus
+# K per alternative of its universe before it counts as a wiring bug.  K is
+# over ten times the largest drain measured per alternative, net of its pushed
+# deltas: 92, a cold chain-16 build in shuffled order (76,593 deltas over 833
+# alternatives).  Over the tests and the benchmark catalogs it stayed below 80.
+DELTAS_PER_ALTERNATIVE = 1000
+
+# the per-drain budget of an engine that is not told its universe's size
 DEFAULT_DELTA_CEILING = 10 ** 8
 
 
@@ -148,15 +174,17 @@ class FixpointEngine:
     every pending delta for order-independence checks.  While ``tiers``
     maps relations to tier numbers, a FIFO drain pops from its lowest
     non-empty tier first.  The quiescent visible state must not depend on
-    the order.  A ceiling on the deltas of any one drain guards against
-    wiring bugs; ``processed`` counts every delta over the engine's life and
-    ``drained_by_rule`` the last drain's deltas per relation.
+    the order.  A drain raises ``NonTermination`` once it has processed more
+    than the deltas pending at its start plus ``max_deltas``, a guard
+    against wiring bugs; ``processed`` counts every delta over the engine's
+    life and ``drained_by_rule`` the last drain's deltas per relation.
+    ``observer``, when set, sees every delta a drain processes.
     """
 
-    def __init__(self, handlers: dict[str, Callable[[Delta], Iterable[Delta]]],
+    def __init__(self, handlers: dict[str, Callable[[DeltaTuple], Iterable[DeltaTuple]]],
                  *, max_deltas: int = DEFAULT_DELTA_CEILING,
                  order: str = "fifo", seed: int | None = None,
-                 observer: Callable[[Delta], None] | None = None):
+                 observer: Callable[[DeltaTuple], None] | None = None):
         if order not in ("fifo", "random"):
             raise ValidationError(f"unknown drain order {order!r}")
         self.handlers = handlers
@@ -165,12 +193,14 @@ class FixpointEngine:
         self._rng = random.Random(seed)
         self.observer = observer
         self.tiers: dict[str, int] | None = None
-        self._queue: deque[Delta] = deque()
+        self._queue: deque[DeltaTuple] = deque()
         self.processed = 0
         self.drained_by_rule: dict[str, int] = {}
 
-    def push(self, deltas: Iterable[Delta] | Delta) -> None:
-        if isinstance(deltas, Delta):
+    def push(self, deltas: Iterable[DeltaTuple] | DeltaTuple) -> None:
+        """Queue one delta, or every delta of an iterable.  A tuple whose
+        first field is a relation name is one delta, never three."""
+        if isinstance(deltas, tuple) and deltas and isinstance(deltas[0], str):
             self._queue.append(deltas)
         else:
             self._queue.extend(deltas)
@@ -179,67 +209,84 @@ class FixpointEngine:
     def pending(self) -> int:
         return len(self._queue)
 
-    def _pop_random(self) -> Delta:
+    def _pop_random(self) -> DeltaTuple:
         queue = self._queue
-        if not queue:
-            raise IndexError("pop from an empty queue")
         i = self._rng.randrange(len(queue))
         queue[i], queue[-1] = queue[-1], queue[i]
         return queue.pop()
 
     def run(self) -> int:
         """Drain to quiescence; returns the number of deltas processed."""
+        if self.tiers is not None and self.order == "fifo":
+            return self._run_tiered(self.tiers)
         queue = self._queue
-        tiers = self.tiers if self.order == "fifo" else None
-        if tiers is None:
-            pop = queue.popleft if self.order == "fifo" else self._pop_random
-            emit = queue.extend
-        else:
-            lanes = [deque() for _ in range(max(tiers.values(), default=0) + 1)]
-            route = {rel: lanes[t] for rel, t in tiers.items()}
-            last = lanes[-1]
-
-            def pop() -> Delta:
-                for lane in lanes:
-                    if lane:
-                        return lane.popleft()
-                raise IndexError("pop from an empty queue")
-
-            def emit(out: Iterable[Delta]) -> None:
-                for d in out:
-                    route.get(d.relation, last).append(d)
-
-            emit(queue)
-            queue.clear()
+        pop = queue.popleft if self.order == "fifo" else self._pop_random
+        emit = queue.extend
         handlers = self.handlers
         observer = self.observer
-        ceiling = self.max_deltas
+        ceiling = len(queue) + self.max_deltas
         counts = self.drained_by_rule = {}
         drained = 0
         try:
-            while True:
-                try:
-                    d = pop()
-                except IndexError:
-                    break
+            while queue:
+                d = pop()
                 drained += 1
                 if drained > ceiling:
                     raise NonTermination(
                         f"delta count exceeded ceiling {ceiling}; wiring bug?")
                 if observer is not None:
                     observer(d)
-                rel = d.relation
+                rel = d[0]
                 counts[rel] = counts.get(rel, 0) + 1
                 handler = handlers.get(rel)
-                if handler is None:
-                    continue
-                out = handler(d)
-                if out:
-                    emit(out)
+                if handler is not None:
+                    out = handler(d)
+                    if out:
+                        emit(out)
         finally:
             self.processed += drained
-            if tiers is not None:
-                # a drain cut short leaves its lanes pending, in tier order
+        return drained
+
+    def _run_tiered(self, tiers: dict[str, int]) -> int:
+        """``run`` over one FIFO lane per tier, always popping from the
+        lowest non-empty lane; a relation without a tier goes last."""
+        queue = self._queue
+        lanes = [deque() for _ in range(max(tiers.values(), default=0) + 1)]
+        route = {rel: lanes[t].append for rel, t in tiers.items()}
+        last = lanes[-1].append
+        for d in queue:
+            route.get(d[0], last)(d)
+        queue.clear()
+        handlers = self.handlers
+        observer = self.observer
+        ceiling = sum(map(len, lanes)) + self.max_deltas
+        counts = self.drained_by_rule = {}
+        drained = 0
+        try:
+            while True:
                 for lane in lanes:
-                    queue.extend(lane)
+                    if lane:
+                        break
+                else:
+                    break
+                d = lane.popleft()
+                drained += 1
+                if drained > ceiling:
+                    raise NonTermination(
+                        f"delta count exceeded ceiling {ceiling}; wiring bug?")
+                if observer is not None:
+                    observer(d)
+                rel = d[0]
+                counts[rel] = counts.get(rel, 0) + 1
+                handler = handlers.get(rel)
+                if handler is not None:
+                    out = handler(d)
+                    if out:
+                        for o in out:
+                            route.get(o[0], last)(o)
+        finally:
+            self.processed += drained
+            # a drain cut short leaves its lanes pending, in tier order
+            for lane in lanes:
+                queue.extend(lane)
         return drained

@@ -28,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
-from .deltaflow import Delta, INSERT
+from .deltaflow import DeltaTuple, INSERT
 from .errors import UnknownTarget
 from .optimizer import DeclarativeOptimizer
 from .plan import PlanNode, require_finite
@@ -51,7 +51,7 @@ class ReoptMetrics:
         return asdict(self)
 
 
-def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:
+def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]:
     """Convert one statistics update into recost deltas over the live state.
 
     The optimizer's catalog must already reflect the update.  A factor of
@@ -73,14 +73,14 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:
         t |= bits[r]
     masks, alts, kids = opt.universe.group_masks, opt.universe.group_alts, opt.universe.group_kids
     groups = opt.groups
-    out: list[Delta] = []
+    out: list[DeltaTuple] = []
     for i, gs in groups.items():
         if not gs.alive:
             continue
         m = masks[i]
         if u.kind == JOIN_SELECTIVITY:
             if m & t == t:
-                out.extend(Delta("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
+                out.extend(("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
             continue
         # scan-cost update: leaf rows over the relation, plus rows whose
         # affected child is currently pruned and hence unreachable by
@@ -89,14 +89,14 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[Delta]:
             continue
         k = kids[i]
         if not k:
-            out.extend(Delta("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
+            out.extend(("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
             continue
         for pos in range(len(alts[i])):
             # the children split the relations, so exactly one holds the target
             c = k[2 * pos] if masks[k[2 * pos]] & t else k[2 * pos + 1]
             cgs = groups.get(c)
             if cgs is None or not cgs.alive:
-                out.append(Delta("recost", INSERT, (i, pos)))
+                out.append(("recost", INSERT, (i, pos)))
     return out
 
 
@@ -133,11 +133,13 @@ class ReoptSession:
         if effective:
             opt.rebind_catalog(new_cat, effective)
         opt.set_tracking(True)
-        deltas: list[Delta] = []
-        for u in batch:
-            deltas.extend(stat_to_deltas(u, opt))
-        opt.push_and_run(deltas)
-        opt.set_tracking(False)
+        try:
+            deltas: list[DeltaTuple] = []
+            for u in batch:
+                deltas.extend(stat_to_deltas(u, opt))
+            opt.push_and_run(deltas)
+        finally:
+            opt.set_tracking(False)
         touched_and = len(opt.touched_and)
         touched_or = len(opt.touched_or)
         plan = opt.best_plan()

@@ -44,7 +44,7 @@ from .algebra import AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUnive
 from .catalog import Catalog, StatUpdate
 from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
 from .deltaflow import (
-    Delta, DELETE, FixpointEngine, INSERT, MinGroupState,
+    DELETE, DELTAS_PER_ALTERNATIVE, DeltaTuple, FixpointEngine, INSERT, MinGroupState,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
@@ -176,8 +176,8 @@ class DeclarativeOptimizer:
                 "maxbound": self._h_maxbound,
                 "bound": self._h_bound,
             },
+            max_deltas=DELTAS_PER_ALTERNATIVE * u.totals()[1],
             order=drain_order, seed=drain_seed,
-            observer=self._observe,
         )
 
     # -- driving ---------------------------------------------------------
@@ -188,11 +188,11 @@ class DeclarativeOptimizer:
             raise InfeasibleQuery(
                 f"no plan satisfies {self.root[1]} for {self.root[0]}")
         if self.root_id not in self.groups:
-            self.engine.push(Delta("expr", INSERT, self.root_id))
+            self.engine.push(("expr", INSERT, self.root_id))
         self.engine.run()
         return self
 
-    def push_and_run(self, deltas: Iterable[Delta]) -> int:
+    def push_and_run(self, deltas: Iterable[DeltaTuple]) -> int:
         """Drain ``deltas`` into the quiescent state in ``REOPT_TIERS`` order."""
         engine = self.engine
         engine.push(deltas)
@@ -208,21 +208,23 @@ class DeclarativeOptimizer:
         return {rel: counts.get(rel, 0) for rel in self.engine.handlers}
 
     def set_tracking(self, on: bool) -> None:
+        """Start (clearing the touched sets) or stop recording the rows and
+        groups drains touch.  The engine's observer is installed only while
+        tracking, so an untracked drain pays nothing for it."""
         self._tracking = on
+        self.engine.observer = self._observe if on else None
         if on:
             self.touched_and = set()
             self.touched_or = set()
 
-    def _observe(self, d: Delta) -> None:
-        if not self._tracking:
-            return
-        rel = d.relation
+    def _observe(self, d: DeltaTuple) -> None:
+        rel = d[0]
         if rel in _AND_PAYLOAD:
-            self.touched_and.add(d.payload)
+            self.touched_and.add(d[2])
         elif rel in _OR_PAYLOAD:
-            self.touched_or.add(d.payload)
+            self.touched_or.add(d[2])
         elif rel == "refcount":
-            self.touched_or.add(d.payload[0])
+            self.touched_or.add(d[2][0])
 
     # -- edges: group keys and alternative keys ----------------------------
 
@@ -239,28 +241,28 @@ class DeclarativeOptimizer:
 
     # -- group lifecycle -------------------------------------------------
 
-    def _create_group(self, i: int, synthetic: int = 0) -> list[Delta]:
+    def _create_group(self, i: int, synthetic: int = 0) -> list[DeltaTuple]:
         self.groups[i] = GroupState(synthetic)
         return [d for pos in range(len(self._alts[i]))
                 for d in self._apply_row_visibility((i, pos), INSERT)]
 
-    def _kill_group(self, i: int) -> list[Delta]:
+    def _kill_group(self, i: int) -> list[DeltaTuple]:
         gs = self.groups[i]
         gs.alive = False
         out = [d for pos in range(len(self._alts[i])) if gs.mins.cost_of(pos) is not None
                for d in self._set_row_cost(i, pos, gs, None)]
-        out.append(Delta("refilter", INSERT, i))
+        out.append(("refilter", INSERT, i))
         return out
 
-    def _revive_group(self, i: int) -> list[Delta]:
+    def _revive_group(self, i: int) -> list[DeltaTuple]:
         gs = self.groups[i]
         gs.alive = True
         gs.contribs.clear()
         gs.maxbound = gs.bound = None
-        out = [Delta("recost", INSERT, (i, pos)) for pos in range(len(self._alts[i]))]
-        out.append(Delta("refilter", INSERT, i))
+        out = [("recost", INSERT, (i, pos)) for pos in range(len(self._alts[i]))]
+        out.append(("refilter", INSERT, i))
         if self.strategies.bounding:
-            out.append(Delta("bound", INSERT, i))
+            out.append(("bound", INSERT, i))
         return out
 
     # -- cost composition --------------------------------------------------
@@ -275,11 +277,11 @@ class DeclarativeOptimizer:
 
     # -- handlers ----------------------------------------------------------
 
-    def _h_expr(self, d: Delta) -> list[Delta]:
-        i = d.payload
+    def _h_expr(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i = d[2]
         return [] if i in self.groups else self._create_group(i, int(i == self.root_id))
 
-    def _apply_row_visibility(self, row: Row, op: str) -> list[Delta]:
+    def _apply_row_visibility(self, row: Row, op: str) -> list[DeltaTuple]:
         """Flip one searchspace row's visibility synchronously.  Callers ask
         only for a flip (a new row, or a row whose verdict differs from its
         visibility), so every call is one transition and emits its follow-ups."""
@@ -292,15 +294,15 @@ class DeclarativeOptimizer:
             self.trace(f"searchspace {op} {self._row_key(row)!r} "
                        f"{int(not visible)} {int(visible)}")
         kids = self._kids[i][2 * pos:2 * pos + 2]
-        out = [Delta("refcount", op, (c, row)) for c in kids]
+        out = [("refcount", op, (c, row)) for c in kids]
         if visible:
-            out.append(Delta("recost", INSERT, row))
+            out.append(("recost", INSERT, row))
         if self.strategies.bounding and kids:
-            out.append(Delta("pbound", INSERT, row))
+            out.append(("pbound", INSERT, row))
         return out
 
-    def _h_recost(self, d: Delta) -> list[Delta]:
-        i, pos = d.payload
+    def _h_recost(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i, pos = d[2]
         gs = self.groups.get(i)
         if gs is None or not gs.alive:
             return []
@@ -316,42 +318,42 @@ class DeclarativeOptimizer:
         return self._set_row_cost(i, pos, gs, cost)
 
     def _set_row_cost(self, i: int, pos: int, gs: GroupState,
-                      cost: float | None) -> list[Delta]:
+                      cost: float | None) -> list[DeltaTuple]:
         """Write one plancost value (None retracts it) and its group-min
         effect atomically, so a shuffled drain never puts an older value over
         a newer one.  Only change notifications go through the queue; the
         always emitted ``refilterrow`` also records the row as touched."""
-        out = [Delta("refilterrow", INSERT, (i, pos))]
+        out = [("refilterrow", INSERT, (i, pos))]
         if self.strategies.bounding and gs.mins.is_visible(pos):
-            out.append(Delta("pbound", INSERT, (i, pos)))
+            out.append(("pbound", INSERT, (i, pos)))
         if gs.mins.update(pos, cost):
-            out.append(Delta("bestcost", INSERT, i))
+            out.append(("bestcost", INSERT, i))
         return out
 
-    def _h_bestcost(self, d: Delta) -> list[Delta]:
-        i = d.payload
+    def _h_bestcost(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i = d[2]
         bounding = self.strategies.bounding
-        out: list[Delta] = []
-        pbounds: list[Delta] = []
+        out: list[DeltaTuple] = []
+        pbounds: list[DeltaTuple] = []
         for row in self.parent_index[i]:
             pgs = self.groups.get(row[0])
             if pgs is not None and pgs.alive:
-                out.append(Delta("recost", INSERT, row))
+                out.append(("recost", INSERT, row))
             if bounding and pgs is not None and pgs.mins.is_visible(row[1]):
-                pbounds.append(Delta("pbound", INSERT, row))
-        out.append(Delta("refilter", INSERT, i))
+                pbounds.append(("pbound", INSERT, row))
+        out.append(("refilter", INSERT, i))
         if bounding:
-            out.append(Delta("bound", INSERT, i))
+            out.append(("bound", INSERT, i))
         return out + pbounds
 
-    def _h_refcount(self, d: Delta) -> list[Delta]:
-        i, _src = d.payload
-        out: list[Delta] = []
+    def _h_refcount(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i, _src = d[2]
+        out: list[DeltaTuple] = []
         gs = self.groups.get(i)
         if gs is None:
             out.extend(self._create_group(i))
             gs = self.groups[i]
-        gs.refcount += 1 if d.op == INSERT else -1
+        gs.refcount += 1 if d[1] == INSERT else -1
         if not self.strategies.refcount:
             return out
         total = gs.refcount + gs.synthetic
@@ -370,17 +372,17 @@ class DeclarativeOptimizer:
             return True
         return self.strategies.bounding and gs.bound is not None and cost > gs.bound
 
-    def _refilter_row(self, i: int, pos: int, gs: GroupState) -> list[Delta]:
+    def _refilter_row(self, i: int, pos: int, gs: GroupState) -> list[DeltaTuple]:
         target = gs.alive and not self._pruned(gs, pos)
         if target == gs.mins.is_visible(pos):
             return []
         return self._apply_row_visibility((i, pos), INSERT if target else DELETE)
 
-    def _h_refilter(self, d: Delta) -> list[Delta]:
+    def _h_refilter(self, d: DeltaTuple) -> list[DeltaTuple]:
         """Re-check a group's rows.  A dead group hides every row, so only
         visible ones can flip; under aggregate selection a fully costed group
         hides every row but its minimum, so only those and the minimum can."""
-        i = d.payload
+        i = d[2]
         gs = self.groups.get(i)
         if gs is None:
             return []
@@ -393,20 +395,20 @@ class DeclarativeOptimizer:
             positions = range(n)
         return [d for pos in positions for d in self._refilter_row(i, pos, gs)]
 
-    def _h_refilterrow(self, d: Delta) -> list[Delta]:
-        i, pos = d.payload
+    def _h_refilterrow(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i, pos = d[2]
         gs = self.groups.get(i)
         return [] if gs is None else self._refilter_row(i, pos, gs)
 
-    def _h_pbound(self, d: Delta) -> list[Delta]:
-        row = d.payload
+    def _h_pbound(self, d: DeltaTuple) -> list[DeltaTuple]:
+        row = d[2]
         i, pos = row
         gs = self.groups.get(i)
         kids = self._kids[i]
         if gs is None or not kids:
             return []
         visible = gs.mins.is_visible(pos)
-        out: list[Delta] = []
+        out: list[DeltaTuple] = []
         for c in kids[2 * pos:2 * pos + 2]:
             val = self._contribution(gs, pos, c) if visible else None
             cgs = self.groups.get(c)
@@ -416,7 +418,7 @@ class DeclarativeOptimizer:
                 del cgs.contribs[row]
             else:
                 cgs.contribs[row] = val
-            out.append(Delta("maxbound", INSERT, c))
+            out.append(("maxbound", INSERT, c))
         return out
 
     def _contribution(self, gs: GroupState, pos: int, c: int) -> float | None:
@@ -447,18 +449,18 @@ class DeclarativeOptimizer:
                     if val is not None:
                         yield c, (i, pos), val
 
-    def _h_maxbound(self, d: Delta) -> list[Delta]:
-        gs = self.groups.get(d.payload)
+    def _h_maxbound(self, d: DeltaTuple) -> list[DeltaTuple]:
+        gs = self.groups.get(d[2])
         if gs is None:
             return []
         mb = _maxbound(gs)
         if mb == gs.maxbound:
             return []
         gs.maxbound = mb
-        return [Delta("bound", INSERT, d.payload)]
+        return [("bound", INSERT, d[2])]
 
-    def _h_bound(self, d: Delta) -> list[Delta]:
-        i = d.payload
+    def _h_bound(self, d: DeltaTuple) -> list[DeltaTuple]:
+        i = d[2]
         gs = self.groups.get(i)
         if gs is None:
             return []
@@ -466,9 +468,9 @@ class DeclarativeOptimizer:
         if b == gs.bound:
             return []
         gs.bound = b
-        out = [Delta("refilter", INSERT, i)]
+        out = [("refilter", INSERT, i)]
         if self._kids[i]:
-            out.extend(Delta("pbound", INSERT, (i, pos))
+            out.extend(("pbound", INSERT, (i, pos))
                        for pos in range(len(self._alts[i])) if gs.mins.is_visible(pos))
         return out
 

@@ -3,12 +3,19 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import types
+from collections import deque
 
 import pytest
 
 from incropt.algebra import ExprSig, PropertySpec
-from incropt.deltaflow import DELETE, Delta, FixpointEngine, INSERT, MinGroupState
+from incropt.deltaflow import (
+    DELETE, DELTAS_PER_ALTERNATIVE, Delta, FixpointEngine, INSERT, MinGroupState,
+)
 from incropt.errors import NonTermination
+from incropt.incremental import ReoptSession
+from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer
+from incropt.workload import make_update_batch, make_workload
 
 
 def test_delta_is_a_three_field_record():
@@ -314,3 +321,153 @@ class TestFixpointEngine:
         fifo = run("fifo")
         for seed in range(10):
             assert run("random", seed) == fifo
+
+    def test_plain_tuples_and_deltas_drain_alike(self):
+        seen = []
+        eng = FixpointEngine({"a": lambda d: [("b", INSERT, d[2])],
+                              "b": lambda d: seen.append(d) or []})
+        eng.push([Delta("a", INSERT, 1), ("a", INSERT, 2)])
+        eng.push(("b", DELETE, 3))
+        assert eng.run() == 5
+        assert seen == [("b", DELETE, 3), ("b", INSERT, 1), ("b", INSERT, 2)]
+        assert eng.drained_by_rule == {"a": 2, "b": 3}
+
+    def test_push_takes_a_bare_tuple_as_one_delta(self):
+        eng = FixpointEngine({})
+        eng.push(("expr", INSERT, 7))
+        eng.push(Delta("expr", DELETE, 7))
+        assert eng.pending == 2
+        eng.push((("expr", INSERT, 8), ("expr", INSERT, 9)))
+        eng.push(iter([("expr", INSERT, 10)]))
+        assert eng.pending == 5
+        assert eng.run() == 5 and eng.drained_by_rule == {"expr": 5}
+
+    def test_ceiling_counts_the_deltas_pushed_before_the_drain(self):
+        eng = FixpointEngine({"leaf": lambda d: []}, max_deltas=3)
+        eng.push([("leaf", INSERT, i) for i in range(50)])
+        assert eng.run() == 50
+        eng.tiers = {"leaf": 0}
+        eng.push([("leaf", INSERT, i) for i in range(50)])
+        assert eng.run() == 50
+
+
+def reference_run(self: FixpointEngine) -> int:
+    """The generic drain loop, kept as the reference for
+    ``FixpointEngine.run``: one loop whose ``pop`` and ``emit`` are chosen
+    per drain, tier lanes behind closures, a per-pop ``try`` and a flat
+    ceiling.  The order it processes deltas in is the order the engine must
+    keep."""
+    queue = self._queue
+    tiers = self.tiers if self.order == "fifo" else None
+    if tiers is None:
+        def pop_random():
+            if not queue:
+                raise IndexError("pop from an empty queue")
+            i = self._rng.randrange(len(queue))
+            queue[i], queue[-1] = queue[-1], queue[i]
+            return queue.pop()
+
+        pop = queue.popleft if self.order == "fifo" else pop_random
+        emit = queue.extend
+    else:
+        lanes = [deque() for _ in range(max(tiers.values(), default=0) + 1)]
+        route = {rel: lanes[t] for rel, t in tiers.items()}
+        last = lanes[-1]
+
+        def pop():
+            for lane in lanes:
+                if lane:
+                    return lane.popleft()
+            raise IndexError("pop from an empty queue")
+
+        def emit(out):
+            for d in out:
+                route.get(d[0], last).append(d)
+
+        emit(queue)
+        queue.clear()
+    handlers = self.handlers
+    observer = self.observer
+    ceiling = self.max_deltas
+    counts = self.drained_by_rule = {}
+    drained = 0
+    try:
+        while True:
+            try:
+                d = pop()
+            except IndexError:
+                break
+            drained += 1
+            if drained > ceiling:
+                raise NonTermination(f"delta count exceeded ceiling {ceiling}")
+            if observer is not None:
+                observer(d)
+            rel = d[0]
+            counts[rel] = counts.get(rel, 0) + 1
+            handler = handlers.get(rel)
+            if handler is None:
+                continue
+            out = handler(d)
+            if out:
+                emit(out)
+    finally:
+        self.processed += drained
+        if tiers is not None:
+            for lane in lanes:
+                queue.extend(lane)
+    return drained
+
+
+def _recorded_run(cat, q, strategies, order, seed, updates, reference):
+    """Every delta a cold build and then one re-optimization per update
+    process, as ``(relation, op, payload)``, plus each drain's per-rule
+    counts and touched totals and the final state."""
+    opt = DeclarativeOptimizer(cat, q, strategies=strategies,
+                               drain_order=order, drain_seed=seed)
+    if reference:
+        opt.engine.run = types.MethodType(reference_run, opt.engine)
+    seen = []
+
+    def recording(h):
+        def rule(d):
+            seen.append(tuple(d))
+            return h(d)
+        return rule
+
+    opt.engine.handlers = {rel: recording(h) for rel, h in opt.engine.handlers.items()}
+    session = ReoptSession(opt.run())
+    drains = [opt.deltas_by_rule()]
+    for u in updates:
+        session.add_updates([u])
+        _, m = session.reoptimize()
+        drains.append((m.deltas_by_rule, m.touched_and, m.touched_or))
+    return seen, drains, opt.state_digest()
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_kernel_processes_the_reference_sequence(label):
+    """The engine processes exactly the deltas, in exactly the order, that
+    the former generic loop does: FIFO cold builds, tiered re-optimization
+    drains and seeded random drains of clique-5 and star-6, 20 updates each."""
+    strategies = STRATEGY_SUBSETS[label]
+    for shape, n in (("clique", 5), ("star", 6)):
+        cat, q = make_workload(shape, n, 1)
+        updates = make_update_batch(cat, 20, 1)
+        for order in ("fifo", "random"):
+            runs = [_recorded_run(cat, q, strategies, order, 3, updates, reference)
+                    for reference in (False, True)]
+            assert runs[0][0], (shape, order)
+            assert runs[0] == runs[1], (shape, order)
+
+
+def test_self_looping_rule_fails_within_the_scaled_ceiling(q3s_fixture):
+    cat, q = q3s_fixture
+    opt = DeclarativeOptimizer(cat, q).run()
+    alternatives = opt.universe.totals()[1]
+    assert opt.engine.max_deltas == DELTAS_PER_ALTERNATIVE * alternatives
+    opt.engine.handlers["refilter"] = lambda d: [d]
+    pushed = [("refilter", INSERT, opt.root_id), ("refilter", INSERT, opt.root_id)]
+    before = opt.engine.processed
+    with pytest.raises(NonTermination):
+        opt.push_and_run(pushed)
+    assert opt.engine.processed - before == len(pushed) + opt.engine.max_deltas + 1

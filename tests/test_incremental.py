@@ -34,7 +34,7 @@ def test_scan_update_targets_exactly_leaf_rows(q3s_fixture):
     u = StatUpdate("scan_cost", "lineitem", 8.0)
     opt.rebind_catalog(apply_update(cat, u), [u])
     deltas = stat_to_deltas(StatUpdate("scan_cost", "lineitem", 8.0), opt)
-    rows = {d.payload for d in deltas}
+    rows = {d[2] for d in deltas}
     universe = opt.universe
     expect = {(i, pos) for i in opt.groups
               if universe.group_keys[i][0] == ExprSig.of(["lineitem"])
@@ -109,6 +109,25 @@ def test_overflowed_cost_is_rejected_and_plan_kept(q5s_fixture):
     assert session.plan is before
     assert session.last_metrics is None
     assert not session.pending
+
+
+def test_a_raising_drain_stops_tracking(q5s_fixture):
+    """The engine observes deltas only while a re-optimization tracks them:
+    a cold build runs without an observer, and a drain that raises still
+    turns tracking off."""
+    cat, q = q5s_fixture
+    opt, session = fresh_session(cat, q)
+    assert opt.engine.observer is None and not opt._tracking
+
+    def boom(d):
+        raise RuntimeError("rule failed")
+
+    opt.engine.handlers["recost"] = boom
+    session.add_updates([StatUpdate("scan_cost", "lineitem", 8.0)])
+    with pytest.raises(RuntimeError, match="rule failed"):
+        session.reoptimize()
+    assert opt.engine.observer is None and not opt._tracking
+    assert opt.engine.pending
 
 
 def test_second_identical_reoptimize_touches_nothing(q5s_fixture):

@@ -396,7 +396,7 @@ def test_narrowed_refilter_flips_what_a_full_rescan_flips(label):
 
         def refilter(d, handler=handler, opt=opt, flips=flips):
             nonlocal checked, narrowed
-            i = d.payload
+            i = d[2]
             gs = opt.groups.get(i)
             n_alts = len(opt.universe.group_alts[i])
             full = []
