@@ -614,22 +614,29 @@ class DeclarativeOptimizer:
 
     def state_digest(self) -> list[dict]:
         """The snapshot's ``groups``: the one canonical form of the state."""
-        return self.to_snapshot()["groups"]
+        return self._group_records()
 
-    def to_snapshot(self) -> dict:
-        """JSON dump of the maintained relations, resumable by `reoptimize`."""
+    def _group_records(self) -> list[dict]:
+        """One record per group, in (relations, property) order.  A row is
+        listed only when it has a cost or is visible: an unlisted row has
+        neither, the state a fresh ``GroupState`` starts in.  At quiescence
+        that lists every row of an alive group and none of a dead one."""
         self._require_quiescent()
         keys = self.universe.group_keys
         groups = []
         for i, gs in sorted(self.groups.items(),
                             key=lambda item: (keys[item[0]][0].rels, str(keys[item[0]][1]))):
             g = keys[i]
-            # position order is (index, phy_op) order
-            rows = [{"index": alt.index, "phy_op": alt.phy_op,
-                     "ss_count": int(gs.mins.is_visible(pos)),
-                     "cost": gs.mins.cost_of(pos)}
-                    for pos, alt in enumerate(self._alts[i])]
-            best = self._keyed(i, gs.mins.min_of())
+            mins = gs.mins
+            rows = []
+            if len(mins) or next(mins.visible(), None) is not None:
+                # position order is (index, phy_op) order
+                for pos, alt in enumerate(self._alts[i]):
+                    cost, visible = mins.cost_of(pos), mins.is_visible(pos)
+                    if cost is not None or visible:
+                        rows.append({"index": alt.index, "phy_op": alt.phy_op,
+                                     "ss_count": int(visible), "cost": cost})
+            best = self._keyed(i, mins.min_of())
             groups.append({
                 "expr": list(g[0].rels),
                 "prop": str(g[1]),
@@ -642,6 +649,11 @@ class DeclarativeOptimizer:
                 "maxbound": gs.maxbound,
                 "rows": rows,
             })
+        return groups
+
+    def to_snapshot(self) -> dict:
+        """JSON dump of the maintained relations, resumable by `reoptimize`."""
+        groups = self._group_records()
         return {
             "schema": "incropt-state",
             "version": 1,
@@ -691,19 +703,38 @@ class DeclarativeOptimizer:
                         f"snapshot group {g[0]}|{g[1]} has alive {gs.alive}, "
                         f"inconsistent with its refcount {gs.refcount}")
                 gs.bound, gs.maxbound = gobj["bound"], gobj["maxbound"]
-                position = {alt.key: pos for pos, alt in enumerate(opt._alts[i])}
-                for robj in gobj["rows"]:
-                    ak = (int(robj["index"]), robj["phy_op"])
-                    if ak not in position:
-                        raise StateMismatch(f"snapshot row {ak} unknown to enumeration")
-                    count = int(robj["ss_count"])
-                    if count not in (0, 1):
-                        raise StateMismatch(
-                            f"snapshot row {ak} of group {g[0]}|{g[1]} has "
-                            f"ss_count {count}, not a 0/1 visibility flag")
-                    gs.mins.set_visible(position[ak], count == 1)
-                    if robj["cost"] is not None:
-                        gs.mins.update(position[ak], robj["cost"])
+                # an unlisted row has no cost and is hidden; a full-row file
+                # lists a dead group's rows that way too
+                rows = gobj["rows"]
+                if rows:
+                    position = {alt.key: pos for pos, alt in enumerate(opt._alts[i])}
+                    listed: set[int] = set()
+                    for robj in rows:
+                        ak = (int(robj["index"]), robj["phy_op"])
+                        pos = position.get(ak)
+                        if pos is None:
+                            raise StateMismatch(f"snapshot row {ak} unknown to enumeration")
+                        if pos in listed:
+                            raise StateMismatch(
+                                f"snapshot row {ak} of group {g[0]}|{g[1]} is listed twice")
+                        listed.add(pos)
+                        count = int(robj["ss_count"])
+                        if count not in (0, 1):
+                            raise StateMismatch(
+                                f"snapshot row {ak} of group {g[0]}|{g[1]} has "
+                                f"ss_count {count}, not a 0/1 visibility flag")
+                        if not gs.alive and (count or robj["cost"] is not None):
+                            raise StateMismatch(
+                                f"snapshot row {ak} of dead group {g[0]}|{g[1]} has "
+                                f"a cost or is visible")
+                        gs.mins.set_visible(pos, count == 1)
+                        if robj["cost"] is not None:
+                            gs.mins.update(pos, robj["cost"])
+                n = len(opt._alts[i])
+                if gs.alive and len(gs.mins) != n:
+                    raise StateMismatch(
+                        f"snapshot group {g[0]}|{g[1]} is alive but leaves "
+                        f"{n - len(gs.mins)} of its {n} rows uncosted")
                 best = gobj["best"]
                 stored = None if best is None else (
                     best["cost"], (int(best["index"]), best["phy_op"]))

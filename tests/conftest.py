@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from incropt.algebra import Query
-from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
+from incropt.algebra import ExprSig, PropertySpec, Query, SearchUniverse, query_from_dict
+from incropt.catalog import (
+    Catalog, JoinPredicate, RelationMeta, catalog_from_dict, validate_catalog,
+)
 from incropt.fixtures import q3s, q5s, q8joins
 
 
@@ -83,6 +85,38 @@ def _synthetic_non_root_group(snap: dict) -> None:
     next(g for g in snap["groups"] if g is not root)["synthetic"] = 1
 
 
+def _dead_group_row(snap: dict, cost: float | None, ss_count: int) -> None:
+    """List a row of a dead group (a sparse state lists none) with the given
+    cost and visibility flag."""
+    cat = catalog_from_dict(snap["catalog"])
+    universe = SearchUniverse(cat, query_from_dict(snap["query"], cat))
+    dead = next(g for g in snap["groups"] if not g["alive"])
+    group = (ExprSig.of(dead["expr"]), PropertySpec.parse(dead["prop"]))
+    alt = universe.alternatives(group)[0]
+    dead["rows"] = [{"index": alt.index, "phy_op": alt.phy_op,
+                     "ss_count": ss_count, "cost": cost}]
+
+
+def _cost_dead_group_row(snap: dict) -> None:
+    _dead_group_row(snap, 1.0, 0)
+
+
+def _show_dead_group_row(snap: dict) -> None:
+    _dead_group_row(snap, None, 1)
+
+
+def _unlist_non_best_root_row(snap: dict) -> None:
+    root = _root_group(snap)
+    best = root["best"]
+    root["rows"] = [r for r in root["rows"]
+                    if (r["index"], r["phy_op"]) == (best["index"], best["phy_op"])]
+
+
+def _list_root_row_twice(snap: dict) -> None:
+    rows = _root_group(snap)["rows"]
+    rows.append(dict(rows[0]))
+
+
 def _unknown_strategy(snap: dict) -> None:
     snap["strategies"].append("bogus")
 
@@ -100,6 +134,10 @@ STATE_TAMPERS = {
     "dead-group-alive": (_revive_dead_group, "inconsistent with its refcount"),
     "alive-group-dead": (_kill_alive_group, "inconsistent with its refcount"),
     "non-root-synthetic": (_synthetic_non_root_group, "only the root group is synthetic"),
+    "dead-group-row-costed": (_cost_dead_group_row, "has a cost or is visible"),
+    "dead-group-row-visible": (_show_dead_group_row, "has a cost or is visible"),
+    "alive-group-row-unlisted": (_unlist_non_best_root_row, "rows uncosted"),
+    "row-listed-twice": (_list_root_row_twice, "is listed twice"),
 }
 
 

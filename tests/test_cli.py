@@ -205,6 +205,23 @@ def test_reoptimized_q5s_state_matches_the_golden_file(fixture_files, tmp_path):
     assert json.dumps(back.to_snapshot(), indent=2, sort_keys=True) + "\n" == golden
 
 
+FULL_ROWS_STATE = GOLDEN_STATE.with_name("q5s_reoptimized.full_rows.state.json")
+
+
+def test_full_row_state_loads_and_resaves_sparse():
+    """A state saved when every row was listed, dead groups' empty rows
+    included, loads to the same state: it passes all three audits and saves
+    as the sparse golden file byte for byte."""
+    full = json.loads(FULL_ROWS_STATE.read_text())
+    assert any(r["cost"] is None for g in full["groups"] for r in g["rows"])
+    back = DeclarativeOptimizer.from_snapshot(full)
+    assert back.audit_refcounts() == []
+    assert back.audit_fixpoint() == []
+    assert back.audit_costs() == []
+    text = json.dumps(back.to_snapshot(), indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN_STATE.read_text()
+
+
 def _set_first_relation(key, value):
     def edit(cat: dict) -> None:
         cat["relations"][0][key] = value

@@ -303,6 +303,32 @@ def test_snapshot_roundtrip(q5s_fixture):
     assert back.best_plan() == opt.best_plan()
 
 
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+@pytest.mark.parametrize("name", ["q5s", "q8joins"])
+def test_snapshot_lists_exactly_the_rows_with_state(name, label, request):
+    """A saved row is one with a cost or a visible flag; every other row is
+    left out, before and after re-optimization, and the sparse state loads
+    back to the same state."""
+    cat, q = request.getfixturevalue(f"{name}_fixture")
+    opt = DeclarativeOptimizer(cat, q, strategies=STRATEGY_SUBSETS[label]).run()
+    session = ReoptSession(opt)
+    for u in [None, *make_update_batch(cat, 3, seed=5)]:
+        if u is not None:
+            session.add_updates([u])
+            session.reoptimize()
+        snap = opt.to_snapshot()
+        assert snap["groups"] == opt.state_digest()
+        for g, gs, alts in _groups(opt):
+            want = [alt.key for pos, alt in enumerate(alts)
+                    if gs.mins.cost_of(pos) is not None or gs.mins.is_visible(pos)]
+            gobj = next(o for o in snap["groups"]
+                        if (o["expr"], o["prop"]) == (list(g[0].rels), str(g[1])))
+            assert [(r["index"], r["phy_op"]) for r in gobj["rows"]] == want
+            assert len(want) == (len(alts) if gs.alive else 0)
+        back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
+        assert back.state_digest() == snap["groups"]
+
+
 def test_tampered_snapshot_best_is_a_state_mismatch(q3s_fixture, state_tamper):
     cat, q = q3s_fixture
     opt = DeclarativeOptimizer(cat, q).run()
