@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
 from .deltaflow import DeltaTuple, INSERT
-from .errors import UnknownTarget
+from .errors import UnknownTarget, ValidationError
 from .optimizer import DeclarativeOptimizer
 from .plan import PlanNode, require_finite
 
@@ -120,13 +120,14 @@ class ReoptSession:
         """Apply the pending batch, drain to fixpoint, report touch metrics.
 
         Raises ValidationError when the new best plan's cost is not finite
-        (finite factors whose products overflow).  ``plan`` then stays the
-        last finite plan, but the optimizer already holds the overflowed
-        costs, so the session must be discarded."""
+        (finite factors whose products overflow).  The batch is then rolled
+        back: the optimizer is rebound to the previous catalog and the
+        quiescent state installed for it, and ``plan`` stays the last
+        finite plan."""
         start = time.perf_counter()
         opt = self.opt
         batch, self.pending = self.pending, []
-        new_cat = opt.catalog
+        old_cat = new_cat = opt.catalog
         effective = [u for u in batch if u.factor != 1.0]
         for u in effective:
             new_cat = apply_update(new_cat, u)
@@ -143,7 +144,12 @@ class ReoptSession:
         touched_and = len(opt.touched_and)
         touched_or = len(opt.touched_or)
         plan = opt.best_plan()
-        require_finite(plan)
+        try:
+            require_finite(plan)
+        except ValidationError:
+            opt.rebind_catalog(old_cat, effective)
+            opt.install()
+            raise
         changed = plan.structure() != self._last_plan.structure()
         self._last_plan = plan
         total_or, total_and = opt.universe.totals()

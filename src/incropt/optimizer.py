@@ -34,14 +34,19 @@ The order still decides the work.  A re-optimization drains in
 pruned or a group retired only on costs the update has finished moving.
 The initial build stays plain FIFO: a cold state has no stale costs to
 settle, and tiering it grew its drain.
+
+The fixpoint being unique, ``install()`` writes the state ``run()`` drains
+to in closed form, from the best-cost DP.  Loading installs the state a saved
+header implies; the saved ``groups`` are a checked cache of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator
 
-from .algebra import AltKey, ExprSig, GroupKey, PropertySpec, Query, SearchUniverse
-from .catalog import Catalog, StatUpdate
+from .algebra import AltKey, ExprSig, GroupKey, Query, SearchUniverse, query_from_dict
+from .catalog import Catalog, StatUpdate, catalog_from_dict
 from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
 from .deltaflow import (
     DELETE, DELTAS_PER_ALTERNATIVE, DeltaTuple, FixpointEngine, INSERT, MinGroupState,
@@ -139,6 +144,23 @@ def _bound(best: tuple[float, int] | None,
     return best[0] if maxbound is None else min(best[0], maxbound)
 
 
+def _first_difference(saved: list[dict], want: list[dict]) -> str:
+    """Name the first group and field (within ``rows``, the first row) where
+    saved ``groups`` differ from the ones the saved header implies."""
+    imply = "but its catalog, query and strategies imply"
+    for s, w in zip(saved, want):
+        if s != w:
+            field = next(k for k in [*w, *s] if s.get(k) != w.get(k))
+            got, exp = s.get(field), w.get(field)
+            if field == "rows" and isinstance(got, list):
+                k, got, exp = next((k, x, y) for k, (x, y) in enumerate(zip_longest(got, exp))
+                                   if x != y)
+                field = f"rows[{k}]"
+            return (f"snapshot group {ExprSig.of(w['expr'])}|{w['prop']} has "
+                    f"{field} {got!r}, {imply} {exp!r}")
+    return f"snapshot lists {len(saved)} groups, {imply} {len(want)}"
+
+
 class DeclarativeOptimizer:
     """Owns the maintained relations for one query and drives them to fixpoint."""
 
@@ -190,6 +212,39 @@ class DeclarativeOptimizer:
         if self.root_id not in self.groups:
             self.engine.push(("expr", INSERT, self.root_id))
         self.engine.run()
+        return self
+
+    def install(self) -> "DeclarativeOptimizer":
+        """Write the quiescent state ``run()`` drains to straight from the
+        best-cost DP, replacing the groups held.  Groups are created in id
+        order, as a FIFO build creates them, and swept parents first (a child
+        holds fewer relations): a group's refcount and contributions are then
+        settled, and the rules' own formulas give the rest."""
+        dp, u, strategies = self._dp, self.universe, self.strategies
+        dp.best_id(self.root_id)  # an infeasible root raises InfeasibleQuery
+        ids = sorted(map(u.group_id, u.groups()))
+        self.groups = groups = {i: GroupState(int(i == self.root_id)) for i in ids}
+        for i in sorted(ids, key=lambda i: -len(u.group_keys[i][0])):
+            gs = groups[i]
+            gs.alive = not strategies.refcount or gs.refcount + gs.synthetic > 0
+            if not gs.alive:
+                continue
+            kids, local = self._kids[i], dp.local_table(i)
+            child = [dp.best_id(c)[0] for c in kids] or [None] * (2 * len(local))
+            for pos, lc in enumerate(local):
+                gs.mins.update(pos, sum_cost(child[2 * pos], child[2 * pos + 1], lc))
+            if strategies.bounding:
+                gs.maxbound = _maxbound(gs)
+                gs.bound = _bound(gs.mins.min_of(), gs.maxbound)
+            for pos in range(len(local)):
+                if self._pruned(gs, pos):
+                    continue
+                gs.mins.set_visible(pos, True)
+                for c, best in zip(kids[2 * pos:2 * pos + 2], child[2 * pos:2 * pos + 2]):
+                    groups[c].refcount += 1
+                    val = self._contribution(gs, pos, best)
+                    if val is not None:
+                        groups[c].contribs[(i, pos)] = val
         return self
 
     def push_and_run(self, deltas: Iterable[DeltaTuple]) -> int:
@@ -410,9 +465,12 @@ class DeclarativeOptimizer:
         visible = gs.mins.is_visible(pos)
         out: list[DeltaTuple] = []
         for c in kids[2 * pos:2 * pos + 2]:
-            val = self._contribution(gs, pos, c) if visible else None
             cgs = self.groups.get(c)
-            if cgs is None or cgs.contribs.get(row) == val:
+            if cgs is None:
+                continue
+            cm = cgs.mins.min_of() if visible and cgs.alive else None
+            val = None if cm is None else self._contribution(gs, pos, cm[0])
+            if cgs.contribs.get(row) == val:
                 continue
             if val is None:
                 del cgs.contribs[row]
@@ -421,9 +479,10 @@ class DeclarativeOptimizer:
             out.append(("maxbound", INSERT, c))
         return out
 
-    def _contribution(self, gs: GroupState, pos: int, c: int) -> float | None:
+    def _contribution(self, gs: GroupState, pos: int, child_best: float) -> float | None:
         """The parent-bound contribution of visible join row ``pos`` of group
-        ``gs`` to its child group ``c``, or None when it gives none.
+        ``gs`` to an alive child group whose best cost is ``child_best``, or
+        None when it gives none.
 
         Parent bound minus sibling best minus local cost, computed as
         child_best + (bound - row_cost): the same value without the
@@ -433,21 +492,7 @@ class DeclarativeOptimizer:
         cost = gs.mins.cost_of(pos)
         if not gs.alive or gs.bound is None or cost is None:
             return None
-        child = self.groups.get(c)
-        if child is None or not child.alive:
-            return None
-        cm = child.mins.min_of()
-        return None if cm is None else cm[0] + (gs.bound - cost)
-
-    def _contributions(self) -> Iterator[tuple[int, Row, float]]:
-        """Every parent-bound contribution the visible state implies, as
-        ``(child id, parent row, value)``."""
-        for i, gs in self.groups.items():
-            for pos in sorted(gs.mins.visible()):
-                for c in self._kids[i][2 * pos:2 * pos + 2]:
-                    val = self._contribution(gs, pos, c)
-                    if val is not None:
-                        yield c, (i, pos), val
+        return child_best + (gs.bound - cost)
 
     def _h_maxbound(self, d: DeltaTuple) -> list[DeltaTuple]:
         gs = self.groups.get(d[2])
@@ -566,9 +611,13 @@ class DeclarativeOptimizer:
         self._require_quiescent()
         bad = []
         expected_contribs: dict[int, dict[Row, float]] = {}
-        if self.strategies.bounding:
-            for c, slot, val in self._contributions():
-                expected_contribs.setdefault(c, {})[slot] = val
+        for i, pos in self._visible() if self.strategies.bounding else ():
+            for c in self._kids[i][2 * pos:2 * pos + 2]:
+                cgs = self.groups.get(c)
+                cm = cgs.mins.min_of() if cgs is not None and cgs.alive else None
+                val = None if cm is None else self._contribution(self.groups[i], pos, cm[0])
+                if val is not None:
+                    expected_contribs.setdefault(c, {})[(i, pos)] = val
         for i, gs in self.groups.items():
             if not gs.alive:
                 continue
@@ -669,87 +718,28 @@ class DeclarativeOptimizer:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "DeclarativeOptimizer":
-        from .catalog import catalog_from_dict
-        from .algebra import query_from_dict
-
+        """Load a saved state: install the state its catalog, query,
+        strategies and cost config imply, and check that the saved ``groups``
+        equal it.  A full-row file's empty rows (no cost, hidden) are
+        dropped first, as the sparse format leaves them unlisted."""
         try:
             if snap.get("schema") != "incropt-state":
                 raise StateMismatch("not an incropt state snapshot")
             cat = catalog_from_dict(snap["catalog"])
             if cat.content_hash() != snap["catalog_hash"]:
                 raise StateMismatch("snapshot catalog hash mismatch (corrupted state)")
-            query = query_from_dict(snap["query"], cat)
-            strategies = Strategies.parse(",".join(snap["strategies"]))
-            config = CostConfig.from_dict(snap["cost_config"])
-            opt = cls(cat, query, strategies=strategies, config=config)
-            for gobj in snap["groups"]:
-                g = (ExprSig.of(gobj["expr"]), PropertySpec.parse(gobj["prop"]))
-                i = opt.universe.group_id(g)
-                if i >= len(opt.parent_index):
-                    raise StateMismatch(
-                        f"snapshot group {g[0]}|{g[1]} unknown to enumeration")
-                # at quiescence only the root is synthetic, and a group is
-                # alive exactly when refcounting keeps it referenced
-                synthetic = int(gobj["synthetic"])
-                if synthetic != int(i == opt.root_id):
-                    raise StateMismatch(
-                        f"snapshot group {g[0]}|{g[1]} has synthetic {synthetic}, "
-                        f"but only the root group is synthetic")
-                gs = opt.groups[i] = GroupState(synthetic)
-                gs.refcount = int(gobj["refcount"])
-                gs.alive = bool(gobj["alive"])
-                if gs.alive != (not strategies.refcount or gs.refcount + synthetic > 0):
-                    raise StateMismatch(
-                        f"snapshot group {g[0]}|{g[1]} has alive {gs.alive}, "
-                        f"inconsistent with its refcount {gs.refcount}")
-                gs.bound, gs.maxbound = gobj["bound"], gobj["maxbound"]
-                # an unlisted row has no cost and is hidden; a full-row file
-                # lists a dead group's rows that way too
-                rows = gobj["rows"]
-                if rows:
-                    position = {alt.key: pos for pos, alt in enumerate(opt._alts[i])}
-                    listed: set[int] = set()
-                    for robj in rows:
-                        ak = (int(robj["index"]), robj["phy_op"])
-                        pos = position.get(ak)
-                        if pos is None:
-                            raise StateMismatch(f"snapshot row {ak} unknown to enumeration")
-                        if pos in listed:
-                            raise StateMismatch(
-                                f"snapshot row {ak} of group {g[0]}|{g[1]} is listed twice")
-                        listed.add(pos)
-                        count = int(robj["ss_count"])
-                        if count not in (0, 1):
-                            raise StateMismatch(
-                                f"snapshot row {ak} of group {g[0]}|{g[1]} has "
-                                f"ss_count {count}, not a 0/1 visibility flag")
-                        if not gs.alive and (count or robj["cost"] is not None):
-                            raise StateMismatch(
-                                f"snapshot row {ak} of dead group {g[0]}|{g[1]} has "
-                                f"a cost or is visible")
-                        gs.mins.set_visible(pos, count == 1)
-                        if robj["cost"] is not None:
-                            gs.mins.update(pos, robj["cost"])
-                n = len(opt._alts[i])
-                if gs.alive and len(gs.mins) != n:
-                    raise StateMismatch(
-                        f"snapshot group {g[0]}|{g[1]} is alive but leaves "
-                        f"{n - len(gs.mins)} of its {n} rows uncosted")
-                best = gobj["best"]
-                stored = None if best is None else (
-                    best["cost"], (int(best["index"]), best["phy_op"]))
-                got = opt._keyed(i, gs.mins.min_of())
-                if stored != got:
-                    raise StateMismatch(
-                        f"snapshot best {stored} of group {g[0]}|{g[1]} is not "
-                        f"the minimum of its rows {got}")
-            # bound contributions are pure; rebuild them directly
-            if strategies.bounding:
-                for c, slot, val in opt._contributions():
-                    opt.groups[c].contribs[slot] = val
-            return opt
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            opt = cls(cat, query_from_dict(snap["query"], cat),
+                      strategies=Strategies.parse(",".join(snap["strategies"])),
+                      config=CostConfig.from_dict(snap["cost_config"])).install()
+            saved = [dict(g, rows=[r for r in g["rows"]
+                                   if r["cost"] is not None or r["ss_count"] != 0])
+                     for g in snap["groups"]]
+        except (KeyError, TypeError, ValueError, ValidationError, InfeasibleQuery) as exc:
             raise StateMismatch(f"corrupted state snapshot: {exc}") from exc
+        want = opt._group_records()
+        if saved != want:
+            raise StateMismatch(_first_difference(saved, want))
+        return opt
 
     # -- incremental support -------------------------------------------------
 

@@ -47,6 +47,14 @@ def _root_group(snap: dict) -> dict:
     return next(g for g in snap["groups"] if g["expr"] == rels and g["prop"] == "none")
 
 
+def _root_rows(snap: dict, best: bool) -> list[dict]:
+    """The root group's best row (``best``) or its other costed rows."""
+    root = _root_group(snap)
+    key = (root["best"]["index"], root["best"]["phy_op"])
+    return [r for r in root["rows"] if r["cost"] is not None
+            and ((r["index"], r["phy_op"]) == key) == best]
+
+
 def _scale_root_best(snap: dict) -> None:
     _root_group(snap)["best"]["cost"] *= 10
 
@@ -56,19 +64,11 @@ def _null_root_best(snap: dict) -> None:
 
 
 def _lower_non_best_root_row(snap: dict) -> None:
-    root = _root_group(snap)
-    best = root["best"]
-    row = next(r for r in root["rows"] if r["cost"] is not None
-               and (r["index"], r["phy_op"]) != (best["index"], best["phy_op"]))
-    row["cost"] = best["cost"] / 2
+    _root_rows(snap, best=False)[0]["cost"] = _root_group(snap)["best"]["cost"] / 2
 
 
 def _root_best_row_counted_twice(snap: dict) -> None:
-    root = _root_group(snap)
-    best = root["best"]
-    row = next(r for r in root["rows"]
-               if (r["index"], r["phy_op"]) == (best["index"], best["phy_op"]))
-    row["ss_count"] = 2
+    _root_rows(snap, best=True)[0]["ss_count"] = 2
 
 
 def _revive_dead_group(snap: dict) -> None:
@@ -106,10 +106,7 @@ def _show_dead_group_row(snap: dict) -> None:
 
 
 def _unlist_non_best_root_row(snap: dict) -> None:
-    root = _root_group(snap)
-    best = root["best"]
-    root["rows"] = [r for r in root["rows"]
-                    if (r["index"], r["phy_op"]) == (best["index"], best["phy_op"])]
+    _root_group(snap)["rows"] = _root_rows(snap, best=True)
 
 
 def _list_root_row_twice(snap: dict) -> None:
@@ -121,23 +118,60 @@ def _unknown_strategy(snap: dict) -> None:
     snap["strategies"].append("bogus")
 
 
+def _alive_group_with(snap: dict, key: str) -> dict:
+    """The first alive group whose ``key`` is set."""
+    return next(g for g in snap["groups"] if g["alive"] and g[key] is not None)
+
+
+def _halve_bound(snap: dict) -> None:
+    _alive_group_with(snap, "bound")["bound"] /= 2
+
+
+def _raise_maxbound(snap: dict) -> None:
+    _alive_group_with(snap, "maxbound")["maxbound"] *= 2
+
+
+def _raise_refcount(snap: dict) -> None:
+    next(g for g in snap["groups"] if g["alive"] and g["refcount"])["refcount"] += 4
+
+
+def _hide_root_best_row(snap: dict) -> None:
+    _root_rows(snap, best=True)[0]["ss_count"] = 0
+
+
+def _show_losing_root_row(snap: dict) -> None:
+    next(r for r in _root_rows(snap, best=False) if not r["ss_count"])["ss_count"] = 1
+
+
+def _triple_non_best_root_row(snap: dict) -> None:
+    _root_rows(snap, best=False)[0]["cost"] *= 3
+
+
 # saved-state corruptions that leave the snapshot well-formed and the catalog
 # hash intact: each must be reported as a state mismatch on load, with the
-# given message
-_NOT_MIN = "is not the minimum of its rows"
+# given message.  A load installs the state the header implies and compares
+# the saved groups with it, so every corruption of ``groups`` fails that one
+# comparison.
+_DIFFERS = "but its catalog, query and strategies imply"
 STATE_TAMPERS = {
-    "root-best-x10": (_scale_root_best, _NOT_MIN),
-    "root-best-null": (_null_root_best, _NOT_MIN),
-    "non-best-row-below-best": (_lower_non_best_root_row, _NOT_MIN),
+    "root-best-x10": (_scale_root_best, _DIFFERS),
+    "root-best-null": (_null_root_best, _DIFFERS),
+    "non-best-row-below-best": (_lower_non_best_root_row, _DIFFERS),
     "unknown-strategy": (_unknown_strategy, "unknown strategies"),
-    "ss-count-2": (_root_best_row_counted_twice, "not a 0/1 visibility flag"),
-    "dead-group-alive": (_revive_dead_group, "inconsistent with its refcount"),
-    "alive-group-dead": (_kill_alive_group, "inconsistent with its refcount"),
-    "non-root-synthetic": (_synthetic_non_root_group, "only the root group is synthetic"),
-    "dead-group-row-costed": (_cost_dead_group_row, "has a cost or is visible"),
-    "dead-group-row-visible": (_show_dead_group_row, "has a cost or is visible"),
-    "alive-group-row-unlisted": (_unlist_non_best_root_row, "rows uncosted"),
-    "row-listed-twice": (_list_root_row_twice, "is listed twice"),
+    "ss-count-2": (_root_best_row_counted_twice, _DIFFERS),
+    "dead-group-alive": (_revive_dead_group, _DIFFERS),
+    "alive-group-dead": (_kill_alive_group, _DIFFERS),
+    "non-root-synthetic": (_synthetic_non_root_group, _DIFFERS),
+    "dead-group-row-costed": (_cost_dead_group_row, _DIFFERS),
+    "dead-group-row-visible": (_show_dead_group_row, _DIFFERS),
+    "alive-group-row-unlisted": (_unlist_non_best_root_row, _DIFFERS),
+    "row-listed-twice": (_list_root_row_twice, _DIFFERS),
+    "bound-halved": (_halve_bound, _DIFFERS),
+    "maxbound-raised": (_raise_maxbound, _DIFFERS),
+    "refcount-plus-4": (_raise_refcount, _DIFFERS),
+    "best-row-hidden": (_hide_root_best_row, _DIFFERS),
+    "losing-row-shown": (_show_losing_root_row, _DIFFERS),
+    "non-best-row-x3": (_triple_non_best_root_row, _DIFFERS),
 }
 
 

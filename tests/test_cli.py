@@ -12,6 +12,8 @@ from incropt.cli import SCHEMA_VERSION, main
 from incropt.fixtures import write_fixture_files
 from incropt.optimizer import DeclarativeOptimizer
 
+from conftest import STATE_TAMPERS
+
 
 @pytest.fixture()
 def fixture_files(tmp_path):
@@ -489,15 +491,6 @@ def test_module_entry_point_smoke(fixture_files, tmp_path):
     assert done.stderr.startswith("error:")
 
 
-def _triple_non_best_root_row(snap: dict) -> None:
-    rels = sorted(snap["query"]["relations"])
-    root = next(g for g in snap["groups"] if g["expr"] == rels and g["prop"] == "none")
-    best = root["best"]
-    row = next(r for r in root["rows"] if r["cost"] is not None
-               and (r["index"], r["phy_op"]) != (best["index"], best["phy_op"]))
-    row["cost"] *= 3
-
-
 def test_verify_audit_state_accepts_saved_states(fixture_files, tmp_path, capsys):
     state = _save_state(fixture_files, tmp_path)
     resumed = tmp_path / "resumed.json"
@@ -515,19 +508,26 @@ def test_verify_audit_state_accepts_saved_states(fixture_files, tmp_path, capsys
 
 
 def test_verify_audit_state_rejects_a_tampered_row_cost(fixture_files, tmp_path, capsys):
-    """A non-best row cost tripled stays above the group minimum, so the
-    state loads and both fixpoint audits pass; the row-cost audit does not."""
+    """A non-best row cost tripled stays above the group minimum, yet the
+    saved groups no longer equal the installed state, so the state does not
+    load and the audit exits 1 naming the row.  The row-cost audit itself
+    still reports such a row in a live optimizer, and only that row."""
     state = _save_state(fixture_files, tmp_path)
     snap = json.loads(state.read_text())
-    _triple_non_best_root_row(snap)
-    loaded = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
-    assert loaded.audit_refcounts() == [] and loaded.audit_fixpoint() == []
-    assert len(loaded.audit_costs()) == 1
+    opt = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
+    gs = opt.groups[opt.root_id]
+    pos = next(p for p in range(len(opt.universe.group_alts[opt.root_id]))
+               if p != gs.mins.min_of()[1])
+    gs.mins.update(pos, gs.mins.cost_of(pos) * 3)
+    assert opt.audit_refcounts() == [] and opt.audit_fixpoint() == []
+    problems = opt.audit_costs()
+    assert len(problems) == 1 and "cost" in problems[0]
+    STATE_TAMPERS["non-best-row-x3"][0](snap)
     state.write_text(json.dumps(snap))
     capsys.readouterr()
     assert run("verify", "--audit-state", str(state)) == 1
     err = capsys.readouterr().err
-    assert "cost" in err and "fails 1 audit check" in err
+    assert "rows[" in err and "cost" in err
 
 
 def test_verify_audit_state_rejects_unloadable_states(fixture_files, tmp_path,

@@ -99,16 +99,25 @@ def test_plan_change_is_detected(q5s_fixture):
 
 def test_overflowed_cost_is_rejected_and_plan_kept(q5s_fixture):
     """A finite factor whose products overflow: the session raises instead
-    of returning an inf plan, and ``plan`` stays the last finite one."""
+    of returning an inf plan, ``plan`` stays the last finite one, and the
+    batch is rolled back, under every strategy subset: the state is the
+    pre-batch one, and the next finite update reaches the oracle's plan."""
     cat, q = q5s_fixture
-    _, session = fresh_session(cat, q)
-    before = session.plan
-    session.add_updates([StatUpdate("scan_cost", "lineitem", 1e308)])
-    with pytest.raises(ValidationError, match="finite"):
-        session.reoptimize()
-    assert session.plan is before
-    assert session.last_metrics is None
-    assert not session.pending
+    u = StatUpdate("scan_cost", "lineitem", 8.0)
+    oracle = brute_force_optimize(q, apply_update(cat, u))[0]
+    for label, strategies in STRATEGY_SUBSETS.items():
+        opt, session = fresh_session(cat, q, strategies=strategies)
+        before, digest = session.plan, opt.state_digest()
+        session.add_updates([StatUpdate("scan_cost", "lineitem", 1e308)])
+        with pytest.raises(ValidationError, match="finite"):
+            session.reoptimize()
+        assert session.plan is before
+        assert session.last_metrics is None
+        assert not session.pending
+        assert opt.catalog is cat and opt.state_digest() == digest, label
+        assert opt.audit_refcounts() == opt.audit_fixpoint() == opt.audit_costs() == []
+        session.add_updates([u])
+        assert session.reoptimize()[0] == oracle, label
 
 
 def test_a_raising_drain_stops_tracking(q5s_fixture):
@@ -286,6 +295,24 @@ def test_reoptimized_state_survives_snapshot_roundtrip(label):
     back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(opt.to_snapshot())))
     assert back.state_digest() == opt.state_digest()
     assert back.audit_refcounts() == [] and back.audit_fixpoint() == []
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+@pytest.mark.parametrize("name", ["q5s", "q8joins"])
+def test_resumed_session_does_the_live_sessions_work(name, label, request):
+    """Before each of 30 updates the live state is saved and loaded back: a
+    session resumed from it drains the same deltas per rule and reaches the
+    same state as the live session it was saved from."""
+    cat, q = request.getfixturevalue(f"{name}_fixture")
+    opt, live = fresh_session(cat, q, strategies=STRATEGY_SUBSETS[label])
+    for k, u in enumerate(make_update_batch(cat, 30, seed=7)):
+        back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(opt.to_snapshot())))
+        resumed = ReoptSession(back)
+        for session in (live, resumed):
+            session.add_updates([u])
+            session.reoptimize()
+        assert back.deltas_by_rule() == opt.deltas_by_rule(), (k, u)
+        assert back.state_digest() == opt.state_digest(), (k, u)
 
 
 _COST_WORKLOADS = {

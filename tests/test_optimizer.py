@@ -10,6 +10,7 @@ from incropt.baselines import brute_force_optimize
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
 from incropt.costmodel import CostConfig
 from incropt.errors import InfeasibleQuery, StateMismatch, ValidationError
+from incropt.fixtures import q3s, q5s, q8joins
 from incropt.incremental import ReoptSession
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import make_update_batch, make_workload
@@ -69,8 +70,9 @@ def test_disconnected_graph_is_infeasible():
         relations=(RelationMeta("A", 10.0, ("x",)), RelationMeta("B", 5.0, ("x",))),
         predicates=(),
     )
-    with pytest.raises(InfeasibleQuery):
-        DeclarativeOptimizer(cat, Query(("A", "B"))).run()
+    for build in (DeclarativeOptimizer.run, DeclarativeOptimizer.install):
+        with pytest.raises(InfeasibleQuery):
+            build(DeclarativeOptimizer(cat, Query(("A", "B"))))
 
 
 def test_no_strategy_state_matches_brute_force(q3s_fixture):
@@ -329,16 +331,67 @@ def test_snapshot_lists_exactly_the_rows_with_state(name, label, request):
         assert back.state_digest() == snap["groups"]
 
 
-def test_tampered_snapshot_best_is_a_state_mismatch(q3s_fixture, state_tamper):
+def test_tampered_snapshot_best_is_a_state_mismatch(q3s_fixture, q8joins_fixture, state_tamper):
+    """On q3s, and on q8joins, whose bounds, index nested-loop joins and
+    sorted leaf give every field a value to corrupt."""
+    for cat, q in (q3s_fixture, q8joins_fixture):
+        opt = DeclarativeOptimizer(cat, q).run()
+        snap = json.loads(json.dumps(opt.to_snapshot()))
+        back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
+        assert back.best_plan() == opt.best_plan()
+        tamper, message = state_tamper
+        tamper(snap)
+        with pytest.raises(StateMismatch, match=message):
+            DeclarativeOptimizer.from_snapshot(snap)
+
+
+def test_state_with_an_infeasible_query_is_a_state_mismatch(q3s_fixture):
+    """A saved query the catalog cannot join is a corrupted state (exit 1
+    in the CLI), not an infeasible query."""
     cat, q = q3s_fixture
-    opt = DeclarativeOptimizer(cat, q).run()
-    snap = json.loads(json.dumps(opt.to_snapshot()))
-    back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
-    assert back.best_plan() == opt.best_plan()
-    tamper, message = state_tamper
-    tamper(snap)
-    with pytest.raises(StateMismatch, match=message):
+    snap = json.loads(json.dumps(DeclarativeOptimizer(cat, q).run().to_snapshot()))
+    snap["query"]["relations"] = ["customer", "lineitem"]
+    with pytest.raises(StateMismatch, match="corrupted state snapshot"):
         DeclarativeOptimizer.from_snapshot(snap)
+
+
+_INSTALL_WORKLOADS = {
+    "q3s": q3s,
+    "q5s": q5s,
+    "q8joins": q8joins,
+    "chain-8": lambda: make_workload("chain", 8, 7),
+    "star-6": lambda: make_workload("star", 6, 1),
+    "clique-5": lambda: make_workload("clique", 5, 7),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+@pytest.mark.parametrize("name", sorted(_INSTALL_WORKLOADS))
+def test_install_equals_the_drained_build(name, label):
+    """``install()`` writes the state a drain reaches, FIFO or shuffled, in
+    the same group order, and clean under all three audits; a warm update
+    stream then does the same work per rule from either start."""
+    cat, q = _INSTALL_WORKLOADS[name]()
+    strategies = STRATEGY_SUBSETS[label]
+    installed = DeclarativeOptimizer(cat, q, strategies=strategies).install()
+    assert installed.audit_refcounts() == installed.audit_fixpoint() == []
+    assert installed.audit_costs() == []
+    drained = [DeclarativeOptimizer(cat, q, strategies=strategies,
+                                    drain_order="fifo" if seed is None else "random",
+                                    drain_seed=seed).run()
+               for seed in (None, 3, 4)]
+    for opt in drained:
+        assert opt.state_digest() == installed.state_digest()
+    fifo = drained[0]
+    assert list(installed.groups) == list(fifo.groups)
+    sessions = [ReoptSession(fifo), ReoptSession(installed)]
+    for u in make_update_batch(cat, 8, seed=7):
+        work = []
+        for session in sessions:
+            session.add_updates([u])
+            session.reoptimize()
+            work.append((session.opt.deltas_by_rule(), session.opt.state_digest()))
+        assert work[0] == work[1], u
 
 
 def test_merge_join_wins_under_cheap_ordered_access():
