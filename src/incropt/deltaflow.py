@@ -23,8 +23,7 @@ Drain order: FIFO, a seeded shuffle across every pending delta, or FIFO
 tiers set by the caller.  The optimizer tiers its re-optimization drains
 (costs, then bounds, then visibility), so pruning reads settled costs
 instead of ones the update has made stale; its initial build stays plain
-FIFO, since a cold state holds no stale costs and tiering it costs more
-deltas than it saves.
+FIFO, since a cold build costs a group's rows before it shows any.
 
 The drain kernel is two straight loops, one for a single queue (FIFO or
 shuffled) and one for tiers, which scans its lanes inline and routes each
@@ -157,9 +156,10 @@ class MinGroupState:
 
 # K: an optimizer's drain may process the deltas pushed before it started plus
 # K per alternative of its universe before it counts as a wiring bug.  K is
-# over ten times the largest drain measured per alternative, net of its pushed
-# deltas: 92, a cold chain-16 build in shuffled order (76,593 deltas over 833
-# alternatives).  Over the tests and the benchmark catalogs it stayed below 80.
+# over six times the largest drain measured per alternative, net of its pushed
+# deltas: 156, a cold chain-16 build in shuffled order (131,245 deltas over 843
+# alternatives).  Shuffled cold chain-16 builds read 49 in the median, and a
+# FIFO cold build stays below 10.
 DELTAS_PER_ALTERNATIVE = 1000
 
 # the per-drain budget of an engine that is not told its universe's size

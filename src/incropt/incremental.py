@@ -94,8 +94,7 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]
         for pos in range(len(alts[i])):
             # the children split the relations, so exactly one holds the target
             c = k[2 * pos] if masks[k[2 * pos]] & t else k[2 * pos + 1]
-            cgs = groups.get(c)
-            if cgs is None or not cgs.alive:
+            if not groups[c].alive:
                 out.append(("recost", INSERT, (i, pos)))
     return out
 

@@ -29,11 +29,17 @@ recursive bounding prunes any row whose cost exceeds its group bound.  The
 quiescent visible state is a unique fixpoint of those rules, so any delta
 drain order converges to the same answer.
 
-The order still decides the work.  A re-optimization drains in
-``REOPT_TIERS`` order, costs before bounds before visibility, so a row is
-pruned or a group retired only on costs the update has finished moving.
-The initial build stays plain FIFO: a cold state has no stale costs to
-settle, and tiering it grew its drain.
+The order still decides the work.  The cold build is a revival: ``run()``
+pushes the root's ``expr``, whose rule creates every group dead and revives
+the root (every group without reference counting).  A revival costs a
+group's rows, from the fallback DP's exact child bests, before ``refilter``
+shows any.  In a FIFO drain a row is then shown only on its final cost, and
+only shown rows pull their children alive: aggregate selection drops a
+non-minimal row as it is derived, before it propagates.  That build drains
+plain FIFO; tiering it saved under 3% of its deltas.  A re-optimization
+drains in ``REOPT_TIERS`` order, costs before bounds before visibility, so
+a row is pruned or a group retired only on costs the update has finished
+moving.
 
 The fixpoint being unique, ``install()`` writes the state ``run()`` drains
 to in closed form, from the best-cost DP.  Loading installs the state a saved
@@ -111,7 +117,7 @@ class GroupState:
     synthetic: int = 0
     mins: MinGroupState = field(default_factory=MinGroupState)
     refcount: int = 0
-    alive: bool = True
+    alive: bool = False
     # parent-bound contributions keyed by parent row: a join row's two
     # children are disjoint expressions, so it holds at most one slot here
     contribs: dict[Row, float] = field(default_factory=dict)
@@ -216,15 +222,14 @@ class DeclarativeOptimizer:
 
     def install(self) -> "DeclarativeOptimizer":
         """Write the quiescent state ``run()`` drains to straight from the
-        best-cost DP, replacing the groups held.  Groups are created in id
-        order, as a FIFO build creates them, and swept parents first (a child
-        holds fewer relations): a group's refcount and contributions are then
-        settled, and the rules' own formulas give the rest."""
+        best-cost DP, replacing the groups held.  Groups are created as the
+        cold build creates them and swept parents first (a child holds fewer
+        relations): a group's refcount and contributions are then settled,
+        and the rules' own formulas give the rest."""
         dp, u, strategies = self._dp, self.universe, self.strategies
         dp.best_id(self.root_id)  # an infeasible root raises InfeasibleQuery
-        ids = sorted(map(u.group_id, u.groups()))
-        self.groups = groups = {i: GroupState(int(i == self.root_id)) for i in ids}
-        for i in sorted(ids, key=lambda i: -len(u.group_keys[i][0])):
+        groups = self._create_groups()
+        for i in sorted(groups, key=lambda i: -len(u.group_keys[i][0])):
             gs = groups[i]
             gs.alive = not strategies.refcount or gs.refcount + gs.synthetic > 0
             if not gs.alive:
@@ -296,10 +301,12 @@ class DeclarativeOptimizer:
 
     # -- group lifecycle -------------------------------------------------
 
-    def _create_group(self, i: int, synthetic: int = 0) -> list[DeltaTuple]:
-        self.groups[i] = GroupState(synthetic)
-        return [d for pos in range(len(self._alts[i]))
-                for d in self._apply_row_visibility((i, pos), INSERT)]
+    def _create_groups(self) -> dict[int, GroupState]:
+        """Replace the groups held with every universe group, dead and
+        empty, in id order; the root holds the synthetic reference."""
+        ids = sorted(map(self.universe.group_id, self.universe.groups()))
+        self.groups = {i: GroupState(int(i == self.root_id)) for i in ids}
+        return self.groups
 
     def _kill_group(self, i: int) -> list[DeltaTuple]:
         gs = self.groups[i]
@@ -323,8 +330,8 @@ class DeclarativeOptimizer:
     # -- cost composition --------------------------------------------------
 
     def _child_cost(self, i: int) -> float:
-        gs = self.groups.get(i)
-        if gs is not None and gs.alive:
+        gs = self.groups[i]
+        if gs.alive:
             m = gs.mins.min_of()
             if m is not None:
                 return m[0]
@@ -333,8 +340,13 @@ class DeclarativeOptimizer:
     # -- handlers ----------------------------------------------------------
 
     def _h_expr(self, d: DeltaTuple) -> list[DeltaTuple]:
-        i = d[2]
-        return [] if i in self.groups else self._create_group(i, int(i == self.root_id))
+        """The cold build: create every group dead, then revive the ones
+        that must live, the root or, without reference counting, all.  A
+        revival costs its rows before ``refilter`` shows any of them, so
+        only shown rows pull their children alive."""
+        groups = self._create_groups()
+        live = [self.root_id] if self.strategies.refcount else groups
+        return [out for i in live for out in self._revive_group(i)]
 
     def _apply_row_visibility(self, row: Row, op: str) -> list[DeltaTuple]:
         """Flip one searchspace row's visibility synchronously.  Callers ask
@@ -350,16 +362,14 @@ class DeclarativeOptimizer:
                        f"{int(not visible)} {int(visible)}")
         kids = self._kids[i][2 * pos:2 * pos + 2]
         out = [("refcount", op, (c, row)) for c in kids]
-        if visible:
-            out.append(("recost", INSERT, row))
         if self.strategies.bounding and kids:
             out.append(("pbound", INSERT, row))
         return out
 
     def _h_recost(self, d: DeltaTuple) -> list[DeltaTuple]:
         i, pos = d[2]
-        gs = self.groups.get(i)
-        if gs is None or not gs.alive:
+        gs = self.groups[i]
+        if not gs.alive:
             return []
         local = self._dp.local_table(i)[pos]
         kids = self._kids[i]
@@ -391,10 +401,10 @@ class DeclarativeOptimizer:
         out: list[DeltaTuple] = []
         pbounds: list[DeltaTuple] = []
         for row in self.parent_index[i]:
-            pgs = self.groups.get(row[0])
-            if pgs is not None and pgs.alive:
+            pgs = self.groups[row[0]]
+            if pgs.alive:
                 out.append(("recost", INSERT, row))
-            if bounding and pgs is not None and pgs.mins.is_visible(row[1]):
+            if bounding and pgs.mins.is_visible(row[1]):
                 pbounds.append(("pbound", INSERT, row))
         out.append(("refilter", INSERT, i))
         if bounding:
@@ -402,21 +412,17 @@ class DeclarativeOptimizer:
         return out + pbounds
 
     def _h_refcount(self, d: DeltaTuple) -> list[DeltaTuple]:
-        i, _src = d[2]
-        out: list[DeltaTuple] = []
-        gs = self.groups.get(i)
-        if gs is None:
-            out.extend(self._create_group(i))
-            gs = self.groups[i]
+        i = d[2][0]
+        gs = self.groups[i]
         gs.refcount += 1 if d[1] == INSERT else -1
         if not self.strategies.refcount:
-            return out
+            return []
         total = gs.refcount + gs.synthetic
         if gs.alive and total <= 0:
-            out.extend(self._kill_group(i))
-        elif not gs.alive and total > 0:
-            out.extend(self._revive_group(i))
-        return out
+            return self._kill_group(i)
+        if not gs.alive and total > 0:
+            return self._revive_group(i)
+        return []
 
     def _pruned(self, gs: GroupState, pos: int) -> bool:
         cost = gs.mins.cost_of(pos)
@@ -438,9 +444,7 @@ class DeclarativeOptimizer:
         visible ones can flip; under aggregate selection a fully costed group
         hides every row but its minimum, so only those and the minimum can."""
         i = d[2]
-        gs = self.groups.get(i)
-        if gs is None:
-            return []
+        gs = self.groups[i]
         mins, n = gs.mins, len(self._alts[i])
         if not gs.alive:
             positions: Iterable[int] = sorted(mins.visible())
@@ -452,22 +456,19 @@ class DeclarativeOptimizer:
 
     def _h_refilterrow(self, d: DeltaTuple) -> list[DeltaTuple]:
         i, pos = d[2]
-        gs = self.groups.get(i)
-        return [] if gs is None else self._refilter_row(i, pos, gs)
+        return self._refilter_row(i, pos, self.groups[i])
 
     def _h_pbound(self, d: DeltaTuple) -> list[DeltaTuple]:
         row = d[2]
         i, pos = row
-        gs = self.groups.get(i)
+        gs = self.groups[i]
         kids = self._kids[i]
-        if gs is None or not kids:
+        if not kids:
             return []
         visible = gs.mins.is_visible(pos)
         out: list[DeltaTuple] = []
         for c in kids[2 * pos:2 * pos + 2]:
-            cgs = self.groups.get(c)
-            if cgs is None:
-                continue
+            cgs = self.groups[c]
             cm = cgs.mins.min_of() if visible and cgs.alive else None
             val = None if cm is None else self._contribution(gs, pos, cm[0])
             if cgs.contribs.get(row) == val:
@@ -495,9 +496,7 @@ class DeclarativeOptimizer:
         return child_best + (gs.bound - cost)
 
     def _h_maxbound(self, d: DeltaTuple) -> list[DeltaTuple]:
-        gs = self.groups.get(d[2])
-        if gs is None:
-            return []
+        gs = self.groups[d[2]]
         mb = _maxbound(gs)
         if mb == gs.maxbound:
             return []
@@ -506,9 +505,7 @@ class DeclarativeOptimizer:
 
     def _h_bound(self, d: DeltaTuple) -> list[DeltaTuple]:
         i = d[2]
-        gs = self.groups.get(i)
-        if gs is None:
-            return []
+        gs = self.groups[i]
         b = _bound(gs.mins.min_of(), gs.maxbound)
         if b == gs.bound:
             return []

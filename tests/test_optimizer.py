@@ -7,7 +7,7 @@ import pytest
 
 from incropt.algebra import ExprSig, PropertySpec, Query
 from incropt.baselines import brute_force_optimize
-from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
+from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, validate_catalog
 from incropt.costmodel import CostConfig
 from incropt.errors import InfeasibleQuery, StateMismatch, ValidationError
 from incropt.fixtures import q3s, q5s, q8joins
@@ -362,6 +362,9 @@ _INSTALL_WORKLOADS = {
     "chain-8": lambda: make_workload("chain", 8, 7),
     "star-6": lambda: make_workload("star", 6, 1),
     "clique-5": lambda: make_workload("clique", 5, 7),
+    # the cold-chain16 and drift-clique8 benchmark shapes
+    "chain-16": lambda: make_workload("chain", 16, 7),
+    "clique-8": lambda: make_workload("clique", 8, 7),
 }
 
 
@@ -426,9 +429,16 @@ def test_query_over_catalog_subset(q5s_fixture):
 
 
 def test_trace_emits_stable_lines(q3s_fixture):
+    """A cold build shows only the rows it keeps, so the hide (``-``) line
+    comes from a re-optimization whose update changes q3s's plan."""
     cat, q = q3s_fixture
     lines = []
     opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
+    g, ak = opt.root, opt._best(opt.root)[1]
+    assert f"searchspace + {(g, ak)!r} 0 1" in lines
+    session = ReoptSession(opt)
+    session.add_updates([StatUpdate("scan_cost", "orders", 8.0)])
+    assert session.reoptimize()[1].plan_changed
     assert lines
     for line in lines:
         relation, op, rest = line.split(" ", 2)
@@ -436,8 +446,29 @@ def test_trace_emits_stable_lines(q3s_fixture):
         # a row flips between invisible (0) and visible (1), never further
         assert rest.endswith(" 0 1" if op == "+" else " 1 0")
     assert any(line.startswith("searchspace - ") for line in lines)
-    g, ak = opt.root, opt._best(opt.root)[1]
-    assert f"searchspace + {(g, ak)!r} 0 1" in lines
+
+
+_FIFO_BUILDS = [("q3s", q3s), ("q5s", q5s), ("q8joins", q8joins)] + [
+    (f"{shape}-{n}-seed{seed}", lambda shape=shape, n=n, seed=seed: make_workload(shape, n, seed))
+    for shape, n in (("chain", 6), ("chain", 16), ("star", 6), ("star", 10),
+                     ("clique", 5), ("clique", 8))
+    for seed in (1, 2, 3, 7)
+]
+
+
+@pytest.mark.parametrize("label", ["aggsel,refcount", "aggsel,refcount,bounding"])
+@pytest.mark.parametrize("name,make", _FIFO_BUILDS, ids=[n for n, _ in _FIFO_BUILDS])
+def test_fifo_cold_build_shows_only_the_rows_it_keeps(name, make, label):
+    """A FIFO cold build revives the root among dead groups and costs each
+    revived group's rows before showing any, so under aggregate selection
+    and reference counting it shows exactly the optimal tree's rows, once
+    each, and hides none."""
+    cat, q = make()
+    lines = []
+    opt = DeclarativeOptimizer(cat, q, strategies=STRATEGY_SUBSETS[label],
+                               trace=lines.append).run()
+    assert all(line.startswith("searchspace + ") for line in lines)
+    assert len(lines) == len(opt.optimal_tree_rows())
 
 
 def test_not_quiescent_guard(q3s_fixture):
