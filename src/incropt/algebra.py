@@ -21,21 +21,32 @@ Conventions baked in here:
   smaller side (the one holding the expression's first relation) is side a.
   Alternative indexes, and with them the ``(cost, index, phy_op)``
   tie-break, follow this order;
-* buildability is decided by sortable sets, the attributes an expression
-  can be produced sorted on, computed bottom-up from its partitions; no
-  ``split`` output is kept or probed to decide it.  ``split`` takes the
-  sortable sets and skips the merge joins whose sides cannot produce their
-  orders, each skipped join keeping its index, so ``SearchUniverse`` keeps
-  exactly what ``split`` emits;
-* ``SearchUniverse`` computes each expression's partitions once and hands
+* partitions carry predicate masks: predicate ``j`` is bit ``j``, the
+  ``j``-th of ``cat.predicate_bits``, and a partition's crossing mask is
+  ``touch(a) & touch(b)``, each side's mask of the predicates on its
+  relations.  Work per partition is a few integer operations plus one step
+  per alternative it emits, never one per crossing predicate;
+* sort orders are two predicate masks per expression: ``LS`` holds the
+  predicates whose left attribute it can be produced sorted on, ``RS``
+  those whose right attribute.  A leaf's come from its sorted and indexed
+  attributes; a composite's are the OR, over its buildable merge joins, of
+  the predicates sharing an attribute with the merge's predicate.  A merge
+  join on crossing predicate ``j`` is buildable iff ``j`` is in
+  ``(LS(a) & RS(b)) | (RS(a) & LS(b))``, so buildability is decided
+  bottom-up from the partitions, and no ``split`` output is kept or probed
+  to decide it.  ``split`` skips the merge joins that are not buildable,
+  each skipped join keeping its index, so ``SearchUniverse`` keeps exactly
+  what ``split`` emits;
+* ``SearchUniverse`` builds each expression's partitions once and hands
   them to ``split`` for every property of that expression; a sort-order
-  property visits only the partitions whose crossing predicates carry its
-  attribute, which ``partitions`` indexes once per expression;
+  property emits only from the partitions whose crossing mask meets the
+  predicates on its attribute, one AND per partition.  The partition
+  tables are scratch: they are dropped once the universe has been walked;
 * ``SearchUniverse`` numbers its groups densely, in the order enumeration
   first meets them; each id carries its expression's relation bitmask and
   its alternatives' child ids, the tables ``costmodel.BestCost`` runs on.
-  It also interns partition sides by relation mask, so one expression has
-  one signature object across the universe;
+  Partition sides are interned by relation mask, so one expression has one
+  signature object across the universe;
 * symmetric operators (hash, merge) are emitted once in canonical side
   order, the asymmetric indexed nested-loop join is emitted once per
   indexed inner side, with the indexed inner on the left;
@@ -289,23 +300,35 @@ def load_query(path: str, cat: Catalog) -> Query:
     return query_from_dict(data, cat)
 
 
-def _neighbours(mask: int, adj: tuple[int, ...]) -> int:
-    """Union of the adjacency masks of every relation in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= adj[low.bit_length() - 1]
-        mask ^= low
-    return out
+class _Neighbours(dict):
+    """Relation mask -> the union of its relations' adjacency masks, each
+    computed on its first lookup: enumeration asks for every connected
+    subset's neighbours many times."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: tuple[int, ...]):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        m = mask
+        while m:
+            low = m & -m
+            out |= self.adj[low.bit_length() - 1]
+            m ^= low
+        self[mask] = out
+        return out
 
 
-def _grow(s: int, excluded: int, mask: int, adj: tuple[int, ...], out: list[int]) -> None:
+def _grow(s: int, excluded: int, mask: int, near: _Neighbours, out: list[int]) -> None:
     """EnumerateCsgRec: every connected subset of ``mask`` that strictly
     contains ``s`` and reaches no relation in ``excluded``, once each.
 
     A growth step adds a nonempty subset of the neighbours not yet offered;
     the neighbours it offered are excluded from every later step."""
-    frontier = _neighbours(s, adj) & mask & ~excluded
+    frontier = near[s] & mask & ~excluded
     if not frontier:
         return
     grown = []
@@ -316,10 +339,10 @@ def _grow(s: int, excluded: int, mask: int, adj: tuple[int, ...], out: list[int]
     out.extend(grown)
     excluded |= frontier
     for t in grown:
-        _grow(t, excluded, mask, adj, out)
+        _grow(t, excluded, mask, near, out)
 
 
-def _connected_subsets(mask: int, adj: tuple[int, ...]) -> list[int]:
+def _connected_subsets(mask: int, near: _Neighbours) -> list[int]:
     """Every connected subset of ``mask``, once each.
 
     EnumerateCsg (Moerkotte & Neumann, VLDB 2006): a subset is grown from
@@ -330,7 +353,7 @@ def _connected_subsets(mask: int, adj: tuple[int, ...]) -> list[int]:
     while rest:
         low = rest & -rest
         out.append(low)
-        _grow(low, (low << 1) - 1, mask, adj, out)
+        _grow(low, (low << 1) - 1, mask, near, out)
         rest ^= low
     return out
 
@@ -348,15 +371,16 @@ def csg_cmp_pairs(mask: int, adj: tuple[int, ...]) -> dict[int, list[tuple[int, 
     """
     buckets: dict[int, list[tuple[int, int]]] = {}
     cmps: list[int] = []
-    for s1 in _connected_subsets(mask, adj):
+    neighbours = _Neighbours(adj)
+    for s1 in _connected_subsets(mask, neighbours):
         low = s1 & -s1
         excluded = s1 | (low - 1)  # s1 and every relation at or below its lowest bit
-        near = _neighbours(s1, adj) & mask & ~excluded
+        near = neighbours[s1] & mask & ~excluded
         while near:
             v = 1 << (near.bit_length() - 1)  # neighbours in descending order
             near ^= v
             cmps.append(v)
-            _grow(v, excluded | near | v, mask, adj, cmps)
+            _grow(v, excluded | near | v, mask, neighbours, cmps)
             for s2 in cmps:
                 union = s1 | s2
                 bucket = buckets.get(union)
@@ -385,106 +409,220 @@ def _sig_of(mask: int, e: ExprSig, cat: Catalog) -> ExprSig:
 def connected_subexprs(query: ExprSig, cat: Catalog) -> set[ExprSig]:
     """All subsets of the query inducing a connected join subgraph."""
     full = expr_mask(query, cat)
-    return {_sig_of(s, query, cat) for s in _connected_subsets(full, cat.adjacency_masks)}
+    return {_sig_of(s, query, cat)
+            for s in _connected_subsets(full, _Neighbours(cat.adjacency_masks))}
 
 
-# (side a, side b, one (sorted on side a's attribute, sorted on side b's
-# attribute) pair per crossing predicate)
-Partition = tuple[ExprSig, ExprSig, tuple[tuple[PropertySpec, PropertySpec], ...]]
+def _or(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
-class Partitions(tuple):
-    """One expression's partitions in ``split`` order.
+# One partition of an expression: (side a's rank, side a, side b, crossing
+# predicates, buildable merge predicates, side a's relation mask, side b's
+# relation mask).  The rank orders an expression's partitions.
+Partition = tuple[int, ExprSig, ExprSig, int, int, int, int]
 
-    ``crossed_by`` indexes them by predicate, flat, three items per
-    predicate inside the expression: its left attribute, its right
-    attribute and a position mask whose bit ``k`` is set when partition
-    ``k`` has a crossing pair from it.  A sort order on an attribute comes
-    only from those partitions, so ``split`` visits no other.
+
+class _Kernel:
+    """The predicate masks and partition tables of one enumeration over the
+    connected subsets of ``e``.
+
+    Predicate ``j`` is bit ``j`` of a predicate mask: the ``j``-th of
+    ``cat.predicate_bits``.  A side's touch mask holds the predicates on its
+    relations, so a partition's crossing predicates are ``touch(a) &
+    touch(b)``.  ``orders`` maps a side's relation mask to its sort orders
+    ``(LS, RS)``: the predicates whose left (``LS``) or right (``RS``)
+    attribute the side can be produced sorted on.  A merge join on crossing
+    predicate ``j`` is buildable iff ``j`` is in ``(LS(a) & RS(b)) | (RS(a)
+    & LS(b))``; with ``orders`` None every merge join is.
     """
 
-    crossed_by: tuple
+    def __init__(self, cat: Catalog, e: ExprSig,
+                 orders: dict[int, tuple[int, int]] | None = None):
+        full = expr_mask(e, cat)
+        touch = [0] * len(cat.relations)  # relation bit position -> predicates on it
+        lefts: dict[str, int] = {}  # attribute -> predicates with it on the left
+        rights: dict[str, int] = {}
+        for j, (lbit, rbit, pred) in enumerate(cat.predicate_bits):
+            touch[lbit.bit_length() - 1] |= 1 << j
+            touch[rbit.bit_length() - 1] |= 1 << j
+            lefts[pred.left] = lefts.get(pred.left, 0) | 1 << j
+            rights[pred.right] = rights.get(pred.right, 0) | 1 << j
+        # per predicate: its left relation bit, then sorted and indexed on
+        # its left and on its right attribute
+        self.preds = [(lbit, PropertySpec.sorted_on(p.left), PropertySpec.sorted_on(p.right),
+                       PropertySpec.index_on(p.left), PropertySpec.index_on(p.right))
+                      for lbit, _, p in cat.predicate_bits]
+        # attribute -> (predicates with it on the left, on the right)
+        self.attrs = {a: (lefts.get(a, 0), rights.get(a, 0)) for a in {*lefts, *rights}}
+        # per predicate: the (LS, RS) a merge join on it yields, the
+        # predicates sharing one of its attributes on their left, on their right
+        self.shares = [(lefts.get(p.left, 0) | lefts.get(p.right, 0),
+                        rights.get(p.left, 0) | rights.get(p.right, 0))
+                       for _, _, p in cat.predicate_bits]
+        # leaf bit -> the predicates whose attribute on the leaf is indexed
+        self.indexed: dict[int, int] = {}
+        self.leaf_orders: dict[int, tuple[int, int]] = {}
+        for r in cat.relations:
+            b = cat.relation_bits[r.name]
+            if b & full:
+                indexed = [f"{r.name}.{a}" for a in r.indexed_on]
+                sorts = indexed + ([f"{r.name}.{r.sorted_on}"] if r.sorted_on else [])
+                self.indexed[b] = _or(lefts.get(a, 0) | rights.get(a, 0) for a in indexed)
+                self.leaf_orders[b] = (_or(lefts.get(a, 0) for a in sorts),
+                                       _or(rights.get(a, 0) for a in sorts))
+        # union mask -> its csg-cmp pairs, dropped once read
+        self.pairs = csg_cmp_pairs(full, cat.adjacency_masks)
+        # every connected subset -> (rank, signature, touch mask), in rank
+        # order: by size, then by relation tuple
+        sigs = {m: _sig_of(m, e, cat) for m in (*self.leaf_orders, *self.pairs)}
+        self.sides = {m: (rank, sigs[m], _or(touch[k] for k in range(m.bit_length())
+                                             if m >> k & 1))
+                      for rank, m in enumerate(sorted(
+                          sigs, key=lambda m: (m.bit_count(), sigs[m].rels)))}
+        self.masks = {sig: m for m, sig in sigs.items()}
+        self.orders = orders
+        self.parts: dict[int, list[Partition]] = {}
 
-    def sorted_on(self, attr: str) -> list[Partition]:
-        """The partitions with a crossing pair sorted on ``attr``, in order."""
-        positions = 0
-        flat = iter(self.crossed_by)
-        for left, right, crossed in zip(flat, flat, flat):
-            if attr == left or attr == right:
-                positions |= crossed
-        out = []
-        while positions:
-            low = positions & -positions
-            out.append(self[low.bit_length() - 1])
-            positions ^= low
+    @classmethod
+    def universe(cls, cat: Catalog, e: ExprSig) -> "_Kernel":
+        """A kernel deciding merges by the sides' own sort orders, with every
+        connected subset's partitions built in rank order, so a side's
+        orders are known before any partition reads them."""
+        kernel = cls(cat, e, {})
+        kernel.orders.update(kernel.leaf_orders)
+        for m in kernel.sides:
+            if m & (m - 1):
+                kernel.partitions(m)
+        return kernel
+
+    def partitions(self, mask: int) -> list[Partition]:
+        """The partitions of connected ``mask`` into two connected, linked
+        sides, in ``split`` order (memoized).  Side a is the side of lower
+        rank: the smaller side or, with equal halves, the one holding the
+        expression's first relation.  Records the expression's own sort
+        orders, the shares of its buildable merge joins."""
+        got = self.parts.get(mask)
+        if got is not None:
+            return got
+        sides, orders = self.sides, self.orders
+        got = []
+        merged = 0
+        for s, t in self.pairs.pop(mask, ()):
+            rank, a_sig, a_touch = sides[s]
+            b_rank, b_sig, b_touch = sides[t]
+            if rank > b_rank:
+                s, t, rank, a_sig, a_touch, b_sig, b_touch = (
+                    t, s, b_rank, b_sig, b_touch, a_sig, a_touch)
+            crossed = a_touch & b_touch
+            if orders is None:
+                merges = crossed
+            else:
+                a_left, a_right = orders[s]
+                b_left, b_right = orders[t]
+                merges = crossed & ((a_left & b_right) | (a_right & b_left))
+                merged |= merges
+            got.append((rank, a_sig, b_sig, crossed, merges, s, t))
+        got.sort()
+        if orders is not None:
+            left = right = 0
+            while merged:
+                low = merged & -merged
+                share_l, share_r = self.shares[low.bit_length() - 1]
+                left |= share_l
+                right |= share_r
+                merged ^= low
+            orders[mask] = (left, right)
+        self.parts[mask] = got
+        return got
+
+    def buildable(self, mask: int, p: PropertySpec) -> bool:
+        """True when composite ``mask`` has a plan under ``p`` (a universe
+        kernel)."""
+        if p.is_none:
+            return bool(self.parts.get(mask))
+        if p.kind != PROP_SORTED:
+            return False
+        on_left, on_right = self.attrs.get(p.attr, (0, 0))
+        left, right = self.orders.get(mask, (0, 0))
+        return bool(left & on_left or right & on_right)
+
+    def emit(self, e: ExprSig, p: PropertySpec) -> list[Alternative]:
+        """``split``'s alternatives for composite ``e`` under ``p``."""
+        parts = self.partitions(self.masks.get(e, 0))
+        out: list[Alternative] = []
+        index = 0  # alternatives emitted or skipped so far
+        if p.is_none:
+            none = _PROP_NONE_SINGLETON
+            preds, indexed = self.preds, self.indexed
+            for _, a_sig, b_sig, crossed, merges, a_mask, b_mask in parts:
+                index += 1
+                out.append(Alternative(index, LOG_JOIN, HASH_JOIN, a_sig, none, b_sig, none))
+                # an index nested-loop join per indexed leaf side, per
+                # crossing predicate, side a first
+                on_a = indexed.get(a_mask, 0) & crossed
+                on_b = indexed.get(b_mask, 0) & crossed
+                m = on_a | on_b
+                while m:
+                    low = m & -m
+                    lbit, _, _, index_l, index_r = preds[low.bit_length() - 1]
+                    if low & on_a:
+                        index += 1
+                        out.append(Alternative(index, LOG_JOIN, INDEX_NL_JOIN, a_sig,
+                                               index_l if lbit & a_mask else index_r,
+                                               b_sig, none))
+                    if low & on_b:
+                        index += 1
+                        out.append(Alternative(index, LOG_JOIN, INDEX_NL_JOIN, b_sig,
+                                               index_l if lbit & b_mask else index_r,
+                                               a_sig, none))
+                    m ^= low
+                if merges:
+                    self._merges(out, index, crossed, merges, a_sig, b_sig, a_mask)
+                index += crossed.bit_count()
+        elif p.kind == PROP_SORTED:
+            # only a merge join yields an order, and only on a crossing
+            # predicate with the attribute on one side
+            on_left, on_right = self.attrs.get(p.attr, (0, 0))
+            on = on_left | on_right
+            for _, a_sig, b_sig, crossed, merges, a_mask, _ in parts:
+                hit = crossed & on
+                if hit:
+                    if merges & hit:
+                        self._merges(out, index, hit, merges, a_sig, b_sig, a_mask)
+                    index += hit.bit_count()
         return out
 
+    def _merges(self, out: list[Alternative], base: int, crossed: int, keep: int,
+                a_sig: ExprSig, b_sig: ExprSig, a_mask: int) -> None:
+        """Append the merge joins of the predicates in both ``crossed`` and
+        ``keep``, after ``base``; each has the index it has unfiltered, one
+        per predicate of ``crossed``."""
+        keep &= crossed
+        while keep:
+            low = keep & -keep
+            lbit, sort_l, sort_r, _, _ = self.preds[low.bit_length() - 1]
+            sort_a, sort_b = (sort_l, sort_r) if lbit & a_mask else (sort_r, sort_l)
+            out.append(Alternative(base + (crossed & (low - 1)).bit_count() + 1, LOG_JOIN,
+                                   MERGE_JOIN, a_sig, sort_a, b_sig, sort_b))
+            keep ^= low
 
-def partitions(e: ExprSig, cat: Catalog, sigs: dict[int, ExprSig] | None = None,
-               pairs: list[tuple[int, int]] | None = None) -> Partitions:
+
+def partitions(e: ExprSig, cat: Catalog) -> list[tuple[ExprSig, ExprSig, int]]:
     """The partitions of composite ``e`` into two connected, linked sides,
-    in ``split`` order.
+    in ``split`` order, as ``(side a, side b, crossing predicates)``.
 
-    ``pairs`` is ``e``'s bucket of ``csg_cmp_pairs``, enumerated here over
-    ``e`` alone when not given.  Side a is the smaller side; when the
-    halves are equal, it is the one holding ``e``'s first relation.
-    Ordered by the size of side a, then by its relation tuple: the order
-    in which ``itertools.combinations`` would list side a.  ``sigs``
-    interns the sides by relation mask, so every partition of a universe
-    that names an expression shares one signature.
+    Side a is the smaller side; when the halves are equal, it is the one
+    holding ``e``'s first relation.  Ordered by the size of side a, then by
+    its relation tuple: the order in which ``itertools.combinations`` would
+    list side a.  Bit ``j`` of the crossing mask is the ``j``-th predicate
+    of ``cat.predicate_bits``.
     """
-    if sigs is None:
-        sigs = {}
-    full = expr_mask(e, cat)
-    if pairs is None:
-        pairs = csg_cmp_pairs(full, cat.adjacency_masks).get(full, ())
-    first = cat.relation_bits[e.rels[0]]
-    # the sort orders are built once per predicate, so every merge join of
-    # every property of ``e`` shares them
-    preds = []
-    touching: dict[int, int] = {}  # relation bit -> bit j per predicate j on it
-    for lbit, rbit, pred in cat.predicate_bits:
-        if lbit & full and rbit & full:
-            j = 1 << len(preds)
-            touching[lbit] = touching.get(lbit, 0) | j
-            touching[rbit] = touching.get(rbit, 0) | j
-            left, right = PropertySpec.sorted_on(pred.left), PropertySpec.sorted_on(pred.right)
-            preds.append((lbit, (left, right), (right, left), pred))
-    found = []
-    for s, rest in pairs:
-        size, other = s.bit_count(), rest.bit_count()
-        if size > other or (size == other and not s & first):
-            s, rest = rest, s
-        # a predicate crosses when exactly one of its relations is on side
-        # a, so side a's relations' predicate masks XOR to the crossing ones
-        crossed = 0  # bit j: predicate j crosses this partition
-        m = s
-        while m:
-            low = m & -m
-            crossed ^= touching[low]
-            m ^= low
-        crossing = []
-        m = crossed
-        while m:
-            low = m & -m
-            lbit, fwd, rev, _ = preds[low.bit_length() - 1]
-            crossing.append(fwd if lbit & s else rev)
-            m ^= low
-        a_sig = sigs.get(s) or sigs.setdefault(s, _sig_of(s, e, cat))
-        b_sig = sigs.get(rest) or sigs.setdefault(rest, _sig_of(rest, e, cat))
-        found.append((a_sig, b_sig, tuple(crossing), crossed))
-    found.sort(key=lambda part: (len(part[0]), part[0].rels))
-    positions = [0] * len(preds)
-    for k, part in enumerate(found):
-        crossed = part[3]
-        while crossed:
-            low = crossed & -crossed
-            positions[low.bit_length() - 1] |= 1 << k
-            crossed ^= low
-    parts = Partitions(part[:3] for part in found)
-    parts.crossed_by = tuple(item for (_, _, _, pred), at in zip(preds, positions)
-                             for item in (pred.left, pred.right, at))
-    return parts
+    kernel = _Kernel(cat, e)
+    return [part[1:4] for part in kernel.partitions(expr_mask(e, cat))]
 
 
 def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alternative]:
@@ -505,99 +643,53 @@ def leaf_alternatives(e: ExprSig, p: PropertySpec, cat: Catalog) -> list[Alterna
     return []
 
 
-def split(e: ExprSig, p: PropertySpec, cat: Catalog, parts: Partitions | None = None,
-          sortable: dict[ExprSig, frozenset[str]] | None = None) -> list[Alternative]:
+def split(e: ExprSig, p: PropertySpec, cat: Catalog,
+          sortable: dict[ExprSig, tuple[int, int]] | None = None,
+          kernel: _Kernel | None = None) -> list[Alternative]:
     """Enumerate join alternatives for composite ``e`` under output property ``p``.
 
-    ``parts`` is ``partitions(e, cat)``, computed here when not given.
     Deterministic: partitions ordered by the size of the smaller side, then
     by its relation tuple (with equal halves, only the lexicographically
-    smaller side is side a); operators in a fixed order within each
-    partition; 1-based indexes in emission order.
+    smaller side is side a); per partition a hash join, the index
+    nested-loop joins of its indexed leaf sides, then a merge join per
+    crossing predicate, in canonical predicate order; 1-based indexes in
+    emission order.
 
-    ``sortable``, when given, maps every side of ``parts`` to the
-    attributes it can be produced sorted on.  A merge join whose sides
-    cannot produce their orders is then skipped, but it still takes its
-    index, so every alternative kept has the index it has unfiltered.
+    ``sortable``, when given, maps every side of ``e``'s partitions to its
+    sort orders ``(LS, RS)`` (``SearchUniverse.sortable``).  A merge join
+    whose sides cannot produce their orders is then skipped, but it still
+    takes its index, so every alternative kept has the index it has
+    unfiltered.  ``kernel`` is the enumeration to read ``e``'s partitions
+    from, built over ``e`` here when not given.
     Raises NoAlternatives when no operator is left to satisfy ``p``.
     """
     if e.is_leaf:
         raise ValidationError(f"split called on leaf {e}")
-    if parts is None:
-        parts = partitions(e, cat)
-    out: list[Alternative] = []
-    index = 0  # alternatives emitted or skipped so far
-    none = PropertySpec.none()
-    if p.is_none:
-        for a_sig, b_sig, crossing in parts:
-            index += 1
-            out.append(Alternative(index, LOG_JOIN, HASH_JOIN, a_sig, none, b_sig, none))
-            if len(a_sig) == 1 or len(b_sig) == 1:
-                for sort_a, sort_b in crossing:
-                    for inner_sig, inner_attr, outer_sig in (
-                        (a_sig, sort_a.attr, b_sig),
-                        (b_sig, sort_b.attr, a_sig),
-                    ):
-                        if not inner_sig.is_leaf:
-                            continue
-                        rel_name, _, bare = inner_attr.partition(".")
-                        if bare in cat.relation(rel_name).indexed_on:
-                            index += 1
-                            out.append(Alternative(index, LOG_JOIN, INDEX_NL_JOIN, inner_sig,
-                                                   PropertySpec.index_on(inner_attr),
-                                                   outer_sig, none))
-            a_sorts, b_sorts = _sorts(sortable, a_sig), _sorts(sortable, b_sig)
-            for sort_a, sort_b in crossing:
-                index += 1
-                if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
-                    out.append(Alternative(index, LOG_JOIN, MERGE_JOIN,
-                                           a_sig, sort_a, b_sig, sort_b))
-    elif p.kind == PROP_SORTED:
-        # only a merge join yields an order, and only from a partition with
-        # a crossing pair sorted on the attribute
-        for a_sig, b_sig, crossing in parts.sorted_on(p.attr):
-            a_sorts, b_sorts = _sorts(sortable, a_sig), _sorts(sortable, b_sig)
-            for sort_a, sort_b in crossing:
-                if p.attr in (sort_a.attr, sort_b.attr):
-                    index += 1
-                    if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
-                        out.append(Alternative(index, LOG_JOIN, MERGE_JOIN,
-                                               a_sig, sort_a, b_sig, sort_b))
+    if kernel is None:
+        kernel = _Kernel(cat, e, None if sortable is None else
+                         {expr_mask(s, cat): orders for s, orders in sortable.items()})
+    out = kernel.emit(e, p)
     if not out:
         raise NoAlternatives(f"no operator yields {p} for {e}")
     return out
 
 
-class _AnyOrder:
-    """The sortable set of a side when ``split`` is not filtered."""
-
-    def __contains__(self, attr: str) -> bool:
-        return True
-
-
-_ANY_ORDER = _AnyOrder()
-
-
-def _sorts(sortable: dict[ExprSig, frozenset[str]] | None, side: ExprSig):
-    return _ANY_ORDER if sortable is None else sortable[side]
-
-
 class SearchUniverse:
     """The reachable (expr, prop) group universe for one (catalog, query) pair.
 
-    Enumerates bottom-up, with no speculative ``split``: on first use it
-    lists every csg-cmp pair of the query once (``csg_cmp_pairs``), and
-    each expression's partitions come from its bucket, which is dropped
-    once read.  Buildability comes from per-expression sortable sets, the
-    attributes an expression can be produced sorted on: a leaf's sorted
-    and indexed attributes, a composite's crossing pairs whose sides can
-    each produce their order.  A group is buildable when it is a leaf with
-    a scan, a composite with no required order and a partition, or a
-    composite whose sortable set holds its order.  ``split`` is called only
-    for buildable groups, once each, with the sortable sets, so what it
-    emits is exactly the group's alternatives; no raw split output is kept.
-    The universe also exposes the full-space totals used as
-    pruning/update-ratio denominators.
+    Enumerates bottom-up, with no speculative ``split``: on first use a
+    kernel (``_Kernel.universe``) lists every csg-cmp pair of the query
+    once and builds every connected subset's partitions, smaller subsets
+    first, each with its crossing and buildable merge predicate masks and
+    the subset's own sort orders.  A group is buildable when it is a leaf
+    with a scan, a composite with no required order and a partition, or a
+    composite whose sort orders hold its order.  ``split`` is called only
+    for buildable groups, once each, on the kernel, so what it emits is
+    exactly the group's alternatives; no raw split output is kept.  Once
+    ``groups()`` has walked the universe the kernel is dropped, and
+    ``buildable`` answers from the filled group tables; a later question
+    about a group outside them builds the kernel again.  The universe also
+    exposes the full-space totals used as pruning/update-ratio denominators.
 
     Groups get dense ids in the order ``alternatives`` first meets them (a
     group, then its alternatives' children).  Per id: ``group_keys`` is its
@@ -613,58 +705,38 @@ class SearchUniverse:
         self.catalog = cat
         self.query = query
         self.root: GroupKey = (query.sig, PropertySpec.none())
-        self._ids: dict[GroupKey, int] = {}
+        # (relations, property kind, property attribute) -> group id: plain
+        # values hash in C, where a GroupKey calls two Python __hash__ methods
+        self._ids: dict[tuple, int] = {}
         self.group_keys: list[GroupKey] = []
         self.group_masks: list[int] = []
         self.group_alts: list[tuple[Alternative, ...] | None] = []
         self.group_kids: list[array | None] = []
-        self._parts: dict[ExprSig, Partitions] = {}
-        self._sigs: dict[int, ExprSig] = {expr_mask(query.sig, cat): query.sig}
-        self._pairs: dict[int, list[tuple[int, int]]] | None = None
-        self._sortable: dict[ExprSig, frozenset[str]] = {}
+        self._kernel: _Kernel | None = None
         self._groups: list[GroupKey] | None = None
         self._parents: list[list[tuple[int, int]]] | None = None
         self._totals: tuple[int, int] | None = None
 
-    def partitions(self, e: ExprSig) -> Partitions:
-        """``partitions(e)``, memoized, from ``e``'s bucket of the query's pairs."""
-        got = self._parts.get(e)
-        if got is None:
-            if self._pairs is None:
-                self._pairs = csg_cmp_pairs(expr_mask(self.query.sig, self.catalog),
-                                            self.catalog.adjacency_masks)
-            mask = expr_mask(e, self.catalog)
-            got = self._parts[e] = partitions(e, self.catalog, self._sigs,
-                                              self._pairs.pop(mask, ()))
-        return got
+    def _built_kernel(self) -> _Kernel:
+        """The enumeration kernel over the query, built when not held."""
+        if self._kernel is None:
+            self._kernel = _Kernel.universe(self.catalog, self.root[0])
+        return self._kernel
 
-    def sortable(self, e: ExprSig) -> frozenset[str]:
-        """The attributes ``e`` can be produced sorted on (memoized)."""
-        got = self._sortable.get(e)
-        if got is None:
-            if e.is_leaf:
-                rel = self.catalog.relation(e.sole)
-                got = frozenset(f"{rel.name}.{a}" for a in (rel.sorted_on, *rel.indexed_on) if a)
-            else:
-                attrs = set()
-                for a_sig, b_sig, crossing in self.partitions(e):
-                    a_sorts, b_sorts = self.sortable(a_sig), self.sortable(b_sig)
-                    for sort_a, sort_b in crossing:
-                        if sort_a.attr in a_sorts and sort_b.attr in b_sorts:
-                            attrs.add(sort_a.attr)
-                            attrs.add(sort_b.attr)
-                got = frozenset(attrs)
-            self._sortable[e] = got
-        return got
+    def sortable(self, e: ExprSig) -> tuple[int, int]:
+        """``e``'s sort orders ``(LS, RS)``, the predicates whose left or
+        right attribute ``e`` can be produced sorted on."""
+        return self._built_kernel().orders.get(expr_mask(e, self.catalog), (0, 0))
 
     def buildable(self, group: GroupKey) -> bool:
         """True when ``group`` has at least one plan."""
         e, p = group
+        i = self._ids.get((e.rels, p.kind, p.attr))
+        if i is not None and self.group_alts[i] is not None:
+            return bool(self.group_alts[i])
         if e.is_leaf:
             return bool(leaf_alternatives(e, p, self.catalog))
-        if p.is_none:
-            return bool(self.partitions(e))
-        return p.kind == PROP_SORTED and p.attr in self.sortable(e)
+        return self._built_kernel().buildable(expr_mask(e, self.catalog), p)
 
     def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
         """``group``'s buildable alternatives (none when it is unbuildable)."""
@@ -673,35 +745,38 @@ class SearchUniverse:
     def group_id(self, group: GroupKey) -> int:
         """``group``'s dense id, with its alternatives and their child ids
         computed."""
-        i = self._number(group)
+        i = self._number(*group)
         if self.group_alts[i] is None:
             self._fill(i)
         return i
 
     def _fill(self, i: int) -> None:
         """Compute group ``i``'s alternatives and number their children."""
-        group = self.group_keys[i]
-        e, p = group
+        e, p = self.group_keys[i]
         kids = array("i")
         if e.is_leaf:
             got = tuple(leaf_alternatives(e, p, self.catalog))
-        elif self.buildable(group):
-            self.sortable(e)  # fills the sortable set of every side of ``e``
-            got = tuple(split(e, p, self.catalog, self.partitions(e), self._sortable))
+        elif self._built_kernel().buildable(self.group_masks[i], p):
+            got = tuple(split(e, p, self.catalog, kernel=self._kernel))
+            ids, number = self._ids, self._number
             for a in got:
-                kids.append(self._number((a.l_expr, a.l_prop)))
-                kids.append(self._number((a.r_expr, a.r_prop)))
+                left, right = a.l_prop, a.r_prop
+                c = ids.get((a.l_expr.rels, left.kind, left.attr))
+                kids.append(number(a.l_expr, left) if c is None else c)
+                c = ids.get((a.r_expr.rels, right.kind, right.attr))
+                kids.append(number(a.r_expr, right) if c is None else c)
         else:
             got = ()
         self.group_alts[i] = got
         self.group_kids[i] = kids
 
-    def _number(self, group: GroupKey) -> int:
-        i = self._ids.get(group)
+    def _number(self, e: ExprSig, p: PropertySpec) -> int:
+        key = (e.rels, p.kind, p.attr)
+        i = self._ids.get(key)
         if i is None:
-            i = self._ids[group] = len(self.group_keys)
-            self.group_keys.append(group)
-            self.group_masks.append(expr_mask(group[0], self.catalog))
+            i = self._ids[key] = len(self.group_keys)
+            self.group_keys.append((e, p))
+            self.group_masks.append(expr_mask(e, self.catalog))
             self.group_alts.append(None)
             self.group_kids.append(None)
         return i
@@ -711,7 +786,8 @@ class SearchUniverse:
         return self.buildable(self.root)
 
     def groups(self) -> list[GroupKey]:
-        """Buildable groups reachable from the root, root first, BFS order."""
+        """Buildable groups reachable from the root, root first, BFS order.
+        The first walk fills every group and then drops the kernel."""
         if self._groups is None:
             order = [self.group_id(self.root)]
             seen = set(order)
@@ -724,6 +800,8 @@ class SearchUniverse:
                         seen.add(c)
                         order.append(c)
             self._groups = [self.group_keys[i] for i in order]
+            self._totals = len(order), sum(len(alts[i]) for i in order)
+            self._kernel = None
         return self._groups
 
     def parents(self) -> list[list[tuple[int, int]]]:
@@ -737,15 +815,15 @@ class SearchUniverse:
             self.groups()
             parents: list[list[tuple[int, int]]] = [[] for _ in self.group_keys]
             for p, kids in enumerate(self.group_kids):
-                for k, c in enumerate(kids or ()):
-                    parents[c].append((p, k >> 1))
+                for pos in range(len(kids or ()) >> 1):
+                    row = (p, pos)  # one tuple for both children
+                    parents[kids[2 * pos]].append(row)
+                    parents[kids[2 * pos + 1]].append(row)
             self._parents = parents
         return self._parents
 
     def totals(self) -> tuple[int, int]:
         """(number of groups, number of alternatives) over the full space,
-        counted once: ``groups()`` never changes once built."""
-        if self._totals is None:
-            gs = self.groups()
-            self._totals = len(gs), sum(len(self.alternatives(g)) for g in gs)
+        counted once, by the walk of ``groups()``."""
+        self.groups()
         return self._totals

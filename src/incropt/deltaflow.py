@@ -31,8 +31,10 @@ emitted delta through a relation -> lane map built at drain start.  Per
 delta a loop counts the drain, checks the ceiling, calls the observer only
 if one is installed, counts the relation and calls its rule.  The rules are
 read from ``handlers`` at drain start, so a caller may swap them between
-drains.  A drain cut short by an exception leaves its unprocessed deltas
-pending, in tier order.
+drains; a ``WeakRule`` is bound to its owner there, so an owner holding its
+engine forms no reference cycle and the loop still calls bound methods.  A
+drain cut short by an exception leaves its unprocessed deltas pending, in
+tier order.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -41,6 +43,7 @@ fixpoint is the extension point for any future parallel drain.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -154,6 +157,29 @@ class MinGroupState:
         return True
 
 
+class WeakRule:
+    """A rule handler that is a method of an owner the engine must not keep
+    alive.
+
+    An owner that holds its engine and hands it its own bound methods forms
+    a reference cycle, which only the cyclic garbage collector frees.  A
+    ``WeakRule`` holds its owner weakly.  A drain binds it to the owner
+    once, at drain start, so the loop calls a plain bound method; called
+    directly, it binds per call."""
+
+    __slots__ = ("_owner", "_func")
+
+    def __init__(self, method: Callable[[DeltaTuple], Iterable[DeltaTuple]]):
+        self._owner = weakref.ref(method.__self__)
+        self._func = method.__func__
+
+    def bind(self) -> Callable[[DeltaTuple], Iterable[DeltaTuple]]:
+        return self._func.__get__(self._owner())
+
+    def __call__(self, d: DeltaTuple) -> Iterable[DeltaTuple]:
+        return self._func(self._owner(), d)
+
+
 # K: an optimizer's drain may process the deltas pushed before it started plus
 # K per alternative of its universe before it counts as a wiring bug.  K is
 # over six times the largest drain measured per alternative, net of its pushed
@@ -197,6 +223,11 @@ class FixpointEngine:
         self.processed = 0
         self.drained_by_rule: dict[str, int] = {}
 
+    def _drain_handlers(self) -> dict[str, Callable[[DeltaTuple], Iterable[DeltaTuple]]]:
+        """``handlers`` for one drain, each ``WeakRule`` bound to its owner."""
+        return {rel: h.bind() if type(h) is WeakRule else h
+                for rel, h in self.handlers.items()}
+
     def push(self, deltas: Iterable[DeltaTuple] | DeltaTuple) -> None:
         """Queue one delta, or every delta of an iterable.  A tuple whose
         first field is a relation name is one delta, never three."""
@@ -222,7 +253,7 @@ class FixpointEngine:
         queue = self._queue
         pop = queue.popleft if self.order == "fifo" else self._pop_random
         emit = queue.extend
-        handlers = self.handlers
+        handlers = self._drain_handlers()
         observer = self.observer
         ceiling = len(queue) + self.max_deltas
         counts = self.drained_by_rule = {}
@@ -257,7 +288,7 @@ class FixpointEngine:
         for d in queue:
             route.get(d[0], last)(d)
         queue.clear()
-        handlers = self.handlers
+        handlers = self._drain_handlers()
         observer = self.observer
         ceiling = sum(map(len, lanes)) + self.max_deltas
         counts = self.drained_by_rule = {}

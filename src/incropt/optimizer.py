@@ -56,6 +56,7 @@ from .catalog import Catalog, StatUpdate, catalog_from_dict
 from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
 from .deltaflow import (
     DELETE, DELTAS_PER_ALTERNATIVE, DeltaTuple, FixpointEngine, INSERT, MinGroupState,
+    WeakRule,
 )
 from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
 from .plan import PlanNode, build_plan
@@ -192,17 +193,19 @@ class DeclarativeOptimizer:
         self.touched_and: set[Row] = set()
         self.touched_or: set[int] = set()
         self._tracking = False
+        # weak rules: an engine holding bound methods would keep its
+        # optimizer, and the universe, alive in a reference cycle
         self.engine = FixpointEngine(
             {
-                "expr": self._h_expr,
-                "recost": self._h_recost,
-                "bestcost": self._h_bestcost,
-                "refcount": self._h_refcount,
-                "refilter": self._h_refilter,
-                "refilterrow": self._h_refilterrow,
-                "pbound": self._h_pbound,
-                "maxbound": self._h_maxbound,
-                "bound": self._h_bound,
+                "expr": WeakRule(self._h_expr),
+                "recost": WeakRule(self._h_recost),
+                "bestcost": WeakRule(self._h_bestcost),
+                "refcount": WeakRule(self._h_refcount),
+                "refilter": WeakRule(self._h_refilter),
+                "refilterrow": WeakRule(self._h_refilterrow),
+                "pbound": WeakRule(self._h_pbound),
+                "maxbound": WeakRule(self._h_maxbound),
+                "bound": WeakRule(self._h_bound),
             },
             max_deltas=DELTAS_PER_ALTERNATIVE * u.totals()[1],
             order=drain_order, seed=drain_seed,

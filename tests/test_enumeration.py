@@ -5,7 +5,7 @@ of at most half the expression, kept when both halves pass a set-based
 connectivity test.  ``ReferenceUniverse`` filters its output by the original
 recursive buildability rule (a group is buildable when one of its
 alternatives has only buildable children).  The production universe, built
-from csg-cmp pairs and sortable sets, must hold exactly the same groups, in
+from csg-cmp pairs and predicate masks, must hold exactly the same groups, in
 the same order, with the same alternatives, indexes included, and the same
 child ids, because the ``(cost, index, phy_op)`` tie-break and the engine's
 dense ids depend on them.
@@ -203,6 +203,28 @@ def chain4_catalog() -> tuple[Catalog, Query]:
     return _cat(rels, preds), Query(("A", "B", "C", "D"))
 
 
+def hub_catalog() -> tuple[Catalog, Query]:
+    # H.k is the left side of three predicates: a merge on any one of them
+    # sorts its side on H.k, so the others can merge next
+    rels = [RelationMeta("H", 100.0, ("k",), sorted_on="k")] + [
+        _rel(n, ("k",), indexed=("k",)) for n in "ABC"]
+    preds = [("H.k", "A.k"), ("H.k", "B.k"), ("H.k", "C.k")]
+    return _cat(rels, preds), Query(("A", "B", "C", "H"))
+
+
+def sorted_chain_catalog() -> tuple[Catalog, Query]:
+    # every join attribute is sorted and indexed, and each inner relation
+    # joins both neighbours on it, so merge joins survive on composite
+    # sides and sorted: groups nest
+    rels = [RelationMeta(n, 100.0, ("k",), indexed_on=("k",), sorted_on="k") for n in "ABCD"]
+    preds = [("A.k", "B.k"), ("B.k", "C.k"), ("C.k", "D.k")]
+    return _cat(rels, preds), Query(("A", "B", "C", "D"))
+
+
+EDGE_CASES = [cycle_catalog, double_edge_catalog, chain4_catalog, hub_catalog,
+              sorted_chain_catalog]
+
+
 SEEDED = [(shape, n, seed)
           for shape, sizes in (("chain", (2, 3, 5, 6, 9)), ("star", (4, 6, 9)),
                                ("clique", (3, 5, 8)))
@@ -219,12 +241,27 @@ def test_fixture_universe_matches_subset_scan(fixture):
     assert_same_universe(*fixture())
 
 
-@pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
+@pytest.mark.parametrize("build", EDGE_CASES)
 def test_edge_case_universe_matches_subset_scan(build):
     assert_same_universe(*build())
 
 
-@pytest.mark.parametrize("build", [cycle_catalog, double_edge_catalog, chain4_catalog])
+@pytest.mark.parametrize("build", [hub_catalog, sorted_chain_catalog])
+def test_merge_joins_survive_on_composite_sides(build):
+    """A composite side's sort orders come from the merge joins below it:
+    a merge on one predicate sorts on its attributes, and so on every
+    predicate sharing one of them."""
+    cat, query = build()
+    u = SearchUniverse(cat, query)
+    merges = [a for g in u.groups() for a in u.alternatives(g) if a.phy_op == MERGE_JOIN]
+    assert any(not a.l_expr.is_leaf or not a.r_expr.is_leaf for a in merges)
+    # sorted: groups nest, a sorted group merging a composite sorted group
+    assert any(not a.l_expr.is_leaf or not a.r_expr.is_leaf
+               for g in u.groups() if g[1].kind == PROP_SORTED
+               for a in u.alternatives(g) if a.phy_op == MERGE_JOIN)
+
+
+@pytest.mark.parametrize("build", EDGE_CASES)
 def test_split_matches_subset_scan_for_every_subexpression(build):
     # raw split output, including unbuildable properties and NoAlternatives
     cat, query = build()
@@ -255,10 +292,17 @@ def test_equal_halves_keep_the_side_with_the_first_relation():
     ]
 
 
+def _oriented(a: ExprSig, crossed: int, cat: Catalog) -> tuple[tuple[str, str], ...]:
+    """Per predicate in ``crossed`` (bit ``j`` is ``cat.predicate_bits[j]``),
+    its (side a attribute, side b attribute)."""
+    return tuple((p.left, p.right) if p.left_relation in a.rels else (p.right, p.left)
+                 for j, (_, _, p) in enumerate(cat.predicate_bits) if crossed >> j & 1)
+
+
 def test_partition_orients_each_crossing_predicate():
     cat, query = double_edge_catalog()
-    parts = {(a.rels, b.rels): tuple((sa.attr, sb.attr) for sa, sb in crossing)
-             for a, b, crossing in algebra.partitions(query.sig, cat)}
+    parts = {(a.rels, b.rels): _oriented(a, crossed, cat)
+             for a, b, crossed in algebra.partitions(query.sig, cat)}
     # canonical (left, right) order puts A.q=B.q before B.p=A.p
     assert parts[(("A",), ("B", "C"))] == (("A.q", "B.q"), ("A.p", "B.p"))
     assert parts[(("C",), ("A", "B"))] == (("C.z", "B.q"),)
@@ -338,19 +382,38 @@ def test_pair_buckets_match_subset_scan(build):
 
 BUILDABILITY_CASES = [_seeded(*case) for case in SEEDED] + [
     q3s, q5s, q8joins, cycle_catalog, double_edge_catalog, chain4_catalog,
-    disconnected_catalog]
+    hub_catalog, sorted_chain_catalog, disconnected_catalog]
 
 
 @pytest.mark.parametrize("build", BUILDABILITY_CASES,
                          ids=[f"{s}-{n}-{seed}" for s, n, seed in SEEDED]
                          + ["q3s", "q5s", "q8joins", "cycle", "double_edge", "chain4",
-                            "disconnected"])
+                            "hub", "sorted_chain", "disconnected"])
 def test_mask_buildability_matches_recursive_rule(build):
     cat, query = build()
     ref = ReferenceUniverse(cat, query)
     ref.buildable(ref.root)
     ref.rows()
     u = SearchUniverse(cat, query)
+    for g, want in ref.probed.items():
+        assert u.buildable(g) == want, g
+    assert u.feasible == ref.probed[ref.root]
+
+
+@pytest.mark.parametrize("build", [cycle_catalog, hub_catalog, sorted_chain_catalog, q8joins,
+                                   disconnected_catalog],
+                         ids=["cycle", "hub", "sorted_chain", "q8joins", "disconnected"])
+def test_walked_universe_drops_its_kernel_and_answers_alike(build):
+    """Once ``groups()`` has walked the universe its scratch tables are
+    gone; buildability then comes from the group tables, or from a kernel
+    built again for a group outside them, with the same answers."""
+    cat, query = build()
+    ref = ReferenceUniverse(cat, query)
+    ref.buildable(ref.root)
+    ref.rows()
+    u = SearchUniverse(cat, query)
+    u.groups()
+    assert u._kernel is None
     for g, want in ref.probed.items():
         assert u.buildable(g) == want, g
     assert u.feasible == ref.probed[ref.root]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from itertools import product
 
 import pytest
@@ -529,3 +531,33 @@ def test_narrowed_refilter_flips_what_a_full_rescan_flips(label):
             session.reoptimize()
     assert checked
     assert narrowed if strategies.aggsel else not narrowed
+
+
+def _reoptimized(cat, q):
+    session = ReoptSession(DeclarativeOptimizer(cat, q).run())
+    session.add_updates([StatUpdate("scan_cost", "lineitem", 8.0)])
+    session.reoptimize()
+    return session.opt
+
+
+@pytest.mark.parametrize("make", [
+    lambda cat, q: DeclarativeOptimizer(cat, q).run(),
+    lambda cat, q: DeclarativeOptimizer(cat, q).install(),
+    lambda cat, q: DeclarativeOptimizer.from_snapshot(
+        DeclarativeOptimizer(cat, q).run().to_snapshot()),
+    _reoptimized,
+], ids=["run", "install", "from_snapshot", "reoptimize"])
+def test_a_dropped_optimizer_is_freed_without_the_cycle_collector(q8joins_fixture, make):
+    """Nothing an optimizer holds refers back to it, so dropping the last
+    reference frees it and its universe at once, with the cyclic garbage
+    collector off."""
+    cat, q = q8joins_fixture
+    gc.collect()
+    gc.disable()
+    try:
+        opt = make(cat, q)
+        refs = weakref.ref(opt), weakref.ref(opt.universe), weakref.ref(opt.engine)
+        del opt
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
