@@ -140,12 +140,9 @@ def _read_state(path: str) -> dict:
 
 
 def cmd_reoptimize(args) -> int:
-    snap = _read_state(args.state)
-    if args.catalog:
-        cat = load_catalog(args.catalog)
-        if cat.content_hash() != snap.get("catalog_hash"):
-            raise StateMismatch("state snapshot was built against a different catalog")
-    opt = DeclarativeOptimizer.from_snapshot(snap)
+    opt = DeclarativeOptimizer.from_snapshot(_read_state(args.state))
+    if args.catalog and load_catalog(args.catalog).content_hash() != opt.catalog.content_hash():
+        raise StateMismatch("state snapshot was built against a different catalog")
     session = ReoptSession(opt)
     session.add_updates(load_updates(args.updates))
     plan, metrics = session.reoptimize()  # rejects an overflowed plan itself

@@ -117,6 +117,11 @@ class MinGroupState:
         """Every visible member, in no particular order."""
         return iter(self._visible)
 
+    def canonical(self) -> tuple[list[tuple[Any, float]], list[Any]]:
+        """Its ``(member, value)`` pairs and its visible members, each sorted
+        by member: equal for equal states, whatever order wrote them."""
+        return sorted(self._costs.items()), sorted(self._visible)
+
     def set_visible(self, member: Any, visible: bool) -> None:
         if visible:
             self._visible.add(member)

@@ -43,22 +43,26 @@ moving.
 
 The fixpoint being unique, ``install()`` writes the state ``run()`` drains
 to in closed form, from the best-cost DP.  Loading installs the state a saved
-header implies; the saved ``groups`` are a checked cache of it.
+header implies and checks it against the state's saved ``state_sha256``.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator
 
 from .algebra import AltKey, ExprSig, GroupKey, Query, SearchUniverse, query_from_dict
-from .catalog import Catalog, StatUpdate, catalog_from_dict
+from .catalog import Catalog, StatUpdate, catalog_from_dict, json_object
 from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
 from .deltaflow import (
     DELETE, DELTAS_PER_ALTERNATIVE, DeltaTuple, FixpointEngine, INSERT, MinGroupState,
     WeakRule,
 )
-from .errors import InfeasibleQuery, NotQuiescent, StateMismatch, ValidationError
+from .errors import (
+    InfeasibleQuery, NotQuiescent, ParseError, StateMismatch, ValidationError,
+)
 from .plan import PlanNode, build_plan
 
 Row = tuple[int, int]                 # (group id, position)
@@ -151,10 +155,15 @@ def _bound(best: tuple[float, int] | None,
     return best[0] if maxbound is None else min(best[0], maxbound)
 
 
+# per state-file version, the field that holds the saved state: version 1
+# lists its group records, version 2 only their digest
+_SAVED_STATE_FIELD = {1: "groups", 2: "state_sha256"}
+_IMPLY = "but its catalog, query and strategies imply"
+
+
 def _first_difference(saved: list[dict], want: list[dict]) -> str:
     """Name the first group and field (within ``rows``, the first row) where
     saved ``groups`` differ from the ones the saved header implies."""
-    imply = "but its catalog, query and strategies imply"
     for s, w in zip(saved, want):
         if s != w:
             field = next(k for k in [*w, *s] if s.get(k) != w.get(k))
@@ -164,8 +173,8 @@ def _first_difference(saved: list[dict], want: list[dict]) -> str:
                                    if x != y)
                 field = f"rows[{k}]"
             return (f"snapshot group {ExprSig.of(w['expr'])}|{w['prop']} has "
-                    f"{field} {got!r}, {imply} {exp!r}")
-    return f"snapshot lists {len(saved)} groups, {imply} {len(want)}"
+                    f"{field} {got!r}, {_IMPLY} {exp!r}")
+    return f"snapshot lists {len(saved)} groups, {_IMPLY} {len(want)}"
 
 
 class DeclarativeOptimizer:
@@ -661,15 +670,25 @@ class DeclarativeOptimizer:
 
     # -- digests / snapshots -------------------------------------------------
 
-    def state_digest(self) -> list[dict]:
-        """The snapshot's ``groups``: the one canonical form of the state."""
-        return self._group_records()
+    def state_sha256(self) -> str:
+        """SHA-256 of exactly what ``state_digest`` lists: per group its
+        refcount, synthetic, alive, best, bound and maxbound, and its rows'
+        costs and visible flags.  Groups go in universe-id order and rows by
+        position, which the header fixes, and no set or dict order reaches
+        the hashed text, so equal states hash equal in any process."""
+        self._require_quiescent()
+        state = [(gs.refcount, gs.synthetic, gs.alive, gs.mins.min_of(), gs.bound,
+                  gs.maxbound, *gs.mins.canonical())
+                 for _, gs in sorted(self.groups.items())]
+        return hashlib.sha256(repr(state).encode()).hexdigest()
 
-    def _group_records(self) -> list[dict]:
-        """One record per group, in (relations, property) order.  A row is
-        listed only when it has a cost or is visible: an unlisted row has
-        neither, the state a fresh ``GroupState`` starts in.  At quiescence
-        that lists every row of an alive group and none of a dead one."""
+    def state_digest(self) -> list[dict]:
+        """The state's group records, its one readable form, which a
+        version-1 file saves as ``groups``: one record per group, in
+        (relations, property) order.  A row is listed only when it has a
+        cost or is visible: an unlisted row has neither, the state a fresh
+        ``GroupState`` starts in.  At quiescence that lists every row of an
+        alive group and none of a dead one."""
         self._require_quiescent()
         keys = self.universe.group_keys
         groups = []
@@ -701,11 +720,12 @@ class DeclarativeOptimizer:
         return groups
 
     def to_snapshot(self) -> dict:
-        """JSON dump of the maintained relations, resumable by `reoptimize`."""
-        groups = self._group_records()
+        """The version-2 saved state, resumable by `reoptimize`: the header
+        that implies the state, and the state's ``state_sha256`` to check
+        the installed state against."""
         return {
             "schema": "incropt-state",
-            "version": 1,
+            "version": 2,
             "catalog": self.catalog.to_dict(),
             "catalog_hash": self.catalog.content_hash(),
             "query": {"relations": list(self.query.relations),
@@ -713,30 +733,51 @@ class DeclarativeOptimizer:
                                   for r, s in self.query.filters]},
             "strategies": self.strategies.to_list(),
             "cost_config": self.ctx.config.to_dict(),
-            "groups": groups,
+            "state_sha256": self.state_sha256(),
         }
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "DeclarativeOptimizer":
         """Load a saved state: install the state its catalog, query,
-        strategies and cost config imply, and check that the saved ``groups``
-        equal it.  A full-row file's empty rows (no cost, hidden) are
-        dropped first, as the sparse format leaves them unlisted."""
+        strategies and cost config imply, and check it against the saved
+        one.  A version-2 file saves the state's ``state_sha256``; a
+        version-1 file lists its ``groups``, compared field by field, after
+        a full-row file's empty rows (no cost, hidden) are dropped, as the
+        sparse format leaves them unlisted."""
         try:
+            snap = json_object(snap, "state snapshot")
             if snap.get("schema") != "incropt-state":
                 raise StateMismatch("not an incropt state snapshot")
+            version = snap.get("version")
+            if type(version) is not int or version not in _SAVED_STATE_FIELD:
+                raise StateMismatch("state snapshot 'version' must be 1 or 2, "
+                                    f"got {json.dumps(version)}")
+            if _SAVED_STATE_FIELD[version] not in snap:
+                raise StateMismatch(f"version-{version} state snapshot has no "
+                                    f"{_SAVED_STATE_FIELD[version]!r}")
+            strategies = snap["strategies"]
+            if not isinstance(strategies, list):
+                raise StateMismatch("state snapshot 'strategies' must be a JSON array, "
+                                    f"got {json.dumps(strategies)}")
             cat = catalog_from_dict(snap["catalog"])
             if cat.content_hash() != snap["catalog_hash"]:
                 raise StateMismatch("snapshot catalog hash mismatch (corrupted state)")
             opt = cls(cat, query_from_dict(snap["query"], cat),
-                      strategies=Strategies.parse(",".join(snap["strategies"])),
+                      strategies=Strategies.parse(",".join(strategies)),
                       config=CostConfig.from_dict(snap["cost_config"])).install()
-            saved = [dict(g, rows=[r for r in g["rows"]
-                                   if r["cost"] is not None or r["ss_count"] != 0])
-                     for g in snap["groups"]]
-        except (KeyError, TypeError, ValueError, ValidationError, InfeasibleQuery) as exc:
+            if version == 1:
+                saved = [dict(g, rows=[r for r in g["rows"]
+                                       if r["cost"] is not None or r["ss_count"] != 0])
+                         for g in snap["groups"]]
+        except (KeyError, TypeError, ValueError, ParseError, ValidationError,
+                InfeasibleQuery) as exc:
             raise StateMismatch(f"corrupted state snapshot: {exc}") from exc
-        want = opt._group_records()
+        if version == 2:
+            saved, want = snap["state_sha256"], opt.state_sha256()
+            if saved != want:
+                raise StateMismatch(f"snapshot state_sha256 is {saved!r}, {_IMPLY} {want!r}")
+            return opt
+        want = opt.state_digest()
         if saved != want:
             raise StateMismatch(_first_difference(saved, want))
         return opt

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from incropt.algebra import ExprSig, PropertySpec, Query, SearchUniverse, query_from_dict
@@ -7,6 +9,7 @@ from incropt.catalog import (
     Catalog, JoinPredicate, RelationMeta, catalog_from_dict, validate_catalog,
 )
 from incropt.fixtures import q3s, q5s, q8joins
+from incropt.optimizer import DeclarativeOptimizer
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +43,17 @@ def tiny_catalog() -> tuple[Catalog, Query]:
 @pytest.fixture()
 def co_fixture():
     return tiny_catalog()
+
+
+def as_version1(snap: dict) -> dict:
+    """A copy of ``snap`` as a version-1 file: the same header, with the
+    state's group records (``state_digest()``) saved as ``groups`` in place
+    of its ``state_sha256``."""
+    v1 = json.loads(json.dumps(snap))
+    v1["groups"] = DeclarativeOptimizer.from_snapshot(snap).state_digest()
+    v1["version"] = 1
+    del v1["state_sha256"]
+    return json.loads(json.dumps(v1))
 
 
 def _root_group(snap: dict) -> dict:
@@ -147,31 +161,31 @@ def _triple_non_best_root_row(snap: dict) -> None:
     _root_rows(snap, best=False)[0]["cost"] *= 3
 
 
-# saved-state corruptions that leave the snapshot well-formed and the catalog
-# hash intact: each must be reported as a state mismatch on load, with the
-# given message.  A load installs the state the header implies and compares
-# the saved groups with it, so every corruption of ``groups`` fails that one
-# comparison.
-_DIFFERS = "but its catalog, query and strategies imply"
+# version-1 saved-state corruptions that leave the snapshot well-formed and
+# the catalog hash intact: each must be reported as a state mismatch on load,
+# with the given message.  A load installs the state the header implies and
+# compares the saved groups with it, so every corruption of ``groups`` fails
+# that one comparison.  Apply them to ``as_version1(snap)``.
+DIFFERS = "but its catalog, query and strategies imply"
 STATE_TAMPERS = {
-    "root-best-x10": (_scale_root_best, _DIFFERS),
-    "root-best-null": (_null_root_best, _DIFFERS),
-    "non-best-row-below-best": (_lower_non_best_root_row, _DIFFERS),
+    "root-best-x10": (_scale_root_best, DIFFERS),
+    "root-best-null": (_null_root_best, DIFFERS),
+    "non-best-row-below-best": (_lower_non_best_root_row, DIFFERS),
     "unknown-strategy": (_unknown_strategy, "unknown strategies"),
-    "ss-count-2": (_root_best_row_counted_twice, _DIFFERS),
-    "dead-group-alive": (_revive_dead_group, _DIFFERS),
-    "alive-group-dead": (_kill_alive_group, _DIFFERS),
-    "non-root-synthetic": (_synthetic_non_root_group, _DIFFERS),
-    "dead-group-row-costed": (_cost_dead_group_row, _DIFFERS),
-    "dead-group-row-visible": (_show_dead_group_row, _DIFFERS),
-    "alive-group-row-unlisted": (_unlist_non_best_root_row, _DIFFERS),
-    "row-listed-twice": (_list_root_row_twice, _DIFFERS),
-    "bound-halved": (_halve_bound, _DIFFERS),
-    "maxbound-raised": (_raise_maxbound, _DIFFERS),
-    "refcount-plus-4": (_raise_refcount, _DIFFERS),
-    "best-row-hidden": (_hide_root_best_row, _DIFFERS),
-    "losing-row-shown": (_show_losing_root_row, _DIFFERS),
-    "non-best-row-x3": (_triple_non_best_root_row, _DIFFERS),
+    "ss-count-2": (_root_best_row_counted_twice, DIFFERS),
+    "dead-group-alive": (_revive_dead_group, DIFFERS),
+    "alive-group-dead": (_kill_alive_group, DIFFERS),
+    "non-root-synthetic": (_synthetic_non_root_group, DIFFERS),
+    "dead-group-row-costed": (_cost_dead_group_row, DIFFERS),
+    "dead-group-row-visible": (_show_dead_group_row, DIFFERS),
+    "alive-group-row-unlisted": (_unlist_non_best_root_row, DIFFERS),
+    "row-listed-twice": (_list_root_row_twice, DIFFERS),
+    "bound-halved": (_halve_bound, DIFFERS),
+    "maxbound-raised": (_raise_maxbound, DIFFERS),
+    "refcount-plus-4": (_raise_refcount, DIFFERS),
+    "best-row-hidden": (_hide_root_best_row, DIFFERS),
+    "losing-row-shown": (_show_losing_root_row, DIFFERS),
+    "non-best-row-x3": (_triple_non_best_root_row, DIFFERS),
 }
 
 
@@ -179,3 +193,46 @@ STATE_TAMPERS = {
 def state_tamper(request):
     """A (tamper, expected error message) pair."""
     return STATE_TAMPERS[request.param]
+
+
+def _losing_root_row(opt) -> tuple:
+    """The root's state and its first costed row that is not its best."""
+    gs = opt.groups[opt.root_id]
+    best = gs.mins.min_of()[1]
+    return gs, next(p for p in range(len(opt.universe.group_alts[opt.root_id]))
+                    if p != best and gs.mins.cost_of(p) is not None)
+
+
+def _triple_live_row_cost(opt) -> None:
+    gs, pos = _losing_root_row(opt)
+    gs.mins.update(pos, gs.mins.cost_of(pos) * 3)
+
+
+def _raise_live_refcount(opt) -> None:
+    next(gs for gs in opt.groups.values() if gs.alive and gs.refcount).refcount += 4
+
+
+def _revive_live_dead_group(opt) -> None:
+    next(gs for gs in opt.groups.values() if not gs.alive).alive = True
+
+
+def _halve_live_bound(opt) -> None:
+    gs = next(gs for gs in opt.groups.values() if gs.alive and gs.bound is not None)
+    gs.bound /= 2
+
+
+def _show_live_losing_row(opt) -> None:
+    gs, pos = _losing_root_row(opt)
+    gs.mins.set_visible(pos, True)
+
+
+# corruptions of a live optimizer's quiescent state, one per kind of field the
+# version-2 ``state_sha256`` covers: saved through ``to_snapshot()``, each
+# state's digest differs from the one its header implies, so it must not load
+LIVE_STATE_CORRUPTIONS = {
+    "row-cost-x3": _triple_live_row_cost,
+    "refcount-plus-4": _raise_live_refcount,
+    "dead-group-alive": _revive_live_dead_group,
+    "bound-halved": _halve_live_bound,
+    "losing-row-shown": _show_live_losing_row,
+}

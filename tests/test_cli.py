@@ -12,7 +12,7 @@ from incropt.cli import SCHEMA_VERSION, main
 from incropt.fixtures import write_fixture_files
 from incropt.optimizer import DeclarativeOptimizer
 
-from conftest import STATE_TAMPERS
+from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, STATE_TAMPERS, as_version1
 
 
 @pytest.fixture()
@@ -172,7 +172,7 @@ def test_reoptimize_tampered_best_exits_1(fixture_files, tmp_path, capsys, state
     updates.write_text(json.dumps([
         {"kind": "scan_cost", "target": "lineitem", "factor": 2.0}]))
     assert run("reoptimize", "--state", str(state), "--updates", str(updates)) == 0
-    snap = json.loads(state.read_text())
+    snap = as_version1(json.loads(state.read_text()))
     tamper, message = state_tamper
     tamper(snap)
     state.write_text(json.dumps(snap))
@@ -208,20 +208,60 @@ def test_reoptimized_q5s_state_matches_the_golden_file(fixture_files, tmp_path):
 
 
 FULL_ROWS_STATE = GOLDEN_STATE.with_name("q5s_reoptimized.full_rows.state.json")
+SPARSE_ROWS_STATE = GOLDEN_STATE.with_name("q5s_reoptimized.sparse_rows.state.json")
 
 
 def test_full_row_state_loads_and_resaves_sparse():
-    """A state saved when every row was listed, dead groups' empty rows
-    included, loads to the same state: it passes all three audits and saves
-    as the sparse golden file byte for byte."""
+    """The golden state as two version-1 files, saved when every row was
+    listed (dead groups' empty rows included) and when only rows with state
+    were: each loads to the same state, passes all three audits, and saves
+    as the version-2 golden file byte for byte."""
     full = json.loads(FULL_ROWS_STATE.read_text())
     assert any(r["cost"] is None for g in full["groups"] for r in g["rows"])
-    back = DeclarativeOptimizer.from_snapshot(full)
-    assert back.audit_refcounts() == []
-    assert back.audit_fixpoint() == []
-    assert back.audit_costs() == []
-    text = json.dumps(back.to_snapshot(), indent=2, sort_keys=True) + "\n"
-    assert text == GOLDEN_STATE.read_text()
+    for path in (FULL_ROWS_STATE, SPARSE_ROWS_STATE):
+        snap = json.loads(path.read_text())
+        assert snap["version"] == 1
+        back = DeclarativeOptimizer.from_snapshot(snap)
+        assert back.audit_refcounts() == [], path.name
+        assert back.audit_fixpoint() == [], path.name
+        assert back.audit_costs() == [], path.name
+        text = json.dumps(back.to_snapshot(), indent=2, sort_keys=True) + "\n"
+        assert text == GOLDEN_STATE.read_text(), path.name
+
+
+# state files whose header is malformed: each exits 1 naming the field, with
+# no traceback, from both commands that read a state
+_MALFORMED_STATES = {
+    "root-array": (lambda snap: [snap], "state snapshot must be a JSON object"),
+    "root-string": (lambda snap: "incropt-state", "state snapshot must be a JSON object"),
+    "version-99": (lambda snap: dict(snap, version=99), "'version' must be 1 or 2, got 99"),
+    "version-banana": (lambda snap: dict(snap, version="banana"),
+                       "'version' must be 1 or 2, got \"banana\""),
+    "version-2.0": (lambda snap: dict(snap, version=2.0), "'version' must be 1 or 2, got 2.0"),
+    "version-true": (lambda snap: dict(snap, version=True), "'version' must be 1 or 2, got true"),
+    "version-missing": (lambda snap: {k: v for k, v in snap.items() if k != "version"},
+                        "'version' must be 1 or 2, got null"),
+    "version-1-without-groups": (lambda snap: dict(snap, version=1),
+                                 "version-1 state snapshot has no 'groups'"),
+    "version-2-without-state-sha256": (
+        lambda snap: {k: v for k, v in snap.items() if k != "state_sha256"},
+        "version-2 state snapshot has no 'state_sha256'"),
+    "strategies-string": (lambda snap: dict(snap, strategies="aggsel"),
+                          "'strategies' must be a JSON array, got \"aggsel\""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_STATES))
+def test_malformed_state_header_exits_1(case, fixture_files, tmp_path, capsys):
+    state = _save_state(fixture_files, tmp_path)
+    edit, message = _MALFORMED_STATES[case]
+    state.write_text(json.dumps(edit(json.loads(state.read_text()))))
+    updates = tmp_path / "updates.json"
+    updates.write_text("[]")
+    capsys.readouterr()
+    for argv in (("reoptimize", "--state", str(state), "--updates", str(updates)),
+                 ("verify", "--audit-state", str(state))):
+        assert message in _assert_clean_exit_1(run(*argv), capsys), argv
 
 
 def _set_first_relation(key, value):
@@ -509,9 +549,11 @@ def test_verify_audit_state_accepts_saved_states(fixture_files, tmp_path, capsys
 
 def test_verify_audit_state_rejects_a_tampered_row_cost(fixture_files, tmp_path, capsys):
     """A non-best row cost tripled stays above the group minimum, yet the
-    saved groups no longer equal the installed state, so the state does not
-    load and the audit exits 1 naming the row.  The row-cost audit itself
-    still reports such a row in a live optimizer, and only that row."""
+    saved state no longer equals the installed one, so the state does not
+    load and the audit exits 1: a version-1 file names the row, a version-2
+    file saved from the live state names its ``state_sha256``.  The
+    row-cost audit itself still reports such a row in a live optimizer,
+    and only that row."""
     state = _save_state(fixture_files, tmp_path)
     snap = json.loads(state.read_text())
     opt = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
@@ -522,18 +564,41 @@ def test_verify_audit_state_rejects_a_tampered_row_cost(fixture_files, tmp_path,
     assert opt.audit_refcounts() == [] and opt.audit_fixpoint() == []
     problems = opt.audit_costs()
     assert len(problems) == 1 and "cost" in problems[0]
+    state.write_text(json.dumps(opt.to_snapshot()))
+    capsys.readouterr()
+    assert run("verify", "--audit-state", str(state)) == 1
+    err = capsys.readouterr().err
+    assert "state_sha256" in err and DIFFERS in err
+    snap = as_version1(snap)
     STATE_TAMPERS["non-best-row-x3"][0](snap)
     state.write_text(json.dumps(snap))
-    capsys.readouterr()
     assert run("verify", "--audit-state", str(state)) == 1
     err = capsys.readouterr().err
     assert "rows[" in err and "cost" in err
 
 
+@pytest.mark.parametrize("corruption", sorted(LIVE_STATE_CORRUPTIONS))
+def test_a_corrupted_live_state_saved_as_version2_exits_1(corruption, fixture_files,
+                                                          tmp_path, capsys):
+    """The row-cost corruption above, extended to the refcount, alive, bound
+    and visibility fields: each state fails to load in both commands."""
+    state = _save_state(fixture_files, tmp_path)
+    opt = DeclarativeOptimizer.from_snapshot(json.loads(state.read_text()))
+    LIVE_STATE_CORRUPTIONS[corruption](opt)
+    state.write_text(json.dumps(opt.to_snapshot()))
+    updates = tmp_path / "updates.json"
+    updates.write_text("[]")
+    capsys.readouterr()
+    for argv in (("reoptimize", "--state", str(state), "--updates", str(updates)),
+                 ("verify", "--audit-state", str(state))):
+        err = _assert_clean_exit_1(run(*argv), capsys)
+        assert "state_sha256" in err and DIFFERS in err, argv
+
+
 def test_verify_audit_state_rejects_unloadable_states(fixture_files, tmp_path,
                                                       capsys, state_tamper):
     state = _save_state(fixture_files, tmp_path)
-    snap = json.loads(state.read_text())
+    snap = as_version1(json.loads(state.read_text()))
     tamper, message = state_tamper
     tamper(snap)
     state.write_text(json.dumps(snap))

@@ -91,6 +91,18 @@ class TestMinGroupState:
         # visibility is independent of the member's value
         assert h.min_of() is None and h.visible_min() is None
 
+    def test_canonical_form_does_not_depend_on_write_order(self):
+        """Colliding positions iterate in insertion order, in the set as in
+        the dict; the canonical form sorts both."""
+        a, b = MinGroupState(), MinGroupState()
+        for m, members in ((a, (0, 8, 16)), (b, (16, 8, 0))):
+            for pos in members:
+                m.update(pos, 1.0 + pos)
+                m.set_visible(pos, True)
+        assert list(a.visible()) != list(b.visible())
+        assert a.canonical() == b.canonical() == (
+            [(0, 1.0), (8, 9.0), (16, 17.0)], [0, 8, 16])
+
 
 class TestCountedState:
     """The searchspace trace kept the line format of the retired CountedState:

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +288,85 @@ def test_incremental_state_digest_equals_from_scratch(name):
             if k % 12 == 0 or k == len(stream):
                 fresh = DeclarativeOptimizer(opt.catalog, q).run()
                 assert opt.state_digest() == fresh.state_digest(), (name, drain_seed, k)
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_WORKLOADS))
+def test_state_sha256_is_equal_exactly_when_the_records_are(name):
+    """On the corpus above, under every strategy subset, FIFO and shuffled:
+    two states' ``state_sha256`` are equal exactly when their
+    ``state_digest`` records are, incremental against from-scratch and
+    across checkpoints."""
+    cat, q = _DIGEST_WORKLOADS[name]()
+    seen = []  # (records, digest) of every state checked
+    for strategies in STRATEGY_SUBSETS.values():
+        for drain_seed in (None, 0, 1, 2):
+            order = "fifo" if drain_seed is None else "random"
+            opt, session = fresh_session(cat, q, strategies=strategies,
+                                         drain_order=order, drain_seed=drain_seed)
+            stream = _update_stream(cat, 31 + (drain_seed or 0))
+            for k, u in enumerate(stream, 1):
+                session.add_updates([u])
+                session.reoptimize()
+                if k % 12 == 0 or k == len(stream):
+                    fresh = DeclarativeOptimizer(opt.catalog, q, strategies=strategies).run()
+                    for state in (opt, fresh):
+                        seen.append((state.state_digest(), state.state_sha256()))
+                    assert seen[-1][1] == seen[-2][1], (name, drain_seed, k)
+    for (records_a, digest_a), (records_b, digest_b) in combinations(seen, 2):
+        assert (digest_a == digest_b) == (records_a == records_b)
+    assert len({digest for _, digest in seen}) > len(STRATEGY_SUBSETS)
+
+
+# one edit per field ``state_sha256`` covers, of a group with every field
+# set; ``pos`` is a costed row that is not the group's best
+_COVERED_FIELD_EDITS = {
+    "refcount": lambda gs, pos: setattr(gs, "refcount", gs.refcount + 1),
+    "synthetic": lambda gs, pos: setattr(gs, "synthetic", gs.synthetic + 1),
+    "alive": lambda gs, pos: setattr(gs, "alive", not gs.alive),
+    # the cached minimum alone, its row's cost left as it is
+    "best": lambda gs, pos: setattr(gs.mins, "_min", (gs.mins.min_of()[0] / 2,
+                                                      gs.mins.min_of()[1])),
+    "bound": lambda gs, pos: setattr(gs, "bound", gs.bound / 2),
+    "maxbound": lambda gs, pos: setattr(gs, "maxbound", gs.maxbound * 2),
+    "row cost": lambda gs, pos: gs.mins.update(pos, gs.mins.cost_of(pos) * 3),
+    "row visible": lambda gs, pos: gs.mins.set_visible(pos, not gs.mins.is_visible(pos)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_COVERED_FIELD_EDITS))
+def test_state_sha256_moves_with_each_covered_field(field, q8joins_fixture):
+    cat, q = q8joins_fixture
+    base = DeclarativeOptimizer(cat, q).install()
+    opt = DeclarativeOptimizer(cat, q).install()
+    gs = next(gs for gs in opt.groups.values()
+              if gs.alive and gs.maxbound is not None and len(gs.mins) > 1)
+    pos = next(p for p in gs.mins.members() if p != gs.mins.min_of()[1])
+    _COVERED_FIELD_EDITS[field](gs, pos)
+    assert opt.state_digest() != base.state_digest()
+    assert opt.state_sha256() != base.state_sha256()
+
+
+def test_state_sha256_does_not_depend_on_the_hash_seed(tmp_path):
+    """Saved in one process, loaded in others: the digest leaks no set or
+    dict order, so each hash seed computes the same one."""
+    script = ("import json, sys\n"
+              "from incropt.fixtures import q8joins\n"
+              "from incropt.incremental import ReoptSession\n"
+              "from incropt.optimizer import DeclarativeOptimizer\n"
+              "from incropt.workload import make_update_batch\n"
+              "cat, q = q8joins()\n"
+              "opt = DeclarativeOptimizer(cat, q).run()\n"
+              "session = ReoptSession(opt)\n"
+              "session.add_updates(make_update_batch(cat, 6, 5))\n"
+              "session.reoptimize()\n"
+              "print(opt.state_sha256())\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                              ).stdout.strip()
+               for seed in ("0", "1", "4242")}
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 @pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))

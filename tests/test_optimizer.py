@@ -17,6 +17,8 @@ from incropt.incremental import ReoptSession
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import make_update_batch, make_workload
 
+from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, as_version1
+
 ALL = Strategies.all()
 NONE = Strategies.none()
 AGGSEL = Strategies(True, False, False)
@@ -320,30 +322,62 @@ def test_snapshot_lists_exactly_the_rows_with_state(name, label, request):
         if u is not None:
             session.add_updates([u])
             session.reoptimize()
-        snap = opt.to_snapshot()
-        assert snap["groups"] == opt.state_digest()
+        records = opt.state_digest()
         for g, gs, alts in _groups(opt):
             want = [alt.key for pos, alt in enumerate(alts)
                     if gs.mins.cost_of(pos) is not None or gs.mins.is_visible(pos)]
-            gobj = next(o for o in snap["groups"]
+            gobj = next(o for o in records
                         if (o["expr"], o["prop"]) == (list(g[0].rels), str(g[1])))
             assert [(r["index"], r["phy_op"]) for r in gobj["rows"]] == want
             assert len(want) == (len(alts) if gs.alive else 0)
+        snap = as_version1(opt.to_snapshot())
+        assert snap["groups"] == records
         back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
-        assert back.state_digest() == snap["groups"]
+        assert back.state_digest() == records
 
 
 def test_tampered_snapshot_best_is_a_state_mismatch(q3s_fixture, q8joins_fixture, state_tamper):
-    """On q3s, and on q8joins, whose bounds, index nested-loop joins and
-    sorted leaf give every field a value to corrupt."""
+    """Version-1 files, on q3s, and on q8joins, whose bounds, index
+    nested-loop joins and sorted leaf give every field a value to corrupt."""
     for cat, q in (q3s_fixture, q8joins_fixture):
         opt = DeclarativeOptimizer(cat, q).run()
-        snap = json.loads(json.dumps(opt.to_snapshot()))
+        snap = as_version1(opt.to_snapshot())
         back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(snap)))
         assert back.best_plan() == opt.best_plan()
         tamper, message = state_tamper
         tamper(snap)
         with pytest.raises(StateMismatch, match=message):
+            DeclarativeOptimizer.from_snapshot(snap)
+
+
+def _edited_digest(snap: dict) -> dict:
+    """``snap`` with the last hex digit of its ``state_sha256`` changed."""
+    digest = snap["state_sha256"]
+    return dict(snap, state_sha256=digest[:-1] + ("1" if digest[-1] == "0" else "0"))
+
+
+def test_version2_state_with_an_edited_or_missing_digest_does_not_load(q3s_fixture,
+                                                                      q8joins_fixture):
+    for cat, q in (q3s_fixture, q8joins_fixture):
+        snap = json.loads(json.dumps(DeclarativeOptimizer(cat, q).run().to_snapshot()))
+        assert snap["version"] == 2 and "groups" not in snap
+        with pytest.raises(StateMismatch, match=f"state_sha256 .*{DIFFERS}"):
+            DeclarativeOptimizer.from_snapshot(_edited_digest(snap))
+        del snap["state_sha256"]
+        with pytest.raises(StateMismatch, match="has no 'state_sha256'"):
+            DeclarativeOptimizer.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("corruption", sorted(LIVE_STATE_CORRUPTIONS))
+def test_a_corrupted_live_state_saved_as_version2_does_not_load(q3s_fixture, q8joins_fixture,
+                                                               corruption):
+    """A live state that is not the one its header implies saves its own
+    ``state_sha256``, so the installed state's digest differs on load."""
+    for cat, q in (q3s_fixture, q8joins_fixture):
+        opt = DeclarativeOptimizer(cat, q).run()
+        LIVE_STATE_CORRUPTIONS[corruption](opt)
+        snap = json.loads(json.dumps(opt.to_snapshot()))
+        with pytest.raises(StateMismatch, match=f"state_sha256 .*{DIFFERS}"):
             DeclarativeOptimizer.from_snapshot(snap)
 
 
