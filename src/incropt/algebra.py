@@ -56,7 +56,6 @@ Conventions baked in here:
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -711,7 +710,7 @@ class SearchUniverse:
         self.group_keys: list[GroupKey] = []
         self.group_masks: list[int] = []
         self.group_alts: list[tuple[Alternative, ...] | None] = []
-        self.group_kids: list[array | None] = []
+        self.group_kids: list[list[int] | None] = []
         self._kernel: _Kernel | None = None
         self._groups: list[GroupKey] | None = None
         self._parents: list[list[tuple[int, int]]] | None = None
@@ -753,7 +752,9 @@ class SearchUniverse:
     def _fill(self, i: int) -> None:
         """Compute group ``i``'s alternatives and number their children."""
         e, p = self.group_keys[i]
-        kids = array("i")
+        # a list holds the id objects ``_ids`` already holds; iterating an
+        # array would box a new int per read
+        kids: list[int] = []
         if e.is_leaf:
             got = tuple(leaf_alternatives(e, p, self.catalog))
         elif self._built_kernel().buildable(self.group_masks[i], p):

@@ -17,7 +17,7 @@ bug, never a modelling artifact.
 The oracle and System-R share their DP with the declarative engine's
 pruned-group fallback; the test suite checks them against an enumerator of
 whole plan trees built straight from the catalog.  The DP runs over the
-universe's dense group ids, each group's local costs held in one array; its
+universe's dense group ids, each group's local costs held in one list; its
 ``memo`` still reads as GroupKey -> best in resolution order, which is what
 the visit counts and ``visit_log`` report.
 """

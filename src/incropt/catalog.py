@@ -124,6 +124,23 @@ class Catalog:
         return tuple((bits[p.left_relation], bits[p.right_relation], p)
                      for p in self._sorted_predicates)
 
+    @cached_property
+    def name_order_bits(self) -> tuple[int, ...]:
+        """The relation bits in relation-name order: a mask's first relation
+        by name, as ``ExprSig`` sorts them, is the first of these it holds."""
+        bits = self.relation_bits
+        return tuple(bits[name] for name in sorted(bits))
+
+    @cached_property
+    def incident_selectivities(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per bit position, ``(other relation's bit, selectivity)`` of every
+        predicate on that relation, in ``predicate_bits`` order."""
+        out: list[list[tuple[int, float]]] = [[] for _ in self.relations]
+        for lbit, rbit, p in self.predicate_bits:
+            out[lbit.bit_length() - 1].append((rbit, p.selectivity))
+            out[rbit.bit_length() - 1].append((lbit, p.selectivity))
+        return tuple(map(tuple, out))
+
     def relation(self, name: str) -> RelationMeta:
         try:
             return self._by_name[name]
@@ -177,11 +194,25 @@ _CATALOG_KEYS = {"relations", "predicates"}
 _UPDATE_KEYS = {"kind", "target", "factor"}
 
 
+def _json_type(value) -> str:
+    """The JSON type of a parsed value, as an error message names it: never
+    the value itself, which may be a whole file."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    return "an array" if isinstance(value, list) else "an object"
+
+
 def json_object(obj, where: str) -> dict:
     """``obj`` when it is a JSON object, else a ParseError naming ``where``
-    and the value found there."""
+    and the JSON type found there."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{where} must be a JSON object, got {json.dumps(obj)}")
+        raise ParseError(f"{where} must be a JSON object, got {_json_type(obj)}")
     return obj
 
 
@@ -189,7 +220,7 @@ def json_array(data: dict, key: str, where: str) -> list:
     """``data[key]`` (an empty list when absent) when it is a JSON array."""
     got = data.get(key, [])
     if not isinstance(got, list):
-        raise ParseError(f"{where} {key!r} must be a JSON array, got {json.dumps(got)}")
+        raise ParseError(f"{where} {key!r} must be a JSON array, got {_json_type(got)}")
     return got
 
 

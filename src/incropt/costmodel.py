@@ -16,27 +16,35 @@ expression: every partition of the same expression gets the identical
 value because the context memoizes one canonical computation per
 expression.  That memo is keyed by relation bitmask, the same masks
 ``SearchUniverse.group_masks`` holds, and a rebased context drops an entry
-by the mask test ``BestCost.invalidate`` uses.
+by the mask test ``BestCost.invalidate`` uses.  A miss is computed from
+masks alone: the head is the mask's first relation by name, the rest is
+the remaining mask, and ``nonscan_summary`` multiplies their summaries,
+then the selectivity of each predicate between the head and the rest in
+``Catalog.predicate_bits`` order.  That is the order and grouping the
+name-based recursion it replaced used, so every summary is the same float.
 
 ``BestCost``, the one best-cost DP, runs over ``SearchUniverse``'s dense
-group ids: per id a best value and an ``array('d')`` of local costs, the
-one local-cost table, which the declarative engine's ``recost`` rule and
-Volcano read too.  The kernel fills a join group's table from its own mask
-and its children's, one memo read each, through ``join_local_cost``, the
-one copy of the join arithmetic, which ``nonscan_cost`` calls as well.  An
-update is tested against each id's relation bitmask, and a local cost it
-cannot reach is kept: a scan-cost update moves only its relation's leaf
-scans, since join local costs read summaries and no summary reads
-``scan_cost_factor``.  A group's best is a flat ``min`` over its
-candidates' costs, then ``index`` of it: alternatives sit in ``(index,
-phy_op)`` order, so the first position holding the minimum is the
-smallest ``(cost, index, phy_op)`` tuple, the tie-break every engine shares.
+group ids, in flat lists indexed by id: the best cost and its position,
+the output cardinality and the local costs, the one local-cost table,
+which the declarative engine's ``recost`` rule and Volcano read too.  A
+resolution reads its children's best costs by id and adds each local cost
+with ``sum_cost``; a table fill reads the cardinalities by id and calls
+``join_local_cost``, the one copy of the join arithmetic, which
+``nonscan_cost`` calls as well.  An update is tested against each id's
+relation bitmask, and a value it cannot reach is kept: a scan-cost update
+moves no cardinality and only its relation's leaf scans' local costs, since
+join local costs read summaries and no summary reads ``scan_cost_factor``.
+The groups an update drops are re-resolved together on the next miss,
+fewest relations first, so each finds its children resolved.  A group's
+best is a flat ``min`` over its candidates' costs, then ``index`` of it:
+alternatives sit in ``(index, phy_op)`` order, so the first position
+holding the minimum is the smallest ``(cost, index, phy_op)`` tuple, the
+tie-break every engine shares.
 """
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -105,12 +113,15 @@ def scan_summary(e: ExprSig, cat: Catalog, query: Query) -> Summary:
     return Summary(card)
 
 
-def nonscan_summary(e: ExprSig, l_expr: ExprSig, l_sum: Summary,
-                    r_expr: ExprSig, r_sum: Summary, cat: Catalog) -> Summary:
-    """Join output summary: child product times all crossing selectivities."""
-    card = l_sum.cardinality * r_sum.cardinality
-    for pred in cat.crossing_predicates(l_expr.rels, r_expr.rels):
-        card = card * pred.selectivity
+def nonscan_summary(head: int, h_sum: Summary, rest: int, r_sum: Summary,
+                    cat: Catalog) -> Summary:
+    """Join output summary of one relation, ``head`` (its bit), with the
+    relations of mask ``rest``: the child product times the selectivity of
+    every predicate between them, in ``cat.predicate_bits`` order."""
+    card = h_sum.cardinality * r_sum.cardinality
+    for other, selectivity in cat.incident_selectivities[head.bit_length() - 1]:
+        if other & rest:
+            card = card * selectivity
     return Summary(card)
 
 
@@ -169,17 +180,24 @@ class CostContext:
         mask = self._masks.get(e.rels)
         if mask is None:
             mask = self._masks[e.rels] = expr_mask(e, self.catalog)
+        return self.mask_summary(mask)
+
+    def mask_summary(self, mask: int) -> Summary:
+        """The summary of the relations in ``mask``.  A miss composes the
+        canonical decomposition, the mask's first relation by name against
+        the rest, so the value never depends on which partition asked
+        first."""
         got = self.summaries.get(mask)
         if got is None:
-            if e.is_leaf:
-                got = scan_summary(e, self.catalog, self.query)
+            cat = self.catalog
+            head = next(b for b in cat.name_order_bits if b & mask)
+            if head == mask:
+                got = scan_summary(ExprSig((cat.relations[mask.bit_length() - 1].name,)),
+                                   cat, self.query)
             else:
-                # canonical decomposition: first relation vs the rest, so the
-                # value never depends on which partition asked first
-                head = ExprSig.of((e.rels[0],))
-                rest = ExprSig.of(e.rels[1:])
-                got = nonscan_summary(e, head, self.summary(head),
-                                      rest, self.summary(rest), self.catalog)
+                rest = mask ^ head
+                got = nonscan_summary(head, self.mask_summary(head),
+                                      rest, self.mask_summary(rest), cat)
             self.summaries[mask] = got
         return got
 
@@ -201,10 +219,12 @@ class CostContext:
         """
         ctx = CostContext(cat, self.query, self.config)
         ctx._masks = self._masks
-        stale = [_target_mask(u, cat) for u in updates if u.kind == JOIN_SELECTIVITY]
-        stale = [t for t in stale if t]
-        ctx.summaries = {m: s for m, s in self.summaries.items()
-                         if not any(m & t == t for t in stale)}
+        kept = self.summaries
+        for u in updates:
+            t = _target_mask(u, cat) if u.kind == JOIN_SELECTIVITY else 0
+            if t:
+                kept = {m: s for m, s in kept.items() if m & t != t}
+        ctx.summaries = dict(kept) if kept is self.summaries else kept
         return ctx
 
 
@@ -248,11 +268,13 @@ class BestCost:
     bottom-up, so it never recurses) and the declarative engine's cost
     composition through groups whose maintained entries are pruned away.
 
-    The tables are indexed by ``SearchUniverse`` group id: per id, the best
-    value and the local cost of each alternative (an ``array('d')``), which
-    ``sum_cost`` adds to the children's best.  ``invalidate`` tests relation
-    bitmasks and keeps every local cost an update cannot reach, so a
-    re-resolution recomputes only those it can.  ``memo`` lists the resolved
+    The tables are flat lists indexed by ``SearchUniverse`` group id: per
+    id, the best cost and its position, the output cardinality and the
+    local cost of each alternative, so a resolution reads its children's
+    floats by id and ``sum_cost`` adds them to the local costs.
+    ``invalidate`` tests relation bitmasks and keeps every value an update
+    cannot reach; the groups it drops are re-resolved together, fewest
+    relations first, when a read next misses.  ``memo`` lists the resolved
     groups in resolution order: a group is entered after every child it
     needed.
     """
@@ -260,34 +282,48 @@ class BestCost:
     def __init__(self, universe: SearchUniverse, ctx: CostContext):
         self.universe = universe
         self.ctx = ctx
-        self._best: list[tuple[float, AltKey] | None] = []
-        self._local: list[array | None] = []
+        # per id: best cost (None until resolved) and its position
+        self._cost: list[float | None] = []
+        self._pos: list[int] = []
+        # per id: output cardinality, and each alternative's local cost
+        self._card: list[float | None] = []
+        self._local: list[list[float] | None] = []
         # per id, which alternatives are index nested-loop joins: structure,
         # so kept across invalidation
         self._inlj: list[list[bool] | None] = []
         self._order: list[int] = []
+        # ids whose best an update dropped: every child of one is resolved
+        # or holds fewer relations and is listed too
+        self._stale: list[int] = []
 
     @property
     def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
-        keys, best = self.universe.group_keys, self._best
-        return {keys[i]: best[i] for i in self._order}
+        keys, alts, pos = self.universe.group_keys, self.universe.group_alts, self._pos
+        return {keys[i]: (self._cost[i], alts[i][pos[i]].key) for i in self._order}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
         return self.best_id(self.universe.group_id(g))
 
     def best_id(self, i: int) -> tuple[float, AltKey]:
         """``best`` by group id."""
-        if len(self._best) < len(self.universe.group_keys):
-            self._grow()
-        return self._best[i] or self._solve(i)
+        cost = self.cost_id(i)
+        return cost, self.universe.group_alts[i][self._pos[i]].key
 
-    def local_costs(self, g: GroupKey) -> array | None:
-        """The retained local cost of each of ``g``'s alternatives, in their
-        order, or None when none is retained."""
-        i = self.universe.group_id(g)
-        return self._local[i] if i < len(self._local) else None
+    def cost_id(self, i: int) -> float:
+        """The best cost of group id ``i``: one list read once resolved."""
+        cost = self._cost
+        if i < len(cost):
+            got = cost[i]
+            if got is not None:
+                return got
+            if self._stale:
+                self._resolve_stale()
+                got = cost[i]
+                if got is not None:
+                    return got
+        return self._solve(i)
 
-    def local_table(self, i: int) -> array:
+    def local_table(self, i: int) -> list[float]:
         """The local cost of each alternative of group id ``i``, in their
         order: the retained table, filled first when there is none.  The
         group's alternatives must be computed."""
@@ -298,37 +334,45 @@ class BestCost:
             local = self._local[i] = self._fill(i)
         return local
 
-    def _fill(self, i: int) -> array:
+    def _fill(self, i: int) -> list[float]:
         """Group id ``i``'s local-cost table.  A join group's entries come
-        from its own cardinality and its children's, each one memo read by
-        relation bitmask; a leaf's go through ``CostContext.local_cost``."""
+        from its own cardinality and its children's, read by id; a missing
+        one is its relation bitmask's summary.  A leaf's go through
+        ``CostContext.local_cost``."""
         u, ctx = self.universe, self.ctx
         alts, kids = u.group_alts[i], u.group_kids[i]
         if not kids:
             e, p = u.group_keys[i]
-            return array("d", [ctx.local_cost(e, p, a) for a in alts])
+            return [ctx.local_cost(e, p, a) for a in alts]
         inlj = self._inlj[i]
         if inlj is None:
             inlj = self._inlj[i] = [a.phy_op == INDEX_NL_JOIN for a in alts]
-        masks, keys = u.group_masks, u.group_keys
-        memo, summary = ctx.summaries, ctx.summary
-        out = (memo.get(masks[i]) or summary(keys[i][0])).cardinality
+        card, masks, summary = self._card, u.group_masks, ctx.mask_summary
+        out = card[i]
+        if out is None:
+            out = card[i] = summary(masks[i]).cardinality
+        for c in kids:
+            if card[c] is None:
+                card[c] = summary(masks[c]).cardinality
         base = ctx.config.inlj_log_base
         pairs = iter(kids)
-        return array("d", [
-            join_local_cost(flag, out,
-                            (memo.get(masks[l]) or summary(keys[l][0])).cardinality,
-                            (memo.get(masks[r]) or summary(keys[r][0])).cardinality, base)
-            for flag, l, r in zip(inlj, pairs, pairs)])
+        return [join_local_cost(flag, out, card[l], card[r], base)
+                for flag, l, r in zip(inlj, pairs, pairs)]
 
     def _grow(self) -> None:
-        missing = len(self.universe.group_keys) - len(self._best)
-        self._best.extend([None] * missing)
+        missing = len(self.universe.group_keys) - len(self._cost)
+        self._cost.extend([None] * missing)
+        self._pos.extend([0] * missing)
+        self._card.extend([None] * missing)
         self._local.extend([None] * missing)
         self._inlj.extend([None] * missing)
 
-    def _solve(self, i: int) -> tuple[float, AltKey]:
+    def _solve(self, i: int) -> float:
+        """Resolve group id ``i``, its unresolved children first; returns
+        its best cost."""
         u = self.universe
+        if len(self._cost) < len(u.group_keys):
+            self._grow()
         alts = u.group_alts[i]
         if alts is None:
             alts = u.group_alts[u.group_id(u.group_keys[i])]
@@ -336,21 +380,38 @@ class BestCost:
         if not alts:
             g = u.group_keys[i]
             raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
+        cost = self._cost
+        for c in u.group_kids[i]:
+            if cost[c] is None:
+                self._solve(c)
+        return self._settle(i)
+
+    def _resolve_stale(self) -> None:
+        """Re-resolve every group an update dropped, fewest relations first,
+        so each finds its children resolved."""
+        stale, self._stale = self._stale, []
+        masks, cost = self.universe.group_masks, self._cost
+        stale.sort(key=lambda i: masks[i].bit_count())
+        for i in stale:
+            if cost[i] is None:
+                self._settle(i)
+
+    def _settle(self, i: int) -> float:
+        """Resolve group id ``i`` from its resolved children."""
         local = self.local_table(i)
-        kids = u.group_kids[i]
+        kids = self.universe.group_kids[i]
+        cost = self._cost
         if kids:
-            best, solve = self._best, self._solve
             pairs = iter(kids)
-            costs = [sum_cost((best[l] or solve(l))[0], (best[r] or solve(r))[0], lc)
-                     for lc, l, r in zip(local, pairs, pairs)]
+            costs = [sum_cost(cost[l], cost[r], lc) for lc, l, r in zip(local, pairs, pairs)]
         else:
             costs = [sum_cost(None, None, lc) for lc in local]
         # position order is key order, so the first position holding the
         # minimum is the smallest (cost, index, phy_op)
-        cost = min(costs)
-        got = self._best[i] = (cost, alts[costs.index(cost)].key)
+        best = cost[i] = min(costs)
+        self._pos[i] = costs.index(best)
         self._order.append(i)
-        return got
+        return best
 
     def invalidate(self, updates: Iterable[StatUpdate],
                    ctx: CostContext) -> None:
@@ -359,14 +420,15 @@ class BestCost:
         bitmask holds all of its target relations.
 
         A reached group loses its best cost.  A join-selectivity update also
-        drops its local costs, since they read the summaries it moves; a
-        scan-cost update drops only the local costs of its relation's leaf
-        groups, since join local costs read only summaries and summaries do
-        not read ``scan_cost_factor``.  No other value can move.
+        drops its cardinality and local costs, since they read the summaries
+        it moves; a scan-cost update drops only the local costs of its
+        relation's leaf groups, since join local costs read only summaries
+        and summaries do not read ``scan_cost_factor``.  No other value can
+        move.
         """
         self.ctx = ctx
-        best, local = self._best, self._local
-        masks = self.universe.group_masks[:len(best)]
+        cost, card, local, stale = self._cost, self._card, self._local, self._stale
+        masks = self.universe.group_masks[:len(cost)]
         for u in updates:
             t = _target_mask(u, self.universe.catalog)
             if not t:
@@ -374,7 +436,11 @@ class BestCost:
             keep_joins = u.kind == SCAN_COST
             for i, m in enumerate(masks):
                 if m & t == t:
-                    best[i] = None
-                    if not keep_joins or m == t:
+                    if cost[i] is not None:
+                        cost[i] = None
+                        stale.append(i)
+                    if not keep_joins:
+                        card[i] = local[i] = None
+                    elif m == t:
                         local[i] = None
-        self._order = [i for i in self._order if best[i] is not None]
+        self._order = [i for i in self._order if cost[i] is not None]

@@ -161,6 +161,34 @@ class MinGroupState:
         self._min = min(zip(entries.values(), entries))
         return True
 
+    def assign(self, changes: Iterable[tuple[Any, float | None]]) -> bool:
+        """``update`` for several distinct members at once, rescanning the
+        minimum at most once; report whether the minimum changed.
+
+        The lowest written ``(cost, member)`` replaces a minimum it is below,
+        since every unwritten member is above that minimum; otherwise only a
+        written-over or deleted minimum member forces the one rescan."""
+        before = self._min
+        entries = self._costs
+        low = None
+        stale = False
+        for member, cost in changes:
+            if cost is None:
+                if entries.pop(member, None) is None:
+                    continue
+            else:
+                entries[member] = cost
+                cand = (cost, member)
+                if low is None or cand < low:
+                    low = cand
+            if before is not None and member == before[1]:
+                stale = True
+        if low is not None and (before is None or low < before):
+            self._min = low
+        elif stale:
+            self._min = min(zip(entries.values(), entries), default=None)
+        return self._min != before
+
 
 class WeakRule:
     """A rule handler that is a method of an owner the engine must not keep

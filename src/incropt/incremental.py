@@ -12,9 +12,12 @@ recost deltas aimed at exactly the state the changed numbers can reach:
   input summaries change.
 
 Both tests run on the universe's relation bitmasks (``group_masks``), one
-per group id, and each seed is a row ``(group id, position)``.  Everything
-else is reached through ordinary fixpoint propagation, and the result
-provably equals a from-scratch optimization over the updated catalog.
+per group id.  The seeds are grouped: one ``recost`` per reached group,
+whose payload ``(group id, positions)`` lists the reached rows, so the
+group's rule costs them in one pass and moves its minimum at most once.
+Everything else is reached through ordinary fixpoint propagation, and the
+result provably equals a from-scratch optimization over the updated
+catalog.
 
 The catalog swap drops cached summaries and fallback best costs by the same
 subset rule: an update reaches an expression only when the expression holds
@@ -52,7 +55,8 @@ class ReoptMetrics:
 
 
 def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]:
-    """Convert one statistics update into recost deltas over the live state.
+    """Convert one statistics update into recost deltas over the live state,
+    one ``(group id, positions)`` seed per reached group.
 
     The optimizer's catalog must already reflect the update.  A factor of
     1.0 is an identity and produces no deltas.
@@ -80,7 +84,7 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]
         m = masks[i]
         if u.kind == JOIN_SELECTIVITY:
             if m & t == t:
-                out.extend(("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
+                out.append(("recost", INSERT, (i, range(len(alts[i])))))
             continue
         # scan-cost update: leaf rows over the relation, plus rows whose
         # affected child is currently pruned and hence unreachable by
@@ -89,13 +93,13 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]
             continue
         k = kids[i]
         if not k:
-            out.extend(("recost", INSERT, (i, pos)) for pos in range(len(alts[i])))
+            out.append(("recost", INSERT, (i, range(len(alts[i])))))
             continue
-        for pos in range(len(alts[i])):
-            # the children split the relations, so exactly one holds the target
-            c = k[2 * pos] if masks[k[2 * pos]] & t else k[2 * pos + 1]
-            if not groups[c].alive:
-                out.append(("recost", INSERT, (i, pos)))
+        # the children split the relations, so exactly one holds the target
+        positions = tuple(pos for pos, (l, r) in enumerate(zip(k[::2], k[1::2]))
+                          if not groups[l if masks[l] & t else r].alive)
+        if positions:
+            out.append(("recost", INSERT, (i, positions)))
     return out
 
 

@@ -13,8 +13,11 @@ its row costs by position, their minimum and its visible set.
   set;
 * ``plancost``     -- the current full cost of each alternative, retained by
   its group even while a row is pruned, so the next-best plan is
-  recoverable; the ``recost`` rule adds the row's local cost, read from the
-  fallback DP's table, to its children's ``bestcost`` with ``sum_cost``;
+  recoverable; a ``recost`` delta names one group and some of its rows,
+  ``(group id, positions)``, and its rule adds each row's local cost, read
+  from the fallback DP's table, to its children's ``bestcost`` with
+  ``sum_cost``, reading each distinct child once and writing the changed
+  costs in one ``MinGroupState.assign``;
 * ``bestcost``     -- the per-group (OR node) minimum, with deterministic
   (cost, index, phy_op) tie-breaking shared with every baseline;
 * ``refcount``     -- per-group count of visible parent AND rows; at zero a
@@ -32,14 +35,23 @@ drain order converges to the same answer.
 The order still decides the work.  The cold build is a revival: ``run()``
 pushes the root's ``expr``, whose rule creates every group dead and revives
 the root (every group without reference counting).  A revival costs a
-group's rows, from the fallback DP's exact child bests, before ``refilter``
-shows any.  In a FIFO drain a row is then shown only on its final cost, and
-only shown rows pull their children alive: aggregate selection drops a
-non-minimal row as it is derived, before it propagates.  That build drains
-plain FIFO; tiering it saved under 3% of its deltas.  A re-optimization
-drains in ``REOPT_TIERS`` order, costs before bounds before visibility, so
-a row is pruned or a group retired only on costs the update has finished
-moving.
+group's rows, one ``recost`` for all of them from the fallback DP's exact
+child bests, before ``refilter`` shows any.  In a FIFO drain a row is then
+shown only on its final cost, and only shown rows pull their children
+alive: aggregate selection drops a non-minimal row as it is derived, before
+it propagates.  That build drains plain FIFO; tiering it saved under 3% of
+its deltas.  A re-optimization drains in ``REOPT_TIERS`` order, costs
+before bounds before visibility, so a row is pruned or a group retired only
+on costs the update has finished moving.
+
+A cost write queues ``refilterrow`` only for a row that can flip on it.
+Without aggregate selection that is every written row.  Under it, only a
+row visible at the write: a hidden row can be shown only as its group's
+minimum, and a write that makes it the minimum moves the minimum, whose
+``bestcost`` queues the group's ``refilter``, which checks that row.  A
+``refilterrow`` checks its group's minimum too, and a check shows rows
+before it hides any, so a child that the old and the new minimum share
+keeps its reference instead of dying and reviving.
 
 The fixpoint being unique, ``install()`` writes the state ``run()`` drains
 to in closed form, from the best-cost DP.  Loading installs the state a saved
@@ -50,7 +62,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .algebra import AltKey, ExprSig, GroupKey, Query, SearchUniverse, query_from_dict
@@ -137,7 +150,7 @@ REOPT_TIERS = {
     "refilter": 2, "refilterrow": 2, "refcount": 2, "expr": 2,
 }
 
-_AND_PAYLOAD = {"recost", "refilterrow", "pbound"}
+_AND_PAYLOAD = {"refilterrow", "pbound"}
 _OR_PAYLOAD = {"expr", "bestcost", "refilter", "maxbound", "bound"}
 
 
@@ -247,9 +260,9 @@ class DeclarativeOptimizer:
             if not gs.alive:
                 continue
             kids, local = self._kids[i], dp.local_table(i)
-            child = [dp.best_id(c)[0] for c in kids] or [None] * (2 * len(local))
-            for pos, lc in enumerate(local):
-                gs.mins.update(pos, sum_cost(child[2 * pos], child[2 * pos + 1], lc))
+            child = [dp.cost_id(c) for c in kids] or [None] * (2 * len(local))
+            gs.mins.assign([(pos, sum_cost(child[2 * pos], child[2 * pos + 1], lc))
+                            for pos, lc in enumerate(local)])
             if strategies.bounding:
                 gs.maxbound = _maxbound(gs)
                 gs.bound = _bound(gs.mins.min_of(), gs.maxbound)
@@ -291,7 +304,10 @@ class DeclarativeOptimizer:
 
     def _observe(self, d: DeltaTuple) -> None:
         rel = d[0]
-        if rel in _AND_PAYLOAD:
+        if rel == "recost":
+            i, positions = d[2]
+            self.touched_and.update([(i, pos) for pos in positions])
+        elif rel in _AND_PAYLOAD:
             self.touched_and.add(d[2])
         elif rel in _OR_PAYLOAD:
             self.touched_or.add(d[2])
@@ -323,8 +339,10 @@ class DeclarativeOptimizer:
     def _kill_group(self, i: int) -> list[DeltaTuple]:
         gs = self.groups[i]
         gs.alive = False
-        out = [d for pos in range(len(self._alts[i])) if gs.mins.cost_of(pos) is not None
-               for d in self._set_row_cost(i, pos, gs, None)]
+        retract = dict.fromkeys(sorted(gs.mins.members()))
+        if self._tracking:
+            self.touched_and.update([(i, pos) for pos in retract])
+        out = self._set_row_costs(i, gs, retract) if retract else []
         out.append(("refilter", INSERT, i))
         return out
 
@@ -333,8 +351,7 @@ class DeclarativeOptimizer:
         gs.alive = True
         gs.contribs.clear()
         gs.maxbound = gs.bound = None
-        out = [("recost", INSERT, (i, pos)) for pos in range(len(self._alts[i]))]
-        out.append(("refilter", INSERT, i))
+        out = [("recost", INSERT, (i, range(len(self._alts[i])))), ("refilter", INSERT, i)]
         if self.strategies.bounding:
             out.append(("bound", INSERT, i))
         return out
@@ -342,12 +359,14 @@ class DeclarativeOptimizer:
     # -- cost composition --------------------------------------------------
 
     def _child_cost(self, i: int) -> float:
+        """A child's best cost: an alive group's maintained minimum, else
+        the fallback DP's."""
         gs = self.groups[i]
         if gs.alive:
             m = gs.mins.min_of()
             if m is not None:
                 return m[0]
-        return self._dp.best_id(i)[0]
+        return self._dp.cost_id(i)
 
     # -- handlers ----------------------------------------------------------
 
@@ -379,45 +398,79 @@ class DeclarativeOptimizer:
         return out
 
     def _h_recost(self, d: DeltaTuple) -> list[DeltaTuple]:
-        i, pos = d[2]
+        """Recost the rows ``(group id, positions)`` of one alive group in
+        one pass: each distinct child's cost is read once, and the costs
+        that changed are written together."""
+        i, positions = d[2]
         gs = self.groups[i]
         if not gs.alive:
             return []
-        local = self._dp.local_table(i)[pos]
+        local = self._dp.local_table(i)
         kids = self._kids[i]
+        held = gs.mins.cost_of
+        changes: dict[int, float] = {}
         if kids:
-            cost = sum_cost(self._child_cost(kids[2 * pos]),
-                            self._child_cost(kids[2 * pos + 1]), local)
+            child: dict[int, float] = {}
+            read = self._child_cost
+            for pos in positions:
+                l, r = kids[2 * pos], kids[2 * pos + 1]
+                lc = child.get(l)
+                if lc is None:
+                    lc = child[l] = read(l)
+                rc = child.get(r)
+                if rc is None:
+                    rc = child[r] = read(r)
+                cost = sum_cost(lc, rc, local[pos])
+                if cost != held(pos):
+                    changes[pos] = cost
         else:
-            cost = sum_cost(None, None, local)
-        if cost == gs.mins.cost_of(pos):
-            return []
-        return self._set_row_cost(i, pos, gs, cost)
+            for pos in positions:
+                cost = sum_cost(None, None, local[pos])
+                if cost != held(pos):
+                    changes[pos] = cost
+        return self._set_row_costs(i, gs, changes) if changes else []
 
-    def _set_row_cost(self, i: int, pos: int, gs: GroupState,
-                      cost: float | None) -> list[DeltaTuple]:
-        """Write one plancost value (None retracts it) and its group-min
-        effect atomically, so a shuffled drain never puts an older value over
-        a newer one.  Only change notifications go through the queue; the
-        always emitted ``refilterrow`` also records the row as touched."""
-        out = [("refilterrow", INSERT, (i, pos))]
-        if self.strategies.bounding and gs.mins.is_visible(pos):
-            out.append(("pbound", INSERT, (i, pos)))
-        if gs.mins.update(pos, cost):
+    def _set_row_costs(self, i: int, gs: GroupState,
+                       changes: dict[int, float | None]) -> list[DeltaTuple]:
+        """Write plancost values by position (None retracts one) and their
+        group-min effect atomically, so a shuffled drain never puts an older
+        value over a newer one; the minimum is rescanned at most once.
+
+        A written row that may flip gets a ``refilterrow``.  Without
+        aggregate selection that is every one.  Under it, only a row visible
+        at its write: a hidden row can be shown only as its group's minimum,
+        and a row that becomes the minimum moves it, so the ``bestcost``
+        emitted here queues the group's ``refilter``, which checks it."""
+        mins = gs.mins
+        if self.strategies.aggsel:
+            shown = sorted(pos for pos in mins.visible() if pos in changes)
+        else:
+            shown = changes
+        out: list[DeltaTuple] = [("refilterrow", INSERT, (i, pos)) for pos in shown]
+        if self.strategies.bounding:
+            out.extend(("pbound", INSERT, (i, pos)) for pos in shown)
+        if mins.assign(changes.items()):
             out.append(("bestcost", INSERT, i))
         return out
 
     def _h_bestcost(self, d: DeltaTuple) -> list[DeltaTuple]:
+        """A group's minimum moved: recost the rows holding it, one recost
+        per alive parent group.  A dead parent's rows are costless and
+        contribute no bound, so it gets neither a recost nor a pbound."""
         i = d[2]
         bounding = self.strategies.bounding
         out: list[DeltaTuple] = []
         pbounds: list[DeltaTuple] = []
-        for row in self.parent_index[i]:
-            pgs = self.groups[row[0]]
-            if pgs.alive:
-                out.append(("recost", INSERT, row))
-            if bounding and pgs.mins.is_visible(row[1]):
-                pbounds.append(("pbound", INSERT, row))
+        # parent rows come in parent id order
+        for p, rows in groupby(self.parent_index[i], key=itemgetter(0)):
+            pgs = self.groups[p]
+            if not pgs.alive:
+                continue
+            positions = [pos for _, pos in rows]
+            out.append(("recost", INSERT, (p, positions)))
+            if bounding:
+                pbounds.extend(("pbound", INSERT, (p, pos))
+                               for pos in positions if pgs.mins.is_visible(pos))
         out.append(("refilter", INSERT, i))
         if bounding:
             out.append(("bound", INSERT, i))
@@ -445,11 +498,18 @@ class DeclarativeOptimizer:
             return True
         return self.strategies.bounding and gs.bound is not None and cost > gs.bound
 
-    def _refilter_row(self, i: int, pos: int, gs: GroupState) -> list[DeltaTuple]:
-        target = gs.alive and not self._pruned(gs, pos)
-        if target == gs.mins.is_visible(pos):
-            return []
-        return self._apply_row_visibility((i, pos), INSERT if target else DELETE)
+    def _flips(self, i: int, gs: GroupState, positions: Iterable[int]) -> list[DeltaTuple]:
+        """Flip each of ``positions`` whose verdict differs from its
+        visibility, the rows to show first: a child that a shown row and a
+        hidden one share then keeps its reference throughout, rather than
+        dying and reviving."""
+        shown, hidden = [], []
+        for pos in positions:
+            target = gs.alive and not self._pruned(gs, pos)
+            if target != gs.mins.is_visible(pos):
+                (shown if target else hidden).append(pos)
+        return ([d for pos in shown for d in self._apply_row_visibility((i, pos), INSERT)]
+                + [d for pos in hidden for d in self._apply_row_visibility((i, pos), DELETE)])
 
     def _h_refilter(self, d: DeltaTuple) -> list[DeltaTuple]:
         """Re-check a group's rows.  A dead group hides every row, so only
@@ -464,11 +524,18 @@ class DeclarativeOptimizer:
             positions = sorted({*mins.visible(), mins.min_of()[1]})
         else:
             positions = range(n)
-        return [d for pos in positions for d in self._refilter_row(i, pos, gs)]
+        return self._flips(i, gs, positions)
 
     def _h_refilterrow(self, d: DeltaTuple) -> list[DeltaTuple]:
+        """Re-check one row.  Under aggregate selection the group's minimum,
+        the one row that can be shown, is checked with it, so a replacement
+        is shown before the row it replaces is hidden."""
         i, pos = d[2]
-        return self._refilter_row(i, pos, self.groups[i])
+        gs = self.groups[i]
+        m = gs.mins.min_of()
+        if self.strategies.aggsel and m is not None and m[1] != pos:
+            return self._flips(i, gs, sorted((pos, m[1])))
+        return self._flips(i, gs, (pos,))
 
     def _h_pbound(self, d: DeltaTuple) -> list[DeltaTuple]:
         row = d[2]
@@ -524,8 +591,7 @@ class DeclarativeOptimizer:
         gs.bound = b
         out = [("refilter", INSERT, i)]
         if self._kids[i]:
-            out.extend(("pbound", INSERT, (i, pos))
-                       for pos in range(len(self._alts[i])) if gs.mins.is_visible(pos))
+            out.extend(("pbound", INSERT, (i, pos)) for pos in sorted(gs.mins.visible()))
         return out
 
     # -- read-side ---------------------------------------------------------

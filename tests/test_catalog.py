@@ -66,6 +66,25 @@ def test_unknown_keys_rejected():
         catalog_from_dict(data)
 
 
+_JSON_TYPES = [(list(range(50_000)), "an array"), ({"C": 1}, "an object"),
+               ("C" * 50_000, "a string"), (7, "a number"), (2.5, "a number"),
+               (True, "a boolean"), (None, "null")]
+
+
+@pytest.mark.parametrize("value, found", _JSON_TYPES)
+def test_shape_errors_name_the_json_type_not_the_value(value, found):
+    """A value of the wrong JSON type is named by its type, never printed:
+    it may be a whole file."""
+    if found != "an object":
+        with pytest.raises(ParseError) as exc:
+            catalog_from_dict(value)
+        assert str(exc.value) == f"catalog root must be a JSON object, got {found}"
+    if found != "an array":
+        with pytest.raises(ParseError) as exc:
+            catalog_from_dict(dict(THREE_REL, relations=value))
+        assert str(exc.value) == f"catalog 'relations' must be a JSON array, got {found}"
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -11,6 +11,7 @@ import pytest
 from incropt.cli import SCHEMA_VERSION, main
 from incropt.fixtures import write_fixture_files
 from incropt.optimizer import DeclarativeOptimizer
+from incropt.workload import make_workload
 
 from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, STATE_TAMPERS, as_version1
 
@@ -262,6 +263,20 @@ def test_malformed_state_header_exits_1(case, fixture_files, tmp_path, capsys):
     for argv in (("reoptimize", "--state", str(state), "--updates", str(updates)),
                  ("verify", "--audit-state", str(state))):
         assert message in _assert_clean_exit_1(run(*argv), capsys), argv
+
+
+def test_array_wrapped_clique8_state_prints_one_short_error_line(tmp_path, capsys):
+    """An error names the JSON type it found, never the value: a version-1
+    clique-8 state (about 140 KB) wrapped in an array gets one short line."""
+    cat, q = make_workload("clique", 8, 7)
+    snap = as_version1(DeclarativeOptimizer(cat, q).run().to_snapshot())
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([snap], indent=2))
+    assert state.stat().st_size > 100_000
+    capsys.readouterr()
+    err = _assert_clean_exit_1(run("verify", "--audit-state", str(state)), capsys)
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert "state snapshot must be a JSON object, got an array" in err
 
 
 def _set_first_relation(key, value):

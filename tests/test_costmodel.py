@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from incropt.algebra import Alternative, ExprSig, PropertySpec, Query, SearchUniverse
+from incropt.algebra import (
+    Alternative, ExprSig, PropertySpec, Query, SearchUniverse, connected_subexprs,
+)
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, apply_update
 from incropt.costmodel import (
     BestCost, CostConfig, CostContext, Summary, alternative_cost, nonscan_cost, nonscan_summary,
@@ -42,15 +44,15 @@ def test_scan_summary_applies_filters():
 
 def test_nonscan_summary_hand_arithmetic():
     cat = make_cat()
-    got = nonscan_summary(ExprSig.of(["C", "O"]), ExprSig.of(["C"]), Summary(1500.0),
-                          ExprSig.of(["O"]), Summary(15000.0), cat)
+    bits = cat.relation_bits
+    got = nonscan_summary(bits["C"], Summary(1500.0), bits["O"], Summary(15000.0), cat)
     assert got.cardinality == 1500.0 * 15000.0 * 0.001 == 22500.0
 
 
 def test_nonscan_summary_zero_child():
     cat = make_cat()
-    got = nonscan_summary(ExprSig.of(["C", "O"]), ExprSig.of(["C"]), Summary(0.0),
-                          ExprSig.of(["O"]), Summary(15000.0), cat)
+    bits = cat.relation_bits
+    got = nonscan_summary(bits["C"], Summary(0.0), bits["O"], Summary(15000.0), cat)
     assert got.cardinality == 0.0
 
 
@@ -65,8 +67,8 @@ def test_nonscan_summary_multiple_crossing_predicates():
             JoinPredicate("A.y", "B.y", 0.25),
         ),
     )
-    got = nonscan_summary(ExprSig.of(["A", "B"]), ExprSig.of(["A"]), Summary(10.0),
-                          ExprSig.of(["B"]), Summary(20.0), cat)
+    bits = cat.relation_bits
+    got = nonscan_summary(bits["A"], Summary(10.0), bits["B"], Summary(20.0), cat)
     # brute-force product over the predicate set
     expect = 10.0 * 20.0
     for p in cat.predicates:
@@ -198,8 +200,8 @@ def _assert_dp_equals_fresh(dp: BestCost, fresh: BestCost, step) -> int:
     for g, kept in dp.memo.items():
         assert kept == fresh.best(g), (step, g)
         checked += 1
-    for g in dp.universe.group_keys:
-        local = dp.local_costs(g)
+    for i, g in enumerate(dp.universe.group_keys):
+        local = dp._local[i]
         if local is not None:
             e, p = g
             want = [fresh.ctx.local_cost(e, p, a) for a in dp.universe.alternatives(g)]
@@ -257,7 +259,7 @@ def test_update_keeps_every_local_cost_it_cannot_reach(make):
         dp = BestCost(universe, CostContext(cat, q))
         for g in universe.groups():
             dp.best(g)
-        before = {g: dp.local_costs(g) for g in universe.groups()}
+        before = {g: dp._local[universe.group_id(g)] for g in universe.groups()}
         new_cat = apply_update(cat, u)
         dp.invalidate([u], dp.ctx.rebased(new_cat, [u]))
         ends = u.target_relations()
@@ -269,10 +271,11 @@ def test_update_keeps_every_local_cost_it_cannot_reach(make):
                 dropped = g[0].rels == (u.target,)
             else:
                 dropped = reached
+            kept = dp._local[universe.group_id(g)]
             if dropped:
-                assert dp.local_costs(g) is None, (u, g)
+                assert kept is None, (u, g)
             else:
-                assert dp.local_costs(g) is local, (u, g)
+                assert kept is local, (u, g)
             joins += not g[0].is_leaf and reached and not dropped
         # a scan-cost update reaches join groups whose local costs it keeps
         assert joins if u.kind == "scan_cost" else not joins
@@ -347,3 +350,58 @@ def test_local_tables_equal_local_cost_bit_for_bit(name):
         _assert_tables_equal_local_cost(dp, cat, q, step)
     if name in ("q5s", "q8joins"):
         assert inlj
+
+
+def _string_path_summary(cat, q, e: ExprSig, memo: dict) -> float:
+    """A reference copy of the summary recursion over relation names: the
+    first relation by name against the rest, their product times the
+    selectivities ``Catalog.crossing_predicates`` lists, in its order."""
+    got = memo.get(e.rels)
+    if got is None:
+        if e.is_leaf:
+            got = scan_summary(e, cat, q).cardinality
+        else:
+            head, rest = ExprSig.of(e.rels[:1]), ExprSig.of(e.rels[1:])
+            got = (_string_path_summary(cat, q, head, memo)
+                   * _string_path_summary(cat, q, rest, memo))
+            for pred in cat.crossing_predicates(head.rels, rest.rels):
+                got = got * pred.selectivity
+        memo[e.rels] = got
+    return got
+
+
+_SUMMARY_WORKLOADS = {
+    "q5s": q5s,
+    "q8joins": q8joins,
+    "chain-16": lambda: make_workload("chain", 16, 7),
+    "star-10": lambda: make_workload("star", 10, 7),
+    "clique-8": lambda: make_workload("clique", 8, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUMMARY_WORKLOADS))
+def test_bitmask_summaries_equal_the_string_path_bit_for_bit(name):
+    """Every connected subset's summary, composed from relation bitmasks,
+    equals the name-based recursion in ``float.hex``: on the catalog, and
+    after one update of each kind, both rebased from the old context and
+    computed afresh.  In q5s, q8joins and chain-16 relation names do not
+    sort in declaration order (``R10`` sorts before ``R2``), so there a
+    mask's head is not always its lowest bit."""
+    cat, q = _SUMMARY_WORKLOADS[name]()
+    subsets = sorted(connected_subexprs(q.sig, cat), key=lambda e: (len(e), e.rels))
+    names = [r.name for r in cat.relations]
+    assert (names != sorted(names)) == (name in ("q5s", "q8joins", "chain-16"))
+    ctx = CostContext(cat, q)
+    checks = [(cat, ctx)]
+    for u in (StatUpdate("scan_cost", cat.relations[1].name, 8.0),
+              StatUpdate("join_selectivity", cat.predicates[-1].name, 0.125)):
+        # warm the old context first, so the rebased one keeps summaries
+        for e in subsets:
+            ctx.summary(e)
+        new_cat = apply_update(cat, u)
+        checks += [(new_cat, ctx.rebased(new_cat, [u])), (new_cat, CostContext(new_cat, q))]
+    for c, context in checks:
+        memo = {}
+        for e in subsets:
+            want = _string_path_summary(c, q, e, memo)
+            assert context.summary(e).cardinality.hex() == want.hex(), (name, e)

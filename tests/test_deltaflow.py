@@ -91,6 +91,30 @@ class TestMinGroupState:
         # visibility is independent of the member's value
         assert h.min_of() is None and h.visible_min() is None
 
+    def test_bulk_assign_equals_one_update_per_member(self):
+        """``assign`` writes several members and rescans at most once; it
+        leaves the same values and minimum as one ``update`` per member, in
+        any order, and reports whether that minimum moved."""
+        rng = random.Random(5)
+        for _ in range(400):
+            bulk, single = MinGroupState(), MinGroupState()
+            for pos in range(6):
+                if rng.random() < 0.7:
+                    cost = float(rng.randrange(4))
+                    bulk.update(pos, cost)
+                    single.update(pos, cost)
+            # a cost drawn from few values makes (cost, position) ties common
+            changes = {pos: rng.choice((None, 0.0, 1.0, 2.0, 3.0, 4.0))
+                       for pos in rng.sample(range(8), rng.randrange(1, 8))}
+            before = single.min_of()
+            for pos, cost in changes.items():
+                single.update(pos, cost)
+            moved = bulk.assign(changes.items())
+            assert bulk.members() == single.members()
+            assert bulk.min_of() == single.min_of() == min(
+                zip(single.members().values(), single.members()), default=None)
+            assert moved == (single.min_of() != before)
+
     def test_canonical_form_does_not_depend_on_write_order(self):
         """Colliding positions iterate in insertion order, in the set as in
         the dict; the canonical form sorts both."""

@@ -39,7 +39,8 @@ def test_scan_update_targets_exactly_leaf_rows(q3s_fixture):
     u = StatUpdate("scan_cost", "lineitem", 8.0)
     opt.rebind_catalog(apply_update(cat, u), [u])
     deltas = stat_to_deltas(StatUpdate("scan_cost", "lineitem", 8.0), opt)
-    rows = {d[2] for d in deltas}
+    # one seed per reached group: (group id, positions)
+    rows = {(d[2][0], pos) for d in deltas for pos in d[2][1]}
     universe = opt.universe
     expect = {(i, pos) for i in opt.groups
               if universe.group_keys[i][0] == ExprSig.of(["lineitem"])
@@ -474,3 +475,25 @@ def test_universe_totals_are_kept_and_stay_exact():
     gs = universe.groups()
     recount = (len(gs), sum(len(universe.alternatives(g)) for g in gs))
     assert universe.totals() == recount == (m.total_or, m.total_and)
+
+
+@pytest.mark.parametrize("name", ["q5s", "clique-5"])
+def test_warm_state_equals_install_after_every_update(name):
+    """Group-at-a-time recosts, bulk minimum writes and the aggregate-
+    selection ``refilterrow`` rule leave the same state as the closed form:
+    after each of 60 single updates, the warm ``state_sha256`` equals
+    ``install()``'s on the folded catalog, under every strategy subset, in
+    FIFO order and three shuffled orders."""
+    cat, q = {"q5s": q5s, "clique-5": lambda: make_workload("clique", 5, 4)}[name]()
+    stream = make_update_batch(cat, 60, 17)
+    assert {u.kind for u in stream} == {"scan_cost", "join_selectivity"}
+    for label, strategies in STRATEGY_SUBSETS.items():
+        for drain_seed in (None, 0, 1, 2):
+            order = "fifo" if drain_seed is None else "random"
+            opt, session = fresh_session(cat, q, strategies=strategies,
+                                         drain_order=order, drain_seed=drain_seed)
+            for k, u in enumerate(stream):
+                session.add_updates([u])
+                session.reoptimize()
+                want = DeclarativeOptimizer(opt.catalog, q, strategies=strategies).install()
+                assert opt.state_sha256() == want.state_sha256(), (label, drain_seed, k)

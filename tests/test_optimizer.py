@@ -525,7 +525,8 @@ def test_narrowed_refilter_flips_what_a_full_rescan_flips(label):
     group or of a fully costed group under aggregate selection.  Over cold
     builds and 20 re-optimizations each of clique-5 and star-6 (seeds 1, 2),
     under a FIFO and a shuffled drain, every refilter delta flips exactly the
-    rows, in the same order, that a check of every row would; its emitted
+    rows that a check of every row would, in the same order: the rows to
+    show first, then the rows to hide, each in position order.  Its emitted
     deltas follow from those flips."""
     strategies = STRATEGY_SUBSETS[label]
     checked = narrowed = 0
@@ -545,16 +546,16 @@ def test_narrowed_refilter_flips_what_a_full_rescan_flips(label):
             i = d[2]
             gs = opt.groups.get(i)
             n_alts = len(opt.universe.group_alts[i])
-            full = []
+            shown, hidden = [], []
             if gs is not None:
                 for pos in range(n_alts):
                     target = gs.alive and not opt._pruned(gs, pos)
                     if target != gs.mins.is_visible(pos):
-                        full.append(((i, pos), "+" if target else "-"))
+                        (shown if target else hidden).append(((i, pos), "+" if target else "-"))
                 narrowed += not gs.alive or (strategies.aggsel and len(gs.mins) == n_alts)
             del flips[:]
             out = handler(d)
-            assert flips == full, (shape, n, seed, i)
+            assert flips == shown + hidden, (shape, n, seed, i)
             checked += 1
             return out
 
@@ -595,3 +596,24 @@ def test_a_dropped_optimizer_is_freed_without_the_cycle_collector(q8joins_fixtur
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_cost_writes_queue_refilterrow_only_where_a_row_can_flip(label, q5s_fixture):
+    """Without aggregate selection every written row gets a ``refilterrow``.
+    Under it only the rows visible at the write do: a hidden row can be
+    shown only as its group's minimum, and a write that makes it the
+    minimum moves the minimum, which queues ``bestcost`` and through it the
+    group's ``refilter``."""
+    cat, q = q5s_fixture
+    strategies = STRATEGY_SUBSETS[label]
+    opt = DeclarativeOptimizer(cat, q, strategies=strategies).run()
+    i = opt.root_id
+    gs, n = opt.groups[i], len(opt.universe.group_alts[i])
+    visible = sorted(gs.mins.visible())
+    # the root shows only its minimum under aggregate selection, else all
+    assert len(visible) == (1 if strategies.aggsel else n) and n > 1
+    out = opt._set_row_costs(i, gs, {pos: gs.mins.cost_of(pos) * 2 for pos in range(n)})
+    rows = [d[2][1] for d in out if d[0] == "refilterrow"]
+    assert rows == (visible if strategies.aggsel else list(range(n)))
+    assert out.count(("bestcost", "+", i)) == 1
