@@ -34,12 +34,11 @@ with ``sum_cost``; a table fill reads the cardinalities by id and calls
 relation bitmask, and a value it cannot reach is kept: a scan-cost update
 moves no cardinality and only its relation's leaf scans' local costs, since
 join local costs read summaries and no summary reads ``scan_cost_factor``.
-The groups an update drops are re-resolved together on the next miss,
-fewest relations first, so each finds its children resolved.  A group's
-best is a flat ``min`` over its candidates' costs, then ``index`` of it:
-alternatives sit in ``(index, phy_op)`` order, so the first position
-holding the minimum is the smallest ``(cost, index, phy_op)`` tuple, the
-tie-break every engine shares.
+A read that misses resolves the group, its unresolved children first.  A
+group's best is a flat ``min`` over its candidates' costs, then ``index``
+of it: alternatives sit in ``(index, phy_op)`` order, so the first
+position holding the minimum is the smallest ``(cost, index, phy_op)``
+tuple, the tie-break every engine shares.
 """
 from __future__ import annotations
 
@@ -176,17 +175,17 @@ class CostContext:
         # context shares this table
         self._masks: dict[tuple[str, ...], int] = {}
 
-    def summary(self, e: ExprSig) -> Summary:
-        mask = self._masks.get(e.rels)
-        if mask is None:
-            mask = self._masks[e.rels] = expr_mask(e, self.catalog)
-        return self.mask_summary(mask)
-
-    def mask_summary(self, mask: int) -> Summary:
-        """The summary of the relations in ``mask``.  A miss composes the
-        canonical decomposition, the mask's first relation by name against
-        the rest, so the value never depends on which partition asked
-        first."""
+    def summary(self, key: ExprSig | int) -> Summary:
+        """The summary of an expression, or of the relations in a bitmask.
+        A miss composes the canonical decomposition, the mask's first
+        relation by name against the rest, so the value never depends on
+        which partition asked first."""
+        if type(key) is int:
+            mask = key
+        else:
+            mask = self._masks.get(key.rels)
+            if mask is None:
+                mask = self._masks[key.rels] = expr_mask(key, self.catalog)
         got = self.summaries.get(mask)
         if got is None:
             cat = self.catalog
@@ -196,8 +195,8 @@ class CostContext:
                                    cat, self.query)
             else:
                 rest = mask ^ head
-                got = nonscan_summary(head, self.mask_summary(head),
-                                      rest, self.mask_summary(rest), cat)
+                got = nonscan_summary(head, self.summary(head),
+                                      rest, self.summary(rest), cat)
             self.summaries[mask] = got
         return got
 
@@ -273,10 +272,9 @@ class BestCost:
     local cost of each alternative, so a resolution reads its children's
     floats by id and ``sum_cost`` adds them to the local costs.
     ``invalidate`` tests relation bitmasks and keeps every value an update
-    cannot reach; the groups it drops are re-resolved together, fewest
-    relations first, when a read next misses.  ``memo`` lists the resolved
-    groups in resolution order: a group is entered after every child it
-    needed.
+    cannot reach; a group it drops is resolved again when a read reaches
+    it.  ``memo`` lists the resolved groups in resolution order: a group is
+    entered after every child it needed.
     """
 
     def __init__(self, universe: SearchUniverse, ctx: CostContext):
@@ -292,9 +290,6 @@ class BestCost:
         # so kept across invalidation
         self._inlj: list[list[bool] | None] = []
         self._order: list[int] = []
-        # ids whose best an update dropped: every child of one is resolved
-        # or holds fewer relations and is listed too
-        self._stale: list[int] = []
 
     @property
     def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
@@ -316,11 +311,6 @@ class BestCost:
             got = cost[i]
             if got is not None:
                 return got
-            if self._stale:
-                self._resolve_stale()
-                got = cost[i]
-                if got is not None:
-                    return got
         return self._solve(i)
 
     def local_table(self, i: int) -> list[float]:
@@ -347,7 +337,7 @@ class BestCost:
         inlj = self._inlj[i]
         if inlj is None:
             inlj = self._inlj[i] = [a.phy_op == INDEX_NL_JOIN for a in alts]
-        card, masks, summary = self._card, u.group_masks, ctx.mask_summary
+        card, masks, summary = self._card, u.group_masks, ctx.summary
         out = card[i]
         if out is None:
             out = card[i] = summary(masks[i]).cardinality
@@ -381,26 +371,13 @@ class BestCost:
             g = u.group_keys[i]
             raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
         cost = self._cost
-        for c in u.group_kids[i]:
+        kids = u.group_kids[i]
+        for c in kids:
             if cost[c] is None:
                 self._solve(c)
-        return self._settle(i)
-
-    def _resolve_stale(self) -> None:
-        """Re-resolve every group an update dropped, fewest relations first,
-        so each finds its children resolved."""
-        stale, self._stale = self._stale, []
-        masks, cost = self.universe.group_masks, self._cost
-        stale.sort(key=lambda i: masks[i].bit_count())
-        for i in stale:
-            if cost[i] is None:
-                self._settle(i)
-
-    def _settle(self, i: int) -> float:
-        """Resolve group id ``i`` from its resolved children."""
-        local = self.local_table(i)
-        kids = self.universe.group_kids[i]
-        cost = self._cost
+        local = self._local[i]
+        if local is None:
+            local = self._local[i] = self._fill(i)
         if kids:
             pairs = iter(kids)
             costs = [sum_cost(cost[l], cost[r], lc) for lc, l, r in zip(local, pairs, pairs)]
@@ -427,7 +404,7 @@ class BestCost:
         move.
         """
         self.ctx = ctx
-        cost, card, local, stale = self._cost, self._card, self._local, self._stale
+        cost, card, local = self._cost, self._card, self._local
         masks = self.universe.group_masks[:len(cost)]
         for u in updates:
             t = _target_mask(u, self.universe.catalog)
@@ -436,9 +413,7 @@ class BestCost:
             keep_joins = u.kind == SCAN_COST
             for i, m in enumerate(masks):
                 if m & t == t:
-                    if cost[i] is not None:
-                        cost[i] = None
-                        stale.append(i)
+                    cost[i] = None
                     if not keep_joins:
                         card[i] = local[i] = None
                     elif m == t:

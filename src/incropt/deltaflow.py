@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 import weakref
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import NonTermination, ValidationError
 
@@ -80,8 +80,8 @@ class MinGroupState:
     key) so ties resolve deterministically.
 
     Invariant: ``_min`` is the lexicographic minimum of ``_costs``, or None
-    when ``_costs`` is empty.  ``update`` keeps it so in O(1) except when the
-    minimum member is deleted or raised, the only two cases that rescan.
+    when ``_costs`` is empty.  ``update`` keeps it so, rescanning at most
+    once per call and only when the minimum member is deleted or raised.
     """
 
     __slots__ = ("_costs", "_min", "_visible")
@@ -128,52 +128,24 @@ class MinGroupState:
         else:
             self._visible.discard(member)
 
-    def update(self, member: Any, cost: float | None) -> bool:
-        """Set ``member``'s value, or delete it when ``cost`` is None; report
-        whether the minimum changed.
+    def update(self, changes: Mapping[Any, float | None]) -> bool:
+        """Set each member's value in ``changes``, deleting it where the
+        value is None; report whether the minimum changed.
 
-        The cached minimum follows four cases: a value below the minimum
-        replaces it; deleting the minimum member, or raising it, rescans the
-        group for the next-best; any other change leaves it alone; the last
-        delete empties it.
+        The minimum is rescanned at most once: the lowest written
+        ``(cost, member)`` replaces a minimum it is below, since every
+        unwritten member is above that minimum; otherwise only deleting or
+        raising the minimum member forces the one rescan.  The last delete
+        empties the group.
         """
-        before = self._min
-        entries = self._costs
-        if cost is None:
-            # visibility flags are written only by set_visible, so a value
-            # deletion leaves them alone (the row may stay visible)
-            if member not in entries:
-                return False
-            del entries[member]
-            if not entries:
-                self._min = None
-                return True
-            if before[1] != member:
-                return False
-        else:
-            entries[member] = cost
-            cand = (cost, member)
-            if before is None or cand < before:
-                self._min = cand
-                return True
-            if before[1] != member or cost == before[0]:
-                return False
-        self._min = min(zip(entries.values(), entries))
-        return True
-
-    def assign(self, changes: Iterable[tuple[Any, float | None]]) -> bool:
-        """``update`` for several distinct members at once, rescanning the
-        minimum at most once; report whether the minimum changed.
-
-        The lowest written ``(cost, member)`` replaces a minimum it is below,
-        since every unwritten member is above that minimum; otherwise only a
-        written-over or deleted minimum member forces the one rescan."""
         before = self._min
         entries = self._costs
         low = None
         stale = False
-        for member, cost in changes:
+        for member, cost in changes.items():
             if cost is None:
+                # visibility flags are written only by set_visible, so a
+                # value deletion leaves them alone (the row may stay visible)
                 if entries.pop(member, None) is None:
                     continue
             else:
@@ -181,7 +153,7 @@ class MinGroupState:
                 cand = (cost, member)
                 if low is None or cand < low:
                     low = cand
-            if before is not None and member == before[1]:
+            if before is not None and member == before[1] and cost != before[0]:
                 stale = True
         if low is not None and (before is None or low < before):
             self._min = low

@@ -17,7 +17,7 @@ its row costs by position, their minimum and its visible set.
   ``(group id, positions)``, and its rule adds each row's local cost, read
   from the fallback DP's table, to its children's ``bestcost`` with
   ``sum_cost``, reading each distinct child once and writing the changed
-  costs in one ``MinGroupState.assign``;
+  costs in one ``MinGroupState.update``;
 * ``bestcost``     -- the per-group (OR node) minimum, with deterministic
   (cost, index, phy_op) tie-breaking shared with every baseline;
 * ``refcount``     -- per-group count of visible parent AND rows; at zero a
@@ -48,10 +48,12 @@ A cost write queues ``refilterrow`` only for a row that can flip on it.
 Without aggregate selection that is every written row.  Under it, only a
 row visible at the write: a hidden row can be shown only as its group's
 minimum, and a write that makes it the minimum moves the minimum, whose
-``bestcost`` queues the group's ``refilter``, which checks that row.  A
-``refilterrow`` checks its group's minimum too, and a check shows rows
-before it hides any, so a child that the old and the new minimum share
-keeps its reference instead of dying and reviving.
+``bestcost`` queues the group's ``refilter``, which checks that row.
+Under bounding a cost write queues ``pbound`` only for a row visible at
+the write; a hidden row contributes no bound until showing it queues its
+own.  A ``refilterrow`` checks its group's minimum too, and a check shows
+rows before it hides any, so a child that the old and the new minimum
+share keeps its reference instead of dying and reviving.
 
 The fixpoint being unique, ``install()`` writes the state ``run()`` drains
 to in closed form, from the best-cost DP.  Loading installs the state a saved
@@ -261,8 +263,8 @@ class DeclarativeOptimizer:
                 continue
             kids, local = self._kids[i], dp.local_table(i)
             child = [dp.cost_id(c) for c in kids] or [None] * (2 * len(local))
-            gs.mins.assign([(pos, sum_cost(child[2 * pos], child[2 * pos + 1], lc))
-                            for pos, lc in enumerate(local)])
+            gs.mins.update({pos: sum_cost(child[2 * pos], child[2 * pos + 1], lc)
+                            for pos, lc in enumerate(local)})
             if strategies.bounding:
                 gs.maxbound = _maxbound(gs)
                 gs.bound = _bound(gs.mins.min_of(), gs.maxbound)
@@ -440,16 +442,17 @@ class DeclarativeOptimizer:
         aggregate selection that is every one.  Under it, only a row visible
         at its write: a hidden row can be shown only as its group's minimum,
         and a row that becomes the minimum moves it, so the ``bestcost``
-        emitted here queues the group's ``refilter``, which checks it."""
-        mins = gs.mins
-        if self.strategies.aggsel:
-            shown = sorted(pos for pos in mins.visible() if pos in changes)
-        else:
-            shown = changes
-        out: list[DeltaTuple] = [("refilterrow", INSERT, (i, pos)) for pos in shown]
-        if self.strategies.bounding:
-            out.extend(("pbound", INSERT, (i, pos)) for pos in shown)
-        if mins.assign(changes.items()):
+        emitted here queues the group's ``refilter``, which checks it.  A row
+        visible at its write also gets a ``pbound``; a hidden row contributes
+        no bound, and showing it queues its own."""
+        mins, strategies = gs.mins, self.strategies
+        visible = (sorted(pos for pos in mins.visible() if pos in changes)
+                   if strategies.aggsel or strategies.bounding else [])
+        flips = visible if strategies.aggsel else changes
+        out: list[DeltaTuple] = [("refilterrow", INSERT, (i, pos)) for pos in flips]
+        if strategies.bounding:
+            out.extend(("pbound", INSERT, (i, pos)) for pos in visible)
+        if mins.update(changes):
             out.append(("bestcost", INSERT, i))
         return out
 

@@ -205,7 +205,7 @@ def _losing_root_row(opt) -> tuple:
 
 def _triple_live_row_cost(opt) -> None:
     gs, pos = _losing_root_row(opt)
-    gs.mins.update(pos, gs.mins.cost_of(pos) * 3)
+    gs.mins.update({pos: gs.mins.cost_of(pos) * 3})
 
 
 def _raise_live_refcount(opt) -> None:

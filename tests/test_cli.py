@@ -575,7 +575,7 @@ def test_verify_audit_state_rejects_a_tampered_row_cost(fixture_files, tmp_path,
     gs = opt.groups[opt.root_id]
     pos = next(p for p in range(len(opt.universe.group_alts[opt.root_id]))
                if p != gs.mins.min_of()[1])
-    gs.mins.update(pos, gs.mins.cost_of(pos) * 3)
+    gs.mins.update({pos: gs.mins.cost_of(pos) * 3})
     assert opt.audit_refcounts() == [] and opt.audit_fixpoint() == []
     problems = opt.audit_costs()
     assert len(problems) == 1 and "cost" in problems[0]

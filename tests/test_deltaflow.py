@@ -27,49 +27,49 @@ def test_delta_is_a_three_field_record():
 class TestMinGroupState:
     def test_insertion_lowers_min(self):
         m = MinGroupState()
-        assert m.update("a", 0.30) and m.min_of() == (0.30, "a")
-        assert m.update("b", 0.25) and m.min_of() == (0.25, "b")
+        assert m.update({"a": 0.30}) and m.min_of() == (0.30, "a")
+        assert m.update({"b": 0.25}) and m.min_of() == (0.25, "b")
 
     def test_insertion_above_min_is_silent(self):
         m = MinGroupState()
-        m.update("a", 0.25)
-        assert not m.update("b", 0.30)
+        m.update({"a": 0.25})
+        assert not m.update({"b": 0.30})
         assert m.min_of() == (0.25, "a")
 
     def test_deleting_min_promotes_next_best(self):
         m = MinGroupState()
-        m.update("a", 0.25)
-        m.update("b", 0.30)
-        assert m.update("a", None) and m.min_of() == (0.30, "b")
+        m.update({"a": 0.25})
+        m.update({"b": 0.30})
+        assert m.update({"a": None}) and m.min_of() == (0.30, "b")
 
     def test_raising_min_promotes_min_of_new_and_next_best(self):
         m = MinGroupState()
-        m.update("a", 0.25)
-        m.update("b", 0.30)
-        assert m.update("a", 0.40) and m.min_of() == (0.30, "b")
+        m.update({"a": 0.25})
+        m.update({"b": 0.30})
+        assert m.update({"a": 0.40}) and m.min_of() == (0.30, "b")
 
     def test_lowering_nonmin_competes(self):
         m = MinGroupState()
-        m.update("a", 0.30)
-        m.update("b", 0.50)
-        assert m.update("b", 0.20) and m.min_of() == (0.20, "b")
+        m.update({"a": 0.30})
+        m.update({"b": 0.50})
+        assert m.update({"b": 0.20}) and m.min_of() == (0.20, "b")
 
     def test_retains_all_members(self):
         m = MinGroupState()
         for i, c in enumerate((5.0, 3.0, 4.0)):
-            m.update(f"m{i}", c)
+            m.update({f"m{i}": c})
         assert len(m.members()) == 3
         assert m.cost_of("m1") == 3.0 and m.cost_of("zz") is None
 
     def test_last_delete_emits_group_delete(self):
         m = MinGroupState()
-        m.update("a", 1.0)
-        assert m.update("a", None) and m.min_of() is None
+        m.update({"a": 1.0})
+        assert m.update({"a": None}) and m.min_of() is None
 
     def test_visible_min_tracks_visibility(self):
         m = MinGroupState()
-        m.update("a", 1.0)
-        m.update("b", 2.0)
+        m.update({"a": 1.0})
+        m.update({"b": 2.0})
         m.set_visible("a", True)
         m.set_visible("b", True)
         assert m.visible_min() == (1.0, "a")
@@ -91,25 +91,25 @@ class TestMinGroupState:
         # visibility is independent of the member's value
         assert h.min_of() is None and h.visible_min() is None
 
-    def test_bulk_assign_equals_one_update_per_member(self):
-        """``assign`` writes several members and rescans at most once; it
-        leaves the same values and minimum as one ``update`` per member, in
-        any order, and reports whether that minimum moved."""
+    def test_bulk_update_equals_one_update_per_member(self):
+        """``update`` writes several members and rescans at most once; it
+        leaves the same values and minimum as one single-member ``update``
+        per member, in any order, and reports whether that minimum moved."""
         rng = random.Random(5)
         for _ in range(400):
             bulk, single = MinGroupState(), MinGroupState()
             for pos in range(6):
                 if rng.random() < 0.7:
                     cost = float(rng.randrange(4))
-                    bulk.update(pos, cost)
-                    single.update(pos, cost)
+                    bulk.update({pos: cost})
+                    single.update({pos: cost})
             # a cost drawn from few values makes (cost, position) ties common
             changes = {pos: rng.choice((None, 0.0, 1.0, 2.0, 3.0, 4.0))
                        for pos in rng.sample(range(8), rng.randrange(1, 8))}
             before = single.min_of()
             for pos, cost in changes.items():
-                single.update(pos, cost)
-            moved = bulk.assign(changes.items())
+                single.update({pos: cost})
+            moved = bulk.update(changes)
             assert bulk.members() == single.members()
             assert bulk.min_of() == single.min_of() == min(
                 zip(single.members().values(), single.members()), default=None)
@@ -121,7 +121,7 @@ class TestMinGroupState:
         a, b = MinGroupState(), MinGroupState()
         for m, members in ((a, (0, 8, 16)), (b, (16, 8, 0))):
             for pos in members:
-                m.update(pos, 1.0 + pos)
+                m.update({pos: 1.0 + pos})
                 m.set_visible(pos, True)
         assert list(a.visible()) != list(b.visible())
         assert a.canonical() == b.canonical() == (
@@ -163,7 +163,7 @@ class TestMinGroupModel:
     def step(self, m, member, cost):
         """One update; its result must say exactly whether the minimum moved."""
         before = _scan_min(m)
-        changed = m.update(member, cost)
+        changed = m.update({member: cost})
         after = _scan_min(m)
         assert m.min_of() == after
         assert changed == (before != after)

@@ -329,7 +329,7 @@ _COVERED_FIELD_EDITS = {
                                                       gs.mins.min_of()[1])),
     "bound": lambda gs, pos: setattr(gs, "bound", gs.bound / 2),
     "maxbound": lambda gs, pos: setattr(gs, "maxbound", gs.maxbound * 2),
-    "row cost": lambda gs, pos: gs.mins.update(pos, gs.mins.cost_of(pos) * 3),
+    "row cost": lambda gs, pos: gs.mins.update({pos: gs.mins.cost_of(pos) * 3}),
     "row visible": lambda gs, pos: gs.mins.set_visible(pos, not gs.mins.is_visible(pos)),
 }
 

@@ -604,16 +604,22 @@ def test_cost_writes_queue_refilterrow_only_where_a_row_can_flip(label, q5s_fixt
     Under it only the rows visible at the write do: a hidden row can be
     shown only as its group's minimum, and a write that makes it the
     minimum moves the minimum, which queues ``bestcost`` and through it the
-    group's ``refilter``."""
+    group's ``refilter``.  Under bounding only the visible rows get a
+    ``pbound``: a hidden row contributes no bound."""
     cat, q = q5s_fixture
     strategies = STRATEGY_SUBSETS[label]
     opt = DeclarativeOptimizer(cat, q, strategies=strategies).run()
     i = opt.root_id
     gs, n = opt.groups[i], len(opt.universe.group_alts[i])
-    visible = sorted(gs.mins.visible())
     # the root shows only its minimum under aggregate selection, else all
-    assert len(visible) == (1 if strategies.aggsel else n) and n > 1
+    assert len(list(gs.mins.visible())) == (1 if strategies.aggsel else n) and n > 1
+    if not strategies.aggsel:
+        # hide one row, so the written rows hold a hidden one either way
+        gs.mins.set_visible(n - 1, False)
+    visible = sorted(gs.mins.visible())
     out = opt._set_row_costs(i, gs, {pos: gs.mins.cost_of(pos) * 2 for pos in range(n)})
     rows = [d[2][1] for d in out if d[0] == "refilterrow"]
     assert rows == (visible if strategies.aggsel else list(range(n)))
+    pbounds = [d[2][1] for d in out if d[0] == "pbound"]
+    assert pbounds == (visible if strategies.bounding else [])
     assert out.count(("bestcost", "+", i)) == 1
