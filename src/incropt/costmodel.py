@@ -8,8 +8,9 @@ Cost formulas (dimensionless work units):
 * merge join:  same as hash join; inputs arrive pre-sorted by contract
 * index NL:    outer_rows * (1 + log_b(1 + inner_rows)) + output_rows,
                inner = the indexed (left) child
-* plan cost:   left_cost + right_cost + local_cost, written once in
-               ``sum_cost`` for every engine and oracle
+* plan cost:   (left_cost + right_cost) + local_cost, written once per form:
+               ``group_sum_cost`` for a group (``BestCost``, ``install()``),
+               ``sum_cost`` for one alternative (``recost``, Volcano, oracles)
 
 Summaries (estimated output cardinalities) are a logical property of an
 expression: every partition of the same expression gets the identical
@@ -27,8 +28,8 @@ name-based recursion it replaced used, so every summary is the same float.
 group ids, in flat lists indexed by id: the best cost and its position,
 the output cardinality and the local costs, the one local-cost table,
 which the declarative engine's ``recost`` rule and Volcano read too.  A
-resolution reads its children's best costs by id and adds each local cost
-with ``sum_cost``; a table fill reads the cardinalities by id and calls
+resolution reads its children's best costs by id and adds the local costs
+with ``group_sum_cost``; a table fill reads the cardinalities by id and calls
 ``join_local_cost``, the one copy of the join arithmetic, which
 ``nonscan_cost`` calls as well.  An update is tested against each id's
 relation bitmask, and a value it cannot reach is kept: a scan-cost update
@@ -156,6 +157,16 @@ def sum_cost(l_cost: float | None, r_cost: float | None, local_cost: float) -> f
     return local_cost if l_cost is None else (l_cost + r_cost) + local_cost
 
 
+def group_sum_cost(local: list[float], kids: list[int], best) -> list[float]:
+    """``sum_cost`` of every alternative of a group, in position order, from
+    its local-cost table, its child ids (two per join) and ``best``, the
+    child best costs indexed by id; a leaf's are its local costs."""
+    if not kids:
+        return list(local)
+    pairs = iter(kids)
+    return [(best[l] + best[r]) + lc for lc, l, r in zip(local, pairs, pairs)]
+
+
 class CostContext:
     """Catalog + query + config bundle with the canonical summary memo.
 
@@ -220,14 +231,14 @@ class CostContext:
         ctx._masks = self._masks
         kept = self.summaries
         for u in updates:
-            t = _target_mask(u, cat) if u.kind == JOIN_SELECTIVITY else 0
+            t = target_mask(u, cat) if u.kind == JOIN_SELECTIVITY else 0
             if t:
                 kept = {m: s for m, s in kept.items() if m & t != t}
         ctx.summaries = dict(kept) if kept is self.summaries else kept
         return ctx
 
 
-def _target_mask(u: StatUpdate, cat: Catalog) -> int:
+def target_mask(u: StatUpdate, cat: Catalog) -> int:
     """The bitmask of ``u``'s target relations, or 0 when one of them is
     not in ``cat`` (then no expression over ``cat`` holds them all)."""
     bits = cat.relation_bits
@@ -246,7 +257,7 @@ def alternative_cost(ctx: CostContext, group: GroupKey, alt: Alternative,
     ``child_best(group) -> (cost, alt_key)``.  The test oracles and the
     state audit call it; the declarative engine's ``recost`` rule and
     ``BestCost`` add the same local cost, read from ``BestCost``'s table,
-    with the same ``sum_cost``, so the arithmetic is identical everywhere.
+    with ``sum_cost`` or its group form, so the arithmetic is identical.
     """
     e, p = group
     local = ctx.local_cost(e, p, alt)
@@ -270,7 +281,9 @@ class BestCost:
     The tables are flat lists indexed by ``SearchUniverse`` group id: per
     id, the best cost and its position, the output cardinality and the
     local cost of each alternative, so a resolution reads its children's
-    floats by id and ``sum_cost`` adds them to the local costs.
+    floats by id and ``group_sum_cost`` adds them to the local costs, as in
+    ``install()``; ``recost``, Volcano and ``alternative_cost`` cost one
+    alternative with ``sum_cost``.
     ``invalidate`` tests relation bitmasks and keeps every value an update
     cannot reach; a group it drops is resolved again when a read reaches
     it.  ``memo`` lists the resolved groups in resolution order: a group is
@@ -290,6 +303,11 @@ class BestCost:
         # so kept across invalidation
         self._inlj: list[list[bool] | None] = []
         self._order: list[int] = []
+
+    @property
+    def costs(self) -> list[float | None]:
+        """The best cost per group id, None while unresolved."""
+        return self._cost
 
     @property
     def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
@@ -375,14 +393,7 @@ class BestCost:
         for c in kids:
             if cost[c] is None:
                 self._solve(c)
-        local = self._local[i]
-        if local is None:
-            local = self._local[i] = self._fill(i)
-        if kids:
-            pairs = iter(kids)
-            costs = [sum_cost(cost[l], cost[r], lc) for lc, l, r in zip(local, pairs, pairs)]
-        else:
-            costs = [sum_cost(None, None, lc) for lc in local]
+        costs = group_sum_cost(self.local_table(i), kids, cost)
         # position order is key order, so the first position holding the
         # minimum is the smallest (cost, index, phy_op)
         best = cost[i] = min(costs)
@@ -407,7 +418,7 @@ class BestCost:
         cost, card, local = self._cost, self._card, self._local
         masks = self.universe.group_masks[:len(cost)]
         for u in updates:
-            t = _target_mask(u, self.universe.catalog)
+            t = target_mask(u, self.universe.catalog)
             if not t:
                 continue
             keep_joins = u.kind == SCAN_COST

@@ -25,16 +25,16 @@ tiers set by the caller.  The optimizer tiers its re-optimization drains
 instead of ones the update has made stale; its initial build stays plain
 FIFO, since a cold build costs a group's rows before it shows any.
 
-The drain kernel is two straight loops, one for a single queue (FIFO or
-shuffled) and one for tiers, which scans its lanes inline and routes each
-emitted delta through a relation -> lane map built at drain start.  Per
-delta a loop counts the drain, checks the ceiling, calls the observer only
-if one is installed, counts the relation and calls its rule.  The rules are
-read from ``handlers`` at drain start, so a caller may swap them between
-drains; a ``WeakRule`` is bound to its owner there, so an owner holding its
-engine forms no reference cycle and the loop still calls bound methods.  A
-drain cut short by an exception leaves its unprocessed deltas pending, in
-tier order.
+The drain kernel is one loop over FIFO lanes, one per tier (one lane
+without tiers or when shuffled), fed through a relation -> lane map built
+at drain start.  It pops the lowest non-empty lane's head, or a seeded
+swap-pop of it.  Per delta the loop counts the drain, checks the ceiling,
+calls the observer only if one is installed, counts the relation and calls
+its rule.  The rules are read from ``handlers`` at drain start, so a caller
+may swap them between drains; a ``WeakRule`` is bound to its owner there,
+so an owner holding its engine forms no reference cycle and the loop still
+calls bound methods.  A drain cut short by an exception puts every lane
+back pending, in tier order.
 
 The engine instance is single-owner: hand it between threads whole, never
 share it for concurrent mutation.  The drain-order independence of the
@@ -245,54 +245,22 @@ class FixpointEngine:
     def pending(self) -> int:
         return len(self._queue)
 
-    def _pop_random(self) -> DeltaTuple:
-        queue = self._queue
-        i = self._rng.randrange(len(queue))
-        queue[i], queue[-1] = queue[-1], queue[i]
-        return queue.pop()
-
     def run(self) -> int:
-        """Drain to quiescence; returns the number of deltas processed."""
-        if self.tiers is not None and self.order == "fifo":
-            return self._run_tiered(self.tiers)
-        queue = self._queue
-        pop = queue.popleft if self.order == "fifo" else self._pop_random
-        emit = queue.extend
-        handlers = self._drain_handlers()
-        observer = self.observer
-        ceiling = len(queue) + self.max_deltas
-        counts = self.drained_by_rule = {}
-        drained = 0
-        try:
-            while queue:
-                d = pop()
-                drained += 1
-                if drained > ceiling:
-                    raise NonTermination(
-                        f"delta count exceeded ceiling {ceiling}; wiring bug?")
-                if observer is not None:
-                    observer(d)
-                rel = d[0]
-                counts[rel] = counts.get(rel, 0) + 1
-                handler = handlers.get(rel)
-                if handler is not None:
-                    out = handler(d)
-                    if out:
-                        emit(out)
-        finally:
-            self.processed += drained
-        return drained
+        """Drain to quiescence; returns the number of deltas processed.
 
-    def _run_tiered(self, tiers: dict[str, int]) -> int:
-        """``run`` over one FIFO lane per tier, always popping from the
-        lowest non-empty lane; a relation without a tier goes last."""
+        Pending deltas go into one FIFO lane per tier, a relation without a
+        tier into the last; with ``tiers`` None, or a shuffled order, there
+        is one lane.  Each pop takes the lowest non-empty lane's head, or
+        in a shuffled drain a seeded swap-pop of it."""
         queue = self._queue
+        tiers = (self.tiers if self.order == "fifo" else None) or {}
         lanes = [deque() for _ in range(max(tiers.values(), default=0) + 1)]
         route = {rel: lanes[t].append for rel, t in tiers.items()}
         last = lanes[-1].append
         for d in queue:
             route.get(d[0], last)(d)
         queue.clear()
+        randrange = self._rng.randrange if self.order == "random" else None
         handlers = self._drain_handlers()
         observer = self.observer
         ceiling = sum(map(len, lanes)) + self.max_deltas
@@ -305,7 +273,12 @@ class FixpointEngine:
                         break
                 else:
                     break
-                d = lane.popleft()
+                if randrange is None:
+                    d = lane.popleft()
+                else:
+                    i = randrange(len(lane))
+                    lane[i], lane[-1] = lane[-1], lane[i]
+                    d = lane.pop()
                 drained += 1
                 if drained > ceiling:
                     raise NonTermination(

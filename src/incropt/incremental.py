@@ -30,7 +30,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .catalog import JOIN_SELECTIVITY, SCAN_COST, StatUpdate, apply_update
+from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, apply_update
+from .costmodel import target_mask
 from .deltaflow import DeltaTuple, INSERT
 from .errors import UnknownTarget, ValidationError
 from .optimizer import DeclarativeOptimizer
@@ -54,6 +55,18 @@ class ReoptMetrics:
         return asdict(self)
 
 
+def _check_target(u: StatUpdate, cat: Catalog) -> None:
+    """Raise ``UnknownTarget`` unless ``u`` names a relation or predicate of ``cat``."""
+    if u.kind == SCAN_COST:
+        cat.relation(u.target)  # raises UnknownTarget
+    elif u.kind == JOIN_SELECTIVITY:
+        rels = sorted(u.target_relations())
+        if not cat.predicates_between(*rels):
+            raise UnknownTarget(f"no predicate {u.target!r} in catalog")
+    else:
+        raise UnknownTarget(f"unknown update kind {u.kind!r}")
+
+
 def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]:
     """Convert one statistics update into recost deltas over the live state,
     one ``(group id, positions)`` seed per reached group.
@@ -61,20 +74,10 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]
     The optimizer's catalog must already reflect the update.  A factor of
     1.0 is an identity and produces no deltas.
     """
-    if u.kind == SCAN_COST:
-        opt.catalog.relation(u.target)  # raises UnknownTarget
-    elif u.kind == JOIN_SELECTIVITY:
-        rels = sorted(u.target_relations())
-        if not opt.catalog.predicates_between(*rels):
-            raise UnknownTarget(f"no predicate {u.target!r} in catalog")
-    else:
-        raise UnknownTarget(f"unknown update kind {u.kind!r}")
+    _check_target(u, opt.catalog)
     if u.factor == 1.0:
         return []
-    bits = opt.universe.catalog.relation_bits
-    t = 0
-    for r in u.target_relations():
-        t |= bits[r]
+    t = target_mask(u, opt.universe.catalog)
     masks, alts, kids = opt.universe.group_masks, opt.universe.group_alts, opt.universe.group_kids
     groups = opt.groups
     out: list[DeltaTuple] = []
@@ -122,15 +125,18 @@ class ReoptSession:
     def reoptimize(self) -> tuple[PlanNode, ReoptMetrics]:
         """Apply the pending batch, drain to fixpoint, report touch metrics.
 
-        Raises ValidationError when the new best plan's cost is not finite
-        (finite factors whose products overflow).  The batch is then rolled
-        back: the optimizer is rebound to the previous catalog and the
-        quiescent state installed for it, and ``plan`` stays the last
-        finite plan."""
+        Raises UnknownTarget before anything changes when any update names
+        no relation or predicate.  Raises ValidationError when the new best
+        plan's cost is not finite (finite factors whose products overflow).
+        The batch is then rolled back: the optimizer is rebound to the
+        previous catalog and the quiescent state installed for it, and
+        ``plan`` stays the last finite plan."""
         start = time.perf_counter()
         opt = self.opt
         batch, self.pending = self.pending, []
         old_cat = new_cat = opt.catalog
+        for u in batch:
+            _check_target(u, old_cat)
         effective = [u for u in batch if u.factor != 1.0]
         for u in effective:
             new_cat = apply_update(new_cat, u)

@@ -70,7 +70,7 @@ from typing import Callable, Iterable, Iterator
 
 from .algebra import AltKey, ExprSig, GroupKey, Query, SearchUniverse, query_from_dict
 from .catalog import Catalog, StatUpdate, catalog_from_dict, json_object
-from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, sum_cost
+from .costmodel import BestCost, CostConfig, CostContext, alternative_cost, group_sum_cost, sum_cost
 from .deltaflow import (
     DELETE, DELTAS_PER_ALTERNATIVE, DeltaTuple, FixpointEngine, INSERT, MinGroupState,
     WeakRule,
@@ -255,26 +255,26 @@ class DeclarativeOptimizer:
         and the rules' own formulas give the rest."""
         dp, u, strategies = self._dp, self.universe, self.strategies
         dp.best_id(self.root_id)  # an infeasible root raises InfeasibleQuery
+        best = dp.costs  # resolving the root resolved every group below it
         groups = self._create_groups()
         for i in sorted(groups, key=lambda i: -len(u.group_keys[i][0])):
             gs = groups[i]
             gs.alive = not strategies.refcount or gs.refcount + gs.synthetic > 0
             if not gs.alive:
                 continue
-            kids, local = self._kids[i], dp.local_table(i)
-            child = [dp.cost_id(c) for c in kids] or [None] * (2 * len(local))
-            gs.mins.update({pos: sum_cost(child[2 * pos], child[2 * pos + 1], lc)
-                            for pos, lc in enumerate(local)})
+            kids = self._kids[i]
+            costs = group_sum_cost(dp.local_table(i), kids, best)
+            gs.mins.update(dict(enumerate(costs)))
             if strategies.bounding:
                 gs.maxbound = _maxbound(gs)
                 gs.bound = _bound(gs.mins.min_of(), gs.maxbound)
-            for pos in range(len(local)):
+            for pos in range(len(costs)):
                 if self._pruned(gs, pos):
                     continue
                 gs.mins.set_visible(pos, True)
-                for c, best in zip(kids[2 * pos:2 * pos + 2], child[2 * pos:2 * pos + 2]):
+                for c in kids[2 * pos:2 * pos + 2]:
                     groups[c].refcount += 1
-                    val = self._contribution(gs, pos, best)
+                    val = self._contribution(gs, pos, best[c])
                     if val is not None:
                         groups[c].contribs[(i, pos)] = val
         return self

@@ -10,8 +10,8 @@ from incropt.algebra import (
 )
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, StatUpdate, apply_update
 from incropt.costmodel import (
-    BestCost, CostConfig, CostContext, Summary, alternative_cost, nonscan_cost, nonscan_summary,
-    scan_cost, scan_summary, sum_cost,
+    BestCost, CostConfig, CostContext, Summary, alternative_cost, group_sum_cost, nonscan_cost,
+    nonscan_summary, scan_cost, scan_summary, sum_cost,
 )
 from incropt.fixtures import q3s, q5s, q8joins
 from incropt.incremental import ReoptSession
@@ -405,3 +405,27 @@ def test_bitmask_summaries_equal_the_string_path_bit_for_bit(name):
         for e in subsets:
             want = _string_path_summary(c, q, e, memo)
             assert context.summary(e).cardinality.hex() == want.hex(), (name, e)
+
+
+@pytest.mark.parametrize("name", sorted(_SUMMARY_WORKLOADS))
+def test_group_sum_cost_equals_sum_cost_bit_for_bit(name):
+    """The group form costs every alternative of every group exactly as
+    ``sum_cost`` does one at a time, in ``float.hex``, once the root is
+    resolved."""
+    cat, q = _SUMMARY_WORKLOADS[name]()
+    universe = SearchUniverse(cat, q)
+    dp = BestCost(universe, CostContext(cat, q))
+    dp.best(universe.root)
+    joins = 0
+    for g in universe.groups():
+        i = universe.group_id(g)
+        local, kids = dp.local_table(i), universe.group_kids[i]
+        if kids:
+            want = [sum_cost(dp.cost_id(kids[2 * pos]), dp.cost_id(kids[2 * pos + 1]), lc)
+                    for pos, lc in enumerate(local)]
+            joins += len(want)
+        else:
+            want = [sum_cost(None, None, lc) for lc in local]
+        got = group_sum_cost(local, kids, dp.costs)
+        assert [x.hex() for x in got] == [x.hex() for x in want], g
+    assert joins

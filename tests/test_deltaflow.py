@@ -326,16 +326,28 @@ class TestFixpointEngine:
         eng.run()
         assert order == ["v1", "c1", "v1'"]
 
-    def test_cut_short_tiered_drain_stays_pending(self):
+    @pytest.mark.parametrize("order, tiers, processed", [
+        ("fifo", {"boom": 0, "a": 1}, 1), ("fifo", None, 2), ("random", None, 3)],
+        ids=["tiered", "fifo", "shuffled"])
+    def test_cut_short_drain_stays_pending(self, order, tiers, processed):
+        """A drain cut short by a raising rule leaves every delta it did not
+        pop pending, and the next drain processes them."""
         def boom(d):
             raise RuntimeError("handler failed")
 
-        eng = FixpointEngine({"boom": boom, "a": lambda d: []})
-        eng.tiers = {"boom": 0, "a": 1}
-        eng.push([Delta("a", INSERT, 1), Delta("boom", INSERT), Delta("a", INSERT, 2)])
+        seen = []
+        eng = FixpointEngine({"boom": boom, "a": lambda d: seen.append(d[2])},
+                             order=order, seed=5)
+        eng.tiers = tiers
+        eng.push([Delta("a", INSERT, 1), Delta("boom", INSERT), Delta("a", INSERT, 2),
+                  Delta("a", INSERT, 3)])
         with pytest.raises(RuntimeError):
             eng.run()
-        assert eng.pending == 2 and eng.processed == 1
+        assert eng.processed == processed and eng.pending == 4 - processed
+        assert len(seen) == processed - 1
+        eng.handlers["boom"] = lambda d: []
+        assert eng.run() == 4 - processed
+        assert sorted(seen) == [1, 2, 3] and eng.pending == 0
 
     def test_shuffled_drain_matches_fifo(self):
         # toy counting network: edges propagate increments to reachable nodes
@@ -452,6 +464,27 @@ def reference_run(self: FixpointEngine) -> int:
             for lane in lanes:
                 queue.extend(lane)
     return drained
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_drain_with_tiers_processes_the_reference_sequence(seed):
+    """A shuffled drain ignores ``tiers``: with them set it pops exactly the
+    deltas, in exactly the order, that ``reference_run`` does."""
+    def drain(run):
+        seen = []
+
+        def rule(d):
+            seen.append(tuple(d))
+            n = d[2]
+            return [("cost", INSERT, n - 1), ("vis", INSERT, n - 1)] if n else []
+
+        eng = FixpointEngine({"cost": rule, "vis": rule}, order="random", seed=seed)
+        eng.tiers = {"cost": 0, "vis": 1}
+        eng.push([("vis", INSERT, 4), ("cost", INSERT, 4)])
+        assert run(eng) == len(seen) == 62
+        return seen
+
+    assert drain(FixpointEngine.run) == drain(reference_run)
 
 
 def _recorded_run(cat, q, strategies, order, seed, updates, reference):

@@ -126,6 +126,26 @@ def test_overflowed_cost_is_rejected_and_plan_kept(q5s_fixture):
         assert session.reoptimize()[0] == oracle, label
 
 
+@pytest.mark.parametrize("bad", [StatUpdate("scan_cost", "nosuch", 1.0),
+                                 StatUpdate("join_selectivity", "nosuch.a=lineitem.b", 1.0)],
+                         ids=["scan_cost", "join_selectivity"])
+def test_a_batch_naming_an_unknown_target_changes_nothing(q5s_fixture, bad):
+    """An unknown target, even in an identity update, fails its batch before
+    anything is folded or rebound: the catalog and the state stay the
+    pre-batch ones, and the saved state still loads."""
+    cat, q = q5s_fixture
+    opt, session = fresh_session(cat, q)
+    before, sha = session.plan, opt.state_sha256()
+    session.add_updates([StatUpdate("scan_cost", "lineitem", 8.0), bad])
+    with pytest.raises(UnknownTarget):
+        session.reoptimize()
+    assert opt.catalog is cat and opt.state_sha256() == sha
+    assert session.plan is before and not session.pending
+    assert opt.audit_costs() == []
+    back = DeclarativeOptimizer.from_snapshot(json.loads(json.dumps(opt.to_snapshot())))
+    assert back.state_sha256() == sha
+
+
 def test_a_raising_drain_stops_tracking(q5s_fixture):
     """The engine observes deltas only while a re-optimization tracks them:
     a cold build runs without an observer, and a drain that raises still
