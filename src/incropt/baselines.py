@@ -20,6 +20,12 @@ whole plan trees built straight from the catalog.  The DP runs over the
 universe's dense group ids, each group's local costs held in one list; its
 ``memo`` still reads as GroupKey -> best in resolution order, which is what
 the visit counts and ``visit_log`` report.
+
+No engine leaves cyclic garbage.  Volcano's recursive ``explore`` reaches
+itself through its closure cell, so ``volcano_optimize`` empties that cell
+before it returns: the universe, tables and memo are then freed by reference
+count at once, not held until a full collection and rescanned by every
+collection of their generation meanwhile.
 """
 from __future__ import annotations
 
@@ -186,13 +192,6 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             entry.exact = best
         return None
 
-    result = explore(universe.group_id(universe.root), math.inf)
-    assert result is not None  # root limit is infinite
-    metrics.visited_or = len(memo)
-    metrics.visited_and = len(completed)
-    metrics.pruned_and = len(pruned_alts - completed)
-    metrics.pruned_or = sum(1 for m in memo.values() if m.exact is None)
-
     def resolved(g: GroupKey) -> tuple[float, AltKey]:
         i = universe.group_id(g)
         entry = memo.get(i)
@@ -204,6 +203,18 @@ def volcano_optimize(query: Query, cat: Catalog, *,
         assert got is not None
         return got
 
-    plan = build_plan(universe, ctx, resolved, universe.root)
+    try:
+        result = explore(universe.group_id(universe.root), math.inf)
+        assert result is not None  # root limit is infinite
+        metrics.visited_or = len(memo)
+        metrics.visited_and = len(completed)
+        metrics.pruned_and = len(pruned_alts - completed)
+        metrics.pruned_or = sum(1 for m in memo.values() if m.exact is None)
+        plan = build_plan(universe, ctx, resolved, universe.root)
+    finally:
+        # ``explore`` holds itself in its closure cell, and with it the whole
+        # search space: emptying the cell breaks that cycle, so reference
+        # counting frees the search space on return, not the cyclic collector
+        explore = resolved = None
     metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return plan, metrics

@@ -58,18 +58,23 @@ class JoinPredicate:
         return frozenset((self.left_relation, self.right_relation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatUpdate:
     """A multiplicative change to one catalog number.
 
     ``kind`` is ``"scan_cost"`` (target is a relation name) or
     ``"join_selectivity"`` (target is ``"R.a=S.b"``).  Applying an update and
     then its inverse restores the catalog within one ulp per touched number.
+    Slotted: a re-optimizing session buffers one per status update.
     """
 
     kind: str
     target: str
     factor: float
+
+    def __reduce__(self):
+        # Python 3.10 cannot copy or pickle a frozen slotted dataclass by default
+        return StatUpdate, (self.kind, self.target, self.factor)
 
     def inverse(self) -> "StatUpdate":
         return replace(self, factor=1.0 / self.factor)
@@ -356,7 +361,9 @@ def _check_folded(what: str, value: float) -> float:
     return value
 
 
-def _find_predicate(cat: Catalog, target: str) -> JoinPredicate:
+def find_predicate(cat: Catalog, target: str) -> JoinPredicate:
+    """The predicate joining exactly the two columns of ``target``
+    (``"R.a=S.b"``, either side first); ``UnknownTarget`` if none does."""
     if "=" not in target:
         raise UnknownTarget(f"join_selectivity target {target!r} must look like 'R.a=S.b'")
     left, right = target.split("=", 1)
@@ -381,7 +388,7 @@ def apply_update(cat: Catalog, u: StatUpdate) -> Catalog:
         rels = tuple(new_rel if r.name == u.target else r for r in cat.relations)
         return Catalog(relations=rels, predicates=cat.predicates)
     if u.kind == JOIN_SELECTIVITY:
-        pred = _find_predicate(cat, u.target)
+        pred = find_predicate(cat, u.target)
         new_pred = replace(pred, selectivity=_check_folded(
             f"selectivity of {pred.name}", pred.selectivity * u.factor))
         preds = tuple(new_pred if p is pred else p for p in cat.predicates)

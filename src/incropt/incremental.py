@@ -30,7 +30,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, apply_update
+from .catalog import (JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, apply_update,
+                      find_predicate)
 from .costmodel import target_mask
 from .deltaflow import DeltaTuple, INSERT
 from .errors import UnknownTarget, ValidationError
@@ -60,9 +61,7 @@ def _check_target(u: StatUpdate, cat: Catalog) -> None:
     if u.kind == SCAN_COST:
         cat.relation(u.target)  # raises UnknownTarget
     elif u.kind == JOIN_SELECTIVITY:
-        rels = sorted(u.target_relations())
-        if not cat.predicates_between(*rels):
-            raise UnknownTarget(f"no predicate {u.target!r} in catalog")
+        find_predicate(cat, u.target)  # raises UnknownTarget
     else:
         raise UnknownTarget(f"unknown update kind {u.kind!r}")
 

@@ -640,14 +640,14 @@ class DeclarativeOptimizer:
     def optimal_tree_rows(self) -> set[RowKey]:
         self._require_quiescent()
         rows: set[RowKey] = set()
-
-        def walk(i: int) -> None:
+        # an explicit stack: a nested recursive walk would hold the optimizer
+        # in a reference cycle through its own closure cell
+        stack = [self.root_id]
+        while stack:
+            i = stack.pop()
             pos = self._best_id(i)[1]
             rows.add(self._row_key((i, pos)))
-            for c in self._kids[i][2 * pos:2 * pos + 2]:
-                walk(c)
-
-        walk(self.root_id)
+            stack.extend(self._kids[i][2 * pos:2 * pos + 2])
         return rows
 
     def final_state_check(self) -> dict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -25,6 +26,19 @@ def q5s_fixture():
 @pytest.fixture(scope="session")
 def q8joins_fixture():
     return q8joins()
+
+
+def cyclic_garbage(call) -> int:
+    """Objects that only the cyclic garbage collector can free once
+    ``call()`` has run and its result is dropped (0 when reference counting
+    frees everything it made)."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def tiny_catalog() -> tuple[Catalog, Query]:

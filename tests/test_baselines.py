@@ -14,6 +14,8 @@ from incropt.errors import InfeasibleQuery, TooLarge
 from incropt.fixtures import q3s, q5s, q8joins
 from incropt.workload import make_workload
 
+from conftest import cyclic_garbage
+
 
 def test_two_relation_query_direct_min(co_fixture):
     # independent recursive-descent check of the oracle on a 2-way join
@@ -137,3 +139,17 @@ def test_baseline_metrics_are_pinned(fixture, engine):
     digest = hashlib.sha256(log.encode()).hexdigest()[:16]
     assert (m.visited_and, m.visited_or, m.pruned_and, m.pruned_or, digest) == \
         _PINNED_METRICS[fixture, engine]
+
+
+@pytest.mark.parametrize("engine,shape", [
+    (brute_force_optimize, "q8joins"),
+    (systemr_optimize, "q8joins"), (systemr_optimize, "chain-16"),
+    (volcano_optimize, "q8joins"), (volcano_optimize, "chain-16"),
+], ids=["oracle-q8joins", "systemr-q8joins", "systemr-chain-16",
+        "volcano-q8joins", "volcano-chain-16"])
+def test_engines_leave_no_cyclic_garbage(engine, shape):
+    """An engine's universe, tables and memo are freed by reference count
+    when it returns, so a long-running caller holds no search space until a
+    full collection.  Chain-16 is past the oracle's relation budget."""
+    cat, q = q8joins() if shape == "q8joins" else make_workload("chain", 16, 1)
+    assert cyclic_garbage(lambda: engine(q, cat)) == 0

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -157,6 +160,12 @@ def test_update_inverse_restores_within_one_ulp():
     cat = catalog_from_dict(THREE_REL)
     for u in (StatUpdate("scan_cost", "L", 3.7),
               StatUpdate("join_selectivity", "C.ck=O.ck", 0.31)):
+        # slotted: a session buffers one update per status change
+        assert not hasattr(u, "__dict__")
+        assert u.inverse() == replace(u, factor=1.0 / u.factor) != u
+        twin = StatUpdate(u.kind, u.target, u.factor)
+        assert twin == u and hash(twin) == hash(u) and len({u, twin}) == 1
+        assert copy.deepcopy(u) == u == pickle.loads(pickle.dumps(u))
         back = apply_update(apply_update(cat, u), u.inverse())
         for r0, r1 in zip(cat.relations, back.relations):
             assert abs(r0.scan_cost_factor - r1.scan_cost_factor) <= math.ulp(r0.scan_cost_factor)

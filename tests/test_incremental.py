@@ -126,13 +126,18 @@ def test_overflowed_cost_is_rejected_and_plan_kept(q5s_fixture):
         assert session.reoptimize()[0] == oracle, label
 
 
-@pytest.mark.parametrize("bad", [StatUpdate("scan_cost", "nosuch", 1.0),
-                                 StatUpdate("join_selectivity", "nosuch.a=lineitem.b", 1.0)],
-                         ids=["scan_cost", "join_selectivity"])
+@pytest.mark.parametrize("bad", [
+    StatUpdate("scan_cost", "nosuch", 1.0),
+    StatUpdate("join_selectivity", "nosuch.a=lineitem.b", 1.0),
+    StatUpdate("join_selectivity", "orders.nope=lineitem.l_orderkey", 1.0),
+    StatUpdate("join_selectivity", "orders.nope=lineitem.l_orderkey", 2.0),
+], ids=["scan_cost", "join_selectivity", "unknown_column_identity", "unknown_column"])
 def test_a_batch_naming_an_unknown_target_changes_nothing(q5s_fixture, bad):
     """An unknown target, even in an identity update, fails its batch before
     anything is folded or rebound: the catalog and the state stay the
-    pre-batch ones, and the saved state still loads."""
+    pre-batch ones, and the saved state still loads.  A join-selectivity
+    target must name a predicate's exact columns: two joined relations
+    with an unknown column is no target."""
     cat, q = q5s_fixture
     opt, session = fresh_session(cat, q)
     before, sha = session.plan, opt.state_sha256()

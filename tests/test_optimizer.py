@@ -17,7 +17,7 @@ from incropt.incremental import ReoptSession
 from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import make_update_batch, make_workload
 
-from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, as_version1
+from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, as_version1, cyclic_garbage
 
 ALL = Strategies.all()
 NONE = Strategies.none()
@@ -575,13 +575,20 @@ def _reoptimized(cat, q):
     return session.opt
 
 
+def _checked(cat, q):
+    opt = DeclarativeOptimizer(cat, q).run()
+    assert opt.final_state_check()["ok"]
+    return opt
+
+
 @pytest.mark.parametrize("make", [
     lambda cat, q: DeclarativeOptimizer(cat, q).run(),
     lambda cat, q: DeclarativeOptimizer(cat, q).install(),
     lambda cat, q: DeclarativeOptimizer.from_snapshot(
         DeclarativeOptimizer(cat, q).run().to_snapshot()),
     _reoptimized,
-], ids=["run", "install", "from_snapshot", "reoptimize"])
+    _checked,
+], ids=["run", "install", "from_snapshot", "reoptimize", "final_state_check"])
 def test_a_dropped_optimizer_is_freed_without_the_cycle_collector(q8joins_fixture, make):
     """Nothing an optimizer holds refers back to it, so dropping the last
     reference frees it and its universe at once, with the cyclic garbage
@@ -596,6 +603,17 @@ def test_a_dropped_optimizer_is_freed_without_the_cycle_collector(q8joins_fixtur
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("call", [
+    "best_plan", "to_snapshot", "state_digest", "audit_refcounts",
+    "audit_fixpoint", "audit_costs", "optimal_tree_rows", "final_state_check"])
+def test_read_side_calls_leave_no_cyclic_garbage(q8joins_fixture, call):
+    """A read of a live optimizer makes no reference cycle: what it built
+    is freed by reference count, not held until a full collection."""
+    cat, q = q8joins_fixture
+    opt = DeclarativeOptimizer(cat, q).run()
+    assert cyclic_garbage(getattr(opt, call)) == 0
 
 
 @pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
