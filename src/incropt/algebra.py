@@ -55,11 +55,12 @@ Conventions baked in here:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .catalog import Catalog, json_array, json_object
+from .catalog import (
+    Catalog, json_array, json_object, json_string, json_strings, read_json, reject_unknown,
+)
 from .errors import NoAlternatives, ParseError, ValidationError
 
 LOG_JOIN = "join"
@@ -253,23 +254,21 @@ _FILTER_KEYS = {"relation", "selectivity"}
 
 def query_from_dict(data: dict, cat: Catalog) -> Query:
     json_object(data, "query root")
-    extra = set(data) - _QUERY_KEYS
-    if extra:
-        raise ParseError(f"unknown keys {sorted(extra)} in query")
-    rels = json_array(data, "relations", "query")
+    reject_unknown(data, _QUERY_KEYS, "query")
+    rels = json_strings(data.get("relations", []), "query 'relations'")
     if not rels:
         raise ValidationError("query declares no relations")
     filters = []
     for k, obj in enumerate(json_array(data, "filters", "query")):
-        json_object(obj, f"query filter entry {k}")
-        extra = set(obj) - _FILTER_KEYS
-        if extra:
-            raise ParseError(f"unknown keys {sorted(extra)} in query filter")
+        where = f"query filter entry {k}"
+        json_object(obj, where)
+        reject_unknown(obj, _FILTER_KEYS, "query filter")
         try:
-            filters.append((obj["relation"], float(obj["selectivity"])))
+            filters.append((json_string(obj["relation"], f"{where} 'relation'"),
+                            float(obj["selectivity"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed query filter entry {k}: {exc}") from exc
-    q = Query(relations=tuple(rels), filters=tuple(filters))
+    q = Query(relations=rels, filters=tuple(filters))
     validate_query(q, cat)
     return q
 
@@ -289,14 +288,7 @@ def validate_query(q: Query, cat: Catalog) -> None:
 
 
 def load_query(path: str, cat: Catalog) -> Query:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read query file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"query file {path} is not valid JSON: {exc}") from exc
-    return query_from_dict(data, cat)
+    return query_from_dict(read_json(path, "query file"), cat)
 
 
 class _Neighbours(dict):
@@ -811,7 +803,7 @@ class SearchUniverse:
 
         Enumerates every group reachable from the root, once; a universe
         enumerated breadth-first from its root numbers groups in the order
-        a FIFO build creates them."""
+        a cold build creates them."""
         if self._parents is None:
             self.groups()
             parents: list[list[tuple[int, int]]] = [[] for _ in self.group_keys]

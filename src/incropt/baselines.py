@@ -33,7 +33,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .algebra import AltKey, GroupKey, Query, SearchUniverse
+from .algebra import GroupKey, Query, SearchUniverse
 from .catalog import Catalog
 from .costmodel import BestCost, CostConfig, CostContext, sum_cost
 from .errors import InfeasibleQuery, TooLarge
@@ -83,7 +83,7 @@ def _resolve(ctx: CostContext, universe: SearchUniverse, order, start: float
     metrics = BaselineMetrics(
         visited_and=sum(len(universe.alternatives(g)) for g in memo),
         visited_or=len(memo), visit_log=list(memo))
-    plan = build_plan(universe, ctx, dp.best, universe.root)
+    plan = build_plan(universe, ctx, dp.best_id, universe.group_id(universe.root))
     metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return plan, metrics
 
@@ -119,7 +119,7 @@ class _VolcanoMemo:
     __slots__ = ("exact", "fail_limit")
 
     def __init__(self):
-        self.exact: tuple[float, AltKey] | None = None
+        self.exact: tuple[float, int] | None = None
         self.fail_limit: float = -math.inf
 
 
@@ -132,7 +132,8 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     conservative and the returned cost equals the oracle's exactly.
 
     Groups are explored by dense id; a group's local costs are read from
-    ``BestCost``'s table, filled once when the group is first explored."""
+    ``BestCost``'s table, filled once when the group is first explored.  A
+    best is ``(cost, position)``; position order is the shared tie-break."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
     tables = BestCost(universe, ctx)
@@ -142,7 +143,7 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     pruned_alts: set[tuple[int, int]] = set()
     keys, alts_of, kids_of = universe.group_keys, universe.group_alts, universe.group_kids
 
-    def explore(i: int, limit: float) -> tuple[float, AltKey] | None:
+    def explore(i: int, limit: float) -> tuple[float, int] | None:
         entry = memo.get(i)
         if entry is None:
             entry = memo[i] = _VolcanoMemo()
@@ -155,10 +156,10 @@ def volcano_optimize(query: Query, cat: Catalog, *,
         if limit <= entry.fail_limit:
             return None
 
-        best: tuple[float, AltKey] | None = None
+        best: tuple[float, int] | None = None
         any_pruned = False
         kids = kids_of[i]
-        for pos, (alt, local) in enumerate(zip(alts_of[i], tables.local_table(i))):
+        for pos, local in enumerate(tables.local_table(i)):
             bound = limit
             if best is not None:
                 bound = min(bound, best[0])
@@ -178,7 +179,7 @@ def volcano_optimize(query: Query, cat: Catalog, *,
                     continue
                 cost = sum_cost(left[0], right[0], local)
             completed.add((i, pos))
-            cand = (cost, alt.key)
+            cand = (cost, pos)
             if best is None or cand < best:
                 best = cand
 
@@ -192,8 +193,7 @@ def volcano_optimize(query: Query, cat: Catalog, *,
             entry.exact = best
         return None
 
-    def resolved(g: GroupKey) -> tuple[float, AltKey]:
-        i = universe.group_id(g)
+    def resolved(i: int) -> tuple[float, int]:
         entry = memo.get(i)
         if entry is not None and entry.exact is not None:
             return entry.exact
@@ -204,13 +204,14 @@ def volcano_optimize(query: Query, cat: Catalog, *,
         return got
 
     try:
-        result = explore(universe.group_id(universe.root), math.inf)
+        root = universe.group_id(universe.root)
+        result = explore(root, math.inf)
         assert result is not None  # root limit is infinite
         metrics.visited_or = len(memo)
         metrics.visited_and = len(completed)
         metrics.pruned_and = len(pruned_alts - completed)
         metrics.pruned_or = sum(1 for m in memo.values() if m.exact is None)
-        plan = build_plan(universe, ctx, resolved, universe.root)
+        plan = build_plan(universe, ctx, resolved, root)
     finally:
         # ``explore`` holds itself in its closure cell, and with it the whole
         # search space: emptying the cell breaks that cycle, so reference

@@ -229,10 +229,38 @@ def json_array(data: dict, key: str, where: str) -> list:
     return got
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def json_string(value, where: str) -> str:
+    """``value`` when it is a JSON string, else a ParseError naming ``where``
+    and the JSON type found there."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where} must be a JSON string, got {_json_type(value)}")
+    return value
+
+
+def json_strings(value, where: str) -> tuple[str, ...]:
+    """``value`` as a tuple when it is a JSON array of strings."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a JSON array, got {_json_type(value)}")
+    return tuple(json_string(v, f"{where} entry {k}") for k, v in enumerate(value))
+
+
+def reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+    """A ParseError listing the keys of ``obj`` outside ``allowed``."""
     extra = set(obj) - allowed
     if extra:
         raise ParseError(f"unknown keys {sorted(extra)} in {where}")
+
+
+def read_json(path: str, what: str):
+    """The parsed JSON of the file at ``path``; a ParseError names ``what``
+    when it cannot be read or is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _qualified(attr: str, where: str) -> tuple[str, str]:
@@ -245,29 +273,34 @@ def _qualified(attr: str, where: str) -> tuple[str, str]:
 def catalog_from_dict(data: dict) -> Catalog:
     """Build and validate a catalog from the JSON object layout."""
     json_object(data, "catalog root")
-    _reject_unknown(data, _CATALOG_KEYS, "catalog")
+    reject_unknown(data, _CATALOG_KEYS, "catalog")
     relations = []
     for k, obj in enumerate(json_array(data, "relations", "catalog")):
-        json_object(obj, f"catalog relation entry {k}")
-        _reject_unknown(obj, _RELATION_KEYS, f"relation {obj.get('name')!r}")
+        where = f"catalog relation entry {k}"
+        json_object(obj, where)
+        reject_unknown(obj, _RELATION_KEYS, f"relation {obj.get('name')!r}")
         try:
+            sorted_on = obj.get("sorted_on")
             relations.append(RelationMeta(
-                name=obj["name"],
+                name=json_string(obj["name"], f"{where} 'name'"),
                 cardinality=float(obj["cardinality"]),
-                attributes=tuple(obj["attributes"]),
-                indexed_on=tuple(obj.get("indexed_on", ())),
-                sorted_on=obj.get("sorted_on"),
+                attributes=json_strings(obj["attributes"], f"{where} 'attributes'"),
+                indexed_on=json_strings(obj.get("indexed_on", []), f"{where} 'indexed_on'"),
+                sorted_on=None if sorted_on is None
+                else json_string(sorted_on, f"{where} 'sorted_on'"),
                 scan_cost_factor=float(obj.get("scan_cost_factor", 1.0)),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed relation entry: {exc}") from exc
     predicates = []
     for k, obj in enumerate(json_array(data, "predicates", "catalog")):
-        json_object(obj, f"catalog predicate entry {k}")
-        _reject_unknown(obj, _PREDICATE_KEYS, "predicate")
+        where = f"catalog predicate entry {k}"
+        json_object(obj, where)
+        reject_unknown(obj, _PREDICATE_KEYS, "predicate")
         try:
             predicates.append(JoinPredicate(
-                left=obj["left"], right=obj["right"],
+                left=json_string(obj["left"], f"{where} 'left'"),
+                right=json_string(obj["right"], f"{where} 'right'"),
                 selectivity=float(obj["selectivity"]),
             ))
         except (KeyError, TypeError, ValueError) as exc:
@@ -315,32 +348,22 @@ def validate_catalog(cat: Catalog) -> None:
 
 def load_catalog(path: str) -> Catalog:
     """Parse and validate a catalog file; deterministic for identical bytes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read catalog file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"catalog file {path} is not valid JSON: {exc}") from exc
-    return catalog_from_dict(data)
+    return catalog_from_dict(read_json(path, "catalog file"))
 
 
 def load_updates(path: str) -> list[StatUpdate]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read updates file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"updates file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "updates file")
     if not isinstance(data, list):
         raise ParseError("updates file must be a JSON array")
     out = []
     for k, obj in enumerate(data):
-        json_object(obj, f"update entry {k}")
-        _reject_unknown(obj, _UPDATE_KEYS, "update")
+        where = f"update entry {k}"
+        json_object(obj, where)
+        reject_unknown(obj, _UPDATE_KEYS, "update")
         try:
-            u = StatUpdate(kind=obj["kind"], target=obj["target"], factor=float(obj["factor"]))
+            u = StatUpdate(kind=json_string(obj["kind"], f"{where} 'kind'"),
+                           target=json_string(obj["target"], f"{where} 'target'"),
+                           factor=float(obj["factor"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed update entry: {exc}") from exc
         if u.kind not in (SCAN_COST, JOIN_SELECTIVITY):

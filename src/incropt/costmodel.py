@@ -43,7 +43,6 @@ tuple, the tie-break every engine shares.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -52,7 +51,9 @@ from .algebra import (
     Alternative, AltKey, ExprSig, GroupKey, INDEX_SCAN, INDEX_NL_JOIN, LOG_SCAN, Query,
     SearchUniverse, expr_mask,
 )
-from .catalog import JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, json_object
+from .catalog import (
+    JOIN_SELECTIVITY, SCAN_COST, Catalog, StatUpdate, json_object, read_json, reject_unknown,
+)
 from .errors import InfeasibleQuery, ParseError, ValidationError
 
 @dataclass(frozen=True)
@@ -73,9 +74,8 @@ class CostConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostConfig":
-        extra = set(json_object(data, "cost config")) - {"index_scan_surcharge", "inlj_log_base"}
-        if extra:
-            raise ParseError(f"unknown keys {sorted(extra)} in cost config")
+        reject_unknown(json_object(data, "cost config"),
+                       {"index_scan_surcharge", "inlj_log_base"}, "cost config")
         try:
             cfg = cls(
                 index_scan_surcharge=float(data.get("index_scan_surcharge", 1.2)),
@@ -96,13 +96,7 @@ class CostConfig:
 
     @classmethod
     def load(cls, path: str) -> "CostConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except OSError as exc:
-            raise ParseError(f"cannot read cost config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cost config {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(read_json(path, "cost config"))
 
 
 def scan_summary(e: ExprSig, cat: Catalog, query: Query) -> Summary:
@@ -315,12 +309,12 @@ class BestCost:
         return {keys[i]: (self._cost[i], alts[i][pos[i]].key) for i in self._order}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
-        return self.best_id(self.universe.group_id(g))
+        i = self.universe.group_id(g)
+        return self.cost_id(i), self.universe.group_alts[i][self._pos[i]].key
 
-    def best_id(self, i: int) -> tuple[float, AltKey]:
-        """``best`` by group id."""
-        cost = self.cost_id(i)
-        return cost, self.universe.group_alts[i][self._pos[i]].key
+    def best_id(self, i: int) -> tuple[float, int]:
+        """``best`` by group id, naming the alternative by its position."""
+        return self.cost_id(i), self._pos[i]
 
     def cost_id(self, i: int) -> float:
         """The best cost of group id ``i``: one list read once resolved."""

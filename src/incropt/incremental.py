@@ -146,7 +146,8 @@ class ReoptSession:
             deltas: list[DeltaTuple] = []
             for u in batch:
                 deltas.extend(stat_to_deltas(u, opt))
-            opt.push_and_run(deltas)
+            opt.engine.push(deltas)
+            opt.engine.run()
         finally:
             opt.set_tracking(False)
         touched_and = len(opt.touched_and)

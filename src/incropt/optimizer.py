@@ -32,17 +32,18 @@ recursive bounding prunes any row whose cost exceeds its group bound.  The
 quiescent visible state is a unique fixpoint of those rules, so any delta
 drain order converges to the same answer.
 
-The order still decides the work.  The cold build is a revival: ``run()``
-pushes the root's ``expr``, whose rule creates every group dead and revives
-the root (every group without reference counting).  A revival costs a
-group's rows, one ``recost`` for all of them from the fallback DP's exact
-child bests, before ``refilter`` shows any.  In a FIFO drain a row is then
-shown only on its final cost, and only shown rows pull their children
-alive: aggregate selection drops a non-minimal row as it is derived, before
-it propagates.  That build drains plain FIFO; tiering it saved under 3% of
-its deltas.  A re-optimization drains in ``REOPT_TIERS`` order, costs
-before bounds before visibility, so a row is pruned or a group retired only
-on costs the update has finished moving.
+The order still decides the work.  Every drain, the cold build and each
+re-optimization alike, runs in ``DRAIN_TIERS`` order: costs before bounds
+before visibility, so a row is pruned or a group retired only on costs the
+drain has finished moving.  The cold build is a revival: ``run()`` pushes
+the root's ``expr``, whose rule creates every group dead and revives the
+root (every group without reference counting).  A revival costs a group's
+rows, one ``recost`` for all of them from the fallback DP's exact child
+bests, before ``refilter`` shows any.  A row is then shown only on its final
+cost, and only shown rows pull their children alive: aggregate selection
+drops a non-minimal row as it is derived, before it propagates.  Under
+bounding, tiering also settles a group's bound before its rows are
+filtered against it, which saves 3-11% of a cold build's deltas.
 
 A cost write queues ``refilterrow`` only for a row that can flip on it.
 Without aggregate selection that is every written row.  Under it, only a
@@ -145,8 +146,8 @@ class GroupState:
     bound: float | None = None
 
 
-# the re-optimization drain's tiers: costs, then bounds, then visibility
-REOPT_TIERS = {
+# every drain's tiers: costs, then bounds, then visibility
+DRAIN_TIERS = {
     "recost": 0, "bestcost": 0,
     "pbound": 1, "maxbound": 1, "bound": 1,
     "refilter": 2, "refilterrow": 2, "refcount": 2, "expr": 2,
@@ -234,11 +235,12 @@ class DeclarativeOptimizer:
             max_deltas=DELTAS_PER_ALTERNATIVE * u.totals()[1],
             order=drain_order, seed=drain_seed,
         )
+        self.engine.tiers = DRAIN_TIERS
 
     # -- driving ---------------------------------------------------------
 
     def run(self) -> "DeclarativeOptimizer":
-        """Seed the root expression and drain to quiescence (plain FIFO)."""
+        """Seed the root expression and drain to quiescence."""
         if not self.universe.feasible:
             raise InfeasibleQuery(
                 f"no plan satisfies {self.root[1]} for {self.root[0]}")
@@ -278,16 +280,6 @@ class DeclarativeOptimizer:
                     if val is not None:
                         groups[c].contribs[(i, pos)] = val
         return self
-
-    def push_and_run(self, deltas: Iterable[DeltaTuple]) -> int:
-        """Drain ``deltas`` into the quiescent state in ``REOPT_TIERS`` order."""
-        engine = self.engine
-        engine.push(deltas)
-        engine.tiers = REOPT_TIERS
-        try:
-            return engine.run()
-        finally:
-            engine.tiers = None
 
     def deltas_by_rule(self) -> dict[str, int]:
         """The last drain's processed deltas per rule, every rule listed."""
@@ -610,17 +602,13 @@ class DeclarativeOptimizer:
             raise InfeasibleQuery(f"group {self._name(i)} has no plan")
         return m
 
-    def _best(self, g: GroupKey) -> tuple[float, AltKey]:
-        i = self.universe.group_id(g)
-        return self._keyed(i, self._best_id(i))
-
     def best_cost(self) -> float:
         self._require_quiescent()
         return self._best_id(self.root_id)[0]
 
     def best_plan(self) -> PlanNode:
         self._require_quiescent()
-        return build_plan(self.universe, self.ctx, self._best, self.root)
+        return build_plan(self.universe, self.ctx, self._best_id, self.root_id)
 
     def _visible(self) -> Iterator[Row]:
         """Every visible searchspace row, in no particular order."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import ExprSig, GroupKey, PropertySpec
+from .algebra import ExprSig, PropertySpec
 from .costmodel import CostContext
 from .errors import ValidationError
 
@@ -39,20 +39,22 @@ class PlanNode:
                 tuple(c.structure() for c in self.children))
 
 
-def build_plan(universe, ctx: CostContext, best, group: GroupKey) -> PlanNode:
-    """Resolve the operator tree rooted at ``group`` from a best-cost map.
+def build_plan(universe, ctx: CostContext, best, i: int) -> PlanNode:
+    """Resolve the operator tree rooted at group id ``i`` from a best map.
 
-    ``best(group) -> (cost, alt_key)``; alternatives come from the shared
-    universe so every engine materializes identical trees for identical
-    best maps.
+    ``best(i) -> (cost, position)``, a position in ``universe.group_alts[i]``;
+    alternatives come from the shared universe so every engine materializes
+    identical trees for identical best maps.
     """
-    cost, key = best(group)
-    alt = next(a for a in universe.alternatives(group) if a.key == key)
-    children = tuple(build_plan(universe, ctx, best, c) for c in alt.children())
-    e, p = group
+    cost, pos = best(i)
+    alt = universe.group_alts[i][pos]
+    children = tuple(build_plan(universe, ctx, best, c)
+                     for c in universe.group_kids[i][2 * pos:2 * pos + 2])
+    e, p = universe.group_keys[i]
     return PlanNode(
-        expr=e, prop=p, log_op=alt.log_op, phy_op=alt.phy_op,
-        cost=cost, summary_card=ctx.summary(e).cardinality, children=children,
+        expr=e, prop=p, log_op=alt.log_op, phy_op=alt.phy_op, cost=cost,
+        summary_card=ctx.summary(universe.group_masks[i]).cardinality,
+        children=children,
     )
 
 

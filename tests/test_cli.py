@@ -356,12 +356,36 @@ def _set_entry(key, value):
     return edit
 
 
-# an entry that is not a JSON object where one is expected: (file edited,
-# edit, the text the error line must name)
+def _set_field(key, field, value):
+    def edit(data: dict) -> None:
+        data[key][0][field] = value
+    return edit
+
+
+# an entry that is not a JSON object, or a name, attribute or relation that
+# is not a JSON string or an array of them, where one is expected: (file
+# edited, edit, the text the error line must name)
 _NON_OBJECT_INPUTS = {
-    "relation-entry": ("catalog", _set_entry("relations", 5), "relation entry 0"),
-    "predicate-entry": ("catalog", _set_entry("predicates", "x"), "predicate entry 0"),
-    "query-filter": ("query", _set_entry("filters", 5), "query filter entry 0"),
+    "relation-entry": ("catalog", _set_entry("relations", 5),
+                       "relation entry 0 must be a JSON object, got a number"),
+    "predicate-entry": ("catalog", _set_entry("predicates", "x"),
+                        "predicate entry 0 must be a JSON object, got a string"),
+    "query-filter": ("query", _set_entry("filters", 5),
+                     "query filter entry 0 must be a JSON object, got a number"),
+    "attributes-string": ("catalog", _set_field("relations", "attributes", "c_custkey"),
+                          "relation entry 0 'attributes' must be a JSON array, got a string"),
+    "indexed-on-nested": ("catalog", _set_field("relations", "indexed_on", [["x"]]),
+                          "'indexed_on' entry 0 must be a JSON string, got an array"),
+    "sorted-on-array": ("catalog", _set_field("relations", "sorted_on", ["x"]),
+                        "'sorted_on' must be a JSON string, got an array"),
+    "name-number": ("catalog", _set_field("relations", "name", 5),
+                    "relation entry 0 'name' must be a JSON string, got a number"),
+    "predicate-left": ("catalog", _set_field("predicates", "left", 5),
+                       "predicate entry 0 'left' must be a JSON string, got a number"),
+    "query-relation": ("query", _set_entry("relations", ["customer"]),
+                       "query 'relations' entry 0 must be a JSON string, got an array"),
+    "filter-relation": ("query", _set_field("filters", "relation", None),
+                        "filter entry 0 'relation' must be a JSON string, got null"),
 }
 
 
@@ -374,8 +398,31 @@ def test_optimize_rejects_a_non_object_entry(case, fixture_files, capsys):
     path.write_text(json.dumps(data))
     code = run("optimize", "--catalog", str(fixture_files / "q5s.catalog.json"),
                "--query", str(fixture_files / "q5s.query.json"))
-    err = _assert_clean_exit_1(code, capsys)
-    assert named in err and "must be a JSON object" in err
+    assert named in _assert_clean_exit_1(code, capsys)
+
+
+# an update field that is not a JSON string: field -> (value, the text the
+# error line must name)
+_NON_STRING_UPDATES = {
+    "target": (5, "update entry 0 'target' must be a JSON string, got a number"),
+    "kind": (["scan_cost"], "update entry 0 'kind' must be a JSON string, got an array"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NON_STRING_UPDATES))
+def test_reoptimize_rejects_a_non_string_update_field(field, fixture_files, tmp_path, capsys):
+    value, named = _NON_STRING_UPDATES[field]
+    state = _save_state(fixture_files, tmp_path, "q3s")
+    saved = state.read_text()
+    update = {"kind": "join_selectivity", "target": "orders.o_orderkey=lineitem.l_orderkey",
+              "factor": 2.0, field: value}
+    updates = tmp_path / "updates.json"
+    updates.write_text(json.dumps([update]))
+    capsys.readouterr()
+    code = run("reoptimize", "--state", str(state), "--updates", str(updates),
+               "--save-state", str(state))
+    assert named in _assert_clean_exit_1(code, capsys)
+    assert state.read_text() == saved
 
 
 def test_optimize_rejects_a_non_object_cost_config(fixture_files, tmp_path, capsys):

@@ -305,7 +305,9 @@ def test_flat_minimum_breaks_ties_by_alternative_key(make):
         return got
 
     for g in universe.groups():
-        assert dp.best_id(universe.group_id(g)) == ref(g), g
+        i = universe.group_id(g)
+        cost, pos = dp.best_id(i)
+        assert (cost, universe.group_alts[i][pos].key) == ref(g), g
     assert ties
 
 

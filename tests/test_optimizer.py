@@ -14,7 +14,7 @@ from incropt.costmodel import CostConfig
 from incropt.errors import InfeasibleQuery, StateMismatch, ValidationError
 from incropt.fixtures import q3s, q5s, q8joins
 from incropt.incremental import ReoptSession
-from incropt.optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
+from incropt.optimizer import DRAIN_TIERS, STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
 from incropt.workload import make_update_batch, make_workload
 
 from conftest import DIFFERS, LIVE_STATE_CORRUPTIONS, as_version1, cyclic_garbage
@@ -160,9 +160,9 @@ def test_aggsel_tie_break_is_deterministic_first_key():
     gs, alts = _group(opt, root)
     costs = sorted(gs.mins.cost_of(pos) for pos in range(len(alts)))
     assert costs[0] == costs[1], "fixture should produce a root-cost tie"
-    best = opt._best(root)
-    tied = [a.key for pos, a in enumerate(alts) if gs.mins.cost_of(pos) == best[0]]
-    assert best[1] == min(tied)
+    cost, pos = opt._best_id(opt.root_id)
+    tied = [a.key for p, a in enumerate(alts) if gs.mins.cost_of(p) == cost]
+    assert alts[pos].key == min(tied)
     ref, _ = brute_force_optimize(q, cat)
     assert opt.best_plan() == ref
 
@@ -433,6 +433,61 @@ def test_install_equals_the_drained_build(name, label):
         assert work[0] == work[1], u
 
 
+def _tier_checked(opt) -> tuple[list, list[int]]:
+    """Count ``opt``'s pending deltas per tier, the pushes and then each
+    rule's output, through a wrapped ``push`` and wrapped rules.  Returns
+    the list of pops made while a lower tier had a delta pending, and the
+    pending count per tier."""
+    tier = DRAIN_TIERS
+    pending = [0] * (max(tier.values()) + 1)
+    out_of_order = []
+    engine = opt.engine
+    push = engine.push
+
+    def counted_push(deltas):
+        if isinstance(deltas, tuple) and deltas and isinstance(deltas[0], str):
+            deltas = [deltas]
+        deltas = list(deltas)
+        for d in deltas:
+            pending[tier[d[0]]] += 1
+        push(deltas)
+
+    def counted(rel, rule):
+        t = tier[rel]
+
+        def run(d):
+            pending[t] -= 1
+            if any(pending[:t]):
+                out_of_order.append((rel, list(pending)))
+            out = list(rule(d) or ())
+            for o in out:
+                pending[tier[o[0]]] += 1
+            return out
+        return run
+
+    engine.handlers = {rel: counted(rel, h) for rel, h in engine.handlers.items()}
+    engine.push = counted_push
+    return out_of_order, pending
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_every_drain_settles_lower_tiers_first(label, q8joins_fixture):
+    """The cold build and a re-optimization both drain in ``DRAIN_TIERS``
+    order: no delta is popped while a delta of a lower tier is pending."""
+    cat, q = q8joins_fixture
+    opt = DeclarativeOptimizer(cat, q, strategies=STRATEGY_SUBSETS[label])
+    out_of_order, pending = _tier_checked(opt)
+    opt.run()
+    assert opt.engine.processed > 0
+    assert out_of_order == [] and not any(pending), "cold build"
+    session = ReoptSession(opt)
+    session.add_updates(make_update_batch(cat, 6, seed=5))
+    built = opt.engine.processed
+    session.reoptimize()
+    assert opt.engine.processed > built
+    assert out_of_order == [] and not any(pending), "re-optimization"
+
+
 def test_merge_join_wins_under_cheap_ordered_access():
     # with the ordered-access surcharge below 1, sorted index access is
     # cheaper than a plain scan and a merge join beats the hash join
@@ -470,8 +525,9 @@ def test_trace_emits_stable_lines(q3s_fixture):
     cat, q = q3s_fixture
     lines = []
     opt = DeclarativeOptimizer(cat, q, trace=lines.append).run()
-    g, ak = opt.root, opt._best(opt.root)[1]
-    assert f"searchspace + {(g, ak)!r} 0 1" in lines
+    cost, pos = opt._best_id(opt.root_id)
+    rk = (opt.root, opt.universe.group_alts[opt.root_id][pos].key)
+    assert f"searchspace + {rk!r} 0 1" in lines
     session = ReoptSession(opt)
     session.add_updates([StatUpdate("scan_cost", "orders", 8.0)])
     assert session.reoptimize()[1].plan_changed
