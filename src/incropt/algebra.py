@@ -187,12 +187,12 @@ class Alternative:
 
     A plain ``__slots__`` class, built an order of magnitude faster than a
     frozen dataclass; treat it as immutable.  Equality and hash range over
-    the seven fields.  ``key`` is built once: every row key, parent-index
-    entry and DP candidate of the alternative then shares one tuple.
+    the seven fields.  ``key`` is built on read: engines name an alternative
+    by its position in its group, so only the edges (plans, snapshots,
+    audits, traces) ask for it.
     """
 
-    __slots__ = ("index", "log_op", "phy_op", "l_expr", "l_prop", "r_expr", "r_prop",
-                 "key")
+    __slots__ = ("index", "log_op", "phy_op", "l_expr", "l_prop", "r_expr", "r_prop")
 
     def __init__(self, index: int, log_op: str, phy_op: str,
                  l_expr: ExprSig | None = None, l_prop: PropertySpec | None = None,
@@ -204,7 +204,6 @@ class Alternative:
         self.l_prop = l_prop
         self.r_expr = r_expr
         self.r_prop = r_prop
-        self.key: AltKey = (index, phy_op)
 
     def _fields(self) -> tuple:
         return (self.index, self.log_op, self.phy_op,
@@ -222,6 +221,10 @@ class Alternative:
         return (f"Alternative(index={self.index!r}, log_op={self.log_op!r}, "
                 f"phy_op={self.phy_op!r}, l_expr={self.l_expr!r}, l_prop={self.l_prop!r}, "
                 f"r_expr={self.r_expr!r}, r_prop={self.r_prop!r})")
+
+    @property
+    def key(self) -> AltKey:
+        return self.index, self.phy_op
 
     @property
     def is_scan(self) -> bool:

@@ -6,8 +6,9 @@ path, so any cost difference against the declarative engine is a search
 bug, never a modelling artifact.
 
 * ``brute_force_optimize`` -- exhaustive ground-truth oracle, no pruning:
-  the memoized best-cost DP (``costmodel.BestCost``) resolved from the root.
-* ``systemr_optimize``     -- the same DP asked for every group in strictly
+  the memoized best-cost DP (``costmodel.BestCost``) resolved from the root,
+  in the post-order a recursion from the root resolves groups in.
+* ``systemr_optimize``     -- the same DP handed every group in strictly
   increasing subset-size order, so each group is resolved from children
   already resolved; no pruning.
 * ``volcano_optimize``     -- top-down recursion with memoization and
@@ -69,21 +70,20 @@ def _group_sort_key(g: GroupKey):
     return (len(g[0]), g[0].rels, str(g[1]))
 
 
-def _resolve(ctx: CostContext, universe: SearchUniverse, order, start: float
+def _resolve(ctx: CostContext, universe: SearchUniverse, dp: BestCost, start: float
              ) -> tuple[PlanNode, BaselineMetrics]:
-    """Ask the DP for each group of ``order``, then extract the root's plan.
+    """Resolve the root through ``dp``, then extract its plan.
 
     Every resolved group counts as visited with all its alternatives;
     ``visit_log`` is the resolution order.
     """
-    dp = BestCost(universe, ctx)
-    for g in order:
-        dp.best(g)
+    root = universe.group_id(universe.root)
+    dp.best_id(root)
     memo = dp.memo
     metrics = BaselineMetrics(
         visited_and=sum(len(universe.alternatives(g)) for g in memo),
         visited_or=len(memo), visit_log=list(memo))
-    plan = build_plan(universe, ctx, dp.best_id, universe.group_id(universe.root))
+    plan = build_plan(universe, ctx, dp.best_id, root)
     metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return plan, metrics
 
@@ -100,7 +100,7 @@ def brute_force_optimize(query: Query, cat: Catalog, *,
             f"budget of {BRUTE_FORCE_MAX_RELATIONS}")
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    return _resolve(ctx, universe, [universe.root], start)
+    return _resolve(ctx, universe, BestCost(universe, ctx), start)
 
 
 def systemr_optimize(query: Query, cat: Catalog, *,
@@ -110,7 +110,8 @@ def systemr_optimize(query: Query, cat: Catalog, *,
     larger subsets; each group visited exactly once, no branch-and-bound."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    return _resolve(ctx, universe, sorted(universe.groups(), key=_group_sort_key), start)
+    order = [universe.group_id(g) for g in sorted(universe.groups(), key=_group_sort_key)]
+    return _resolve(ctx, universe, BestCost(universe, ctx, order), start)
 
 
 class _VolcanoMemo:

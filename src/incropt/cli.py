@@ -24,7 +24,7 @@ from .errors import (
     IncroptError, InfeasibleQuery, ParseError, StateMismatch, ValidationError,
 )
 from .incremental import ReoptSession
-from .optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies
+from .optimizer import STRATEGY_SUBSETS, DeclarativeOptimizer, Strategies, _first_difference
 from .plan import require_finite
 from .workload import SHAPES, make_update_batch, make_workload
 
@@ -272,7 +272,8 @@ def _verify_trial(shape: str, n: int, seed: int, k_updates: int,
         if opt.best_plan().to_dict() != ref:
             problems.append(f"declarative[{label}] plan differs from oracle")
             break
-    # incremental vs from-scratch on the updated catalog
+    # incremental vs from-scratch on the updated catalog: the plan against
+    # the oracle's, the whole state against install()'s
     batch = make_update_batch(cat, k_updates, seed)
     opt = DeclarativeOptimizer(cat, query, config=cfg("declarative")).run()
     session = ReoptSession(opt)
@@ -284,6 +285,10 @@ def _verify_trial(shape: str, n: int, seed: int, k_updates: int,
     fresh, _ = brute_force_optimize(query, new_cat, config=cfg("oracle"))
     if new_plan.to_dict() != fresh.to_dict():
         problems.append("incremental re-optimization differs from from-scratch")
+    want = DeclarativeOptimizer(new_cat, query, config=cfg("declarative")).install()
+    if opt.state_sha256() != want.state_sha256():
+        problems.append("incremental state differs from install() on the updated catalog: "
+                        + _first_difference(opt.state_digest(), want.state_digest()))
     return problems
 
 

@@ -25,21 +25,31 @@ then the selectivity of each predicate between the head and the rest in
 name-based recursion it replaced used, so every summary is the same float.
 
 ``BestCost``, the one best-cost DP, runs over ``SearchUniverse``'s dense
-group ids, in flat lists indexed by id: the best cost and its position,
-the output cardinality and the local costs, the one local-cost table,
-which the declarative engine's ``recost`` rule and Volcano read too.  A
-resolution reads its children's best costs by id and adds the local costs
-with ``group_sum_cost``; a table fill reads the cardinalities by id and calls
-``join_local_cost``, the one copy of the join arithmetic, which
-``nonscan_cost`` calls as well.  An update is tested against each id's
-relation bitmask, and a value it cannot reach is kept: a scan-cost update
-moves no cardinality and only its relation's leaf scans' local costs, since
-join local costs read summaries and no summary reads ``scan_cost_factor``.
-A read that misses resolves the group, its unresolved children first.  A
-group's best is a flat ``min`` over its candidates' costs, then ``index``
-of it: alternatives sit in ``(index, phy_op)`` order, so the first
-position holding the minimum is the smallest ``(cost, index, phy_op)``
-tuple, the tie-break every engine shares.
+group ids, in flat lists indexed by id: the best cost and its position, the
+output cardinality and its probe factor, and the local costs, the one
+local-cost table, which the declarative engine's ``recost`` rule and Volcano
+read too.  It resolves groups in one loop, ``_settle``, over a list of ids
+that puts every group after its children, the order System-R asks in: a
+fresh DP settles the post-order its first miss reaches, System-R its own
+size order, and an update the groups it dropped.  Each settled group adds
+its children's best costs to its local costs with ``group_sum_cost``; a
+table is filled, when none is held, by ``group_local_cost``, the group form
+of ``join_local_cost``, from the cardinalities and probe factors by id.
+``nonscan_cost`` calls the scalar form, and both do the same operations in
+the same order.  A probe factor, ``1 + log_b(1 + rows)``, is held and
+dropped with its cardinality.
+
+An update reaches a group whose relation bitmask holds all of its targets.
+Per target mask the DP keeps the ids it reaches, in settle order (fewest
+relations first, then id), so an update drops what it reaches and lists it
+for the next settle without a pass over the universe.  A value an update
+cannot reach is kept: a scan-cost update moves no cardinality and only its
+relation's leaf scans' local costs, since join local costs read summaries
+and no summary reads ``scan_cost_factor``.  A group's best is a flat
+``min`` over its candidates' costs, then ``index`` of it: alternatives sit
+in ``(index, phy_op)`` order, so the first position holding the minimum is
+the smallest ``(cost, index, phy_op)`` tuple, the tie-break every engine
+shares.
 """
 from __future__ import annotations
 
@@ -130,9 +140,10 @@ def scan_cost(e: ExprSig, p, phy_op: str, s: Summary, cat: Catalog,
 
 def join_local_cost(inlj: bool, out_rows: float, left_rows: float,
                     right_rows: float, log_base: float) -> float:
-    """Local cost of a join from its three cardinalities: the one copy of
-    the join arithmetic, which ``nonscan_cost`` and ``BestCost``'s tables
-    both call, so every engine's local costs agree bit for bit."""
+    """Local cost of a join from its three cardinalities, written once per
+    form: this scalar form for ``nonscan_cost``, ``group_local_cost`` for
+    ``BestCost``'s tables, with the same operations in the same order, so
+    every engine's local costs agree bit for bit."""
     if inlj:
         # left child is the indexed inner by convention
         return right_rows * (1.0 + math.log(1.0 + left_rows, log_base)) + out_rows
@@ -159,6 +170,17 @@ def group_sum_cost(local: list[float], kids: list[int], best) -> list[float]:
         return list(local)
     pairs = iter(kids)
     return [(best[l] + best[r]) + lc for lc, l, r in zip(local, pairs, pairs)]
+
+
+def group_local_cost(out: float, inlj: list[bool], kids: list[int], card,
+                     probe) -> list[float]:
+    """``join_local_cost`` of every alternative of a join group, in position
+    order, from its output cardinality ``out``, its INLJ flags, its child ids
+    (two per join) and ``card`` and ``probe``, the cardinalities and probe
+    factors ``1 + log_b(1 + rows)`` indexed by id."""
+    pairs = iter(kids)
+    return [card[r] * probe[l] + out if flag else card[l] + card[r] + out
+            for flag, l, r in zip(inlj, pairs, pairs)]
 
 
 class CostContext:
@@ -268,45 +290,67 @@ class BestCost:
     ``best(g)`` is the group's smallest ``(cost, (index, phy_op))`` tuple
     over its alternatives, each costed with its children's ``best``; tuple
     order is the deterministic tie-break every engine shares.  This one
-    resolver backs the exhaustive oracle, System-R (which asks for groups
-    bottom-up, so it never recurses) and the declarative engine's cost
-    composition through groups whose maintained entries are pruned away.
+    resolver backs the exhaustive oracle, System-R and the declarative
+    engine's cost composition through groups whose maintained entries are
+    pruned away.
 
     The tables are flat lists indexed by ``SearchUniverse`` group id: per
-    id, the best cost and its position, the output cardinality and the
-    local cost of each alternative, so a resolution reads its children's
-    floats by id and ``group_sum_cost`` adds them to the local costs, as in
-    ``install()``; ``recost``, Volcano and ``alternative_cost`` cost one
-    alternative with ``sum_cost``.
-    ``invalidate`` tests relation bitmasks and keeps every value an update
-    cannot reach; a group it drops is resolved again when a read reaches
-    it.  ``memo`` lists the resolved groups in resolution order: a group is
-    entered after every child it needed.
+    id, the best cost and its position, the output cardinality and its
+    probe factor, and the local cost of each alternative.  ``_settle`` is
+    the one resolution path: it resolves a list of ids in order, each after
+    its children, filling a local table when none is held and adding the
+    children's best costs with ``group_sum_cost``, as ``install()`` does;
+    ``recost``, Volcano and ``alternative_cost`` cost one alternative with
+    ``sum_cost``.  A read that misses settles the pending list: the ids
+    updates dropped since the last settle, or a fresh DP's ``order``.  If
+    the group is still unresolved, it then settles the unresolved groups
+    below it in post-order, children in position order, the order a
+    recursion from the group would resolve them in.
+
+    ``invalidate`` drops what an update reaches, read from a per-target
+    list of the ids whose relation bitmask holds the target, in settle
+    order (fewest relations first, then id), built on first use, and keeps
+    every value an update cannot reach.  ``memo`` lists the resolved groups
+    in resolution order, each after its children, from a log of settled
+    ids that is compacted once it outgrows twice the universe.
     """
 
-    def __init__(self, universe: SearchUniverse, ctx: CostContext):
+    def __init__(self, universe: SearchUniverse, ctx: CostContext,
+                 order: Iterable[int] = ()):
+        """``order``, when given, is the ids the first miss settles, each
+        after its children: System-R's size order."""
         self.universe = universe
         self.ctx = ctx
         # per id: best cost (None until resolved) and its position
         self._cost: list[float | None] = []
         self._pos: list[int] = []
-        # per id: output cardinality, and each alternative's local cost
+        # per id: output cardinality and its probe factor, held together,
+        # and each alternative's local cost
         self._card: list[float | None] = []
+        self._probe: list[float | None] = []
         self._local: list[list[float] | None] = []
         # per id, which alternatives are index nested-loop joins: structure,
         # so kept across invalidation
         self._inlj: list[list[bool] | None] = []
+        # the ids the next miss settles first, in settle order
+        self._pending: list[int] = list(order)
+        # every settled id, in resolution order
         self._order: list[int] = []
+        # target mask -> the ids it reaches, in settle order; rebuilt when
+        # the universe grows
+        self._reach: dict[int, list[int]] = {}
 
     @property
     def costs(self) -> list[float | None]:
         """The best cost per group id, None while unresolved."""
+        if len(self._cost) < len(self.universe.group_keys):
+            self._grow()
         return self._cost
 
     @property
     def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
         keys, alts, pos = self.universe.group_keys, self.universe.group_alts, self._pos
-        return {keys[i]: (self._cost[i], alts[i][pos[i]].key) for i in self._order}
+        return {keys[i]: (self._cost[i], alts[i][pos[i]].key) for i in self._resolved()}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
         i = self.universe.group_id(g)
@@ -323,7 +367,7 @@ class BestCost:
             got = cost[i]
             if got is not None:
                 return got
-        return self._solve(i)
+        return self._miss(i)
 
     def local_table(self, i: int) -> list[float]:
         """The local cost of each alternative of group id ``i``, in their
@@ -333,67 +377,136 @@ class BestCost:
             self._grow()
         local = self._local[i]
         if local is None:
+            # read outside a settle (``recost``, Volcano), a group may have
+            # children the DP has not settled, so their cardinalities may
+            # not be held yet
+            card = self._card
+            for c in (i, *self.universe.group_kids[i]):
+                if card[c] is None:
+                    self._hold(c)
             local = self._local[i] = self._fill(i)
         return local
 
+    def _hold(self, i: int) -> None:
+        """Hold group id ``i``'s output cardinality, its relation bitmask's
+        summary, and its probe factor as an INLJ inner."""
+        card = self._card[i] = self.ctx.summary(self.universe.group_masks[i]).cardinality
+        self._probe[i] = 1.0 + math.log(1.0 + card, self.ctx.config.inlj_log_base)
+
     def _fill(self, i: int) -> list[float]:
         """Group id ``i``'s local-cost table.  A join group's entries come
-        from its own cardinality and its children's, read by id; a missing
-        one is its relation bitmask's summary.  A leaf's go through
-        ``CostContext.local_cost``."""
-        u, ctx = self.universe, self.ctx
+        from the cardinalities and probe factors of it and its children,
+        which must be held; a leaf's go through ``CostContext.local_cost``."""
+        u = self.universe
         alts, kids = u.group_alts[i], u.group_kids[i]
         if not kids:
             e, p = u.group_keys[i]
-            return [ctx.local_cost(e, p, a) for a in alts]
+            return [self.ctx.local_cost(e, p, a) for a in alts]
         inlj = self._inlj[i]
         if inlj is None:
             inlj = self._inlj[i] = [a.phy_op == INDEX_NL_JOIN for a in alts]
-        card, masks, summary = self._card, u.group_masks, ctx.summary
-        out = card[i]
-        if out is None:
-            out = card[i] = summary(masks[i]).cardinality
-        for c in kids:
-            if card[c] is None:
-                card[c] = summary(masks[c]).cardinality
-        base = ctx.config.inlj_log_base
-        pairs = iter(kids)
-        return [join_local_cost(flag, out, card[l], card[r], base)
-                for flag, l, r in zip(inlj, pairs, pairs)]
+        return group_local_cost(self._card[i], inlj, kids, self._card, self._probe)
 
     def _grow(self) -> None:
         missing = len(self.universe.group_keys) - len(self._cost)
-        self._cost.extend([None] * missing)
+        for table in (self._cost, self._card, self._probe, self._local, self._inlj):
+            table.extend([None] * missing)
         self._pos.extend([0] * missing)
-        self._card.extend([None] * missing)
-        self._local.extend([None] * missing)
-        self._inlj.extend([None] * missing)
+        self._reach = {}
 
-    def _solve(self, i: int) -> float:
-        """Resolve group id ``i``, its unresolved children first; returns
-        its best cost."""
+    def _miss(self, i: int) -> float:
+        """Resolve group id ``i``: settle the pending list, then, if ``i`` is
+        still unresolved, the unresolved groups below it."""
+        if len(self._cost) < len(self.universe.group_keys):
+            self._grow()
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._settle(pending)
+        if self._cost[i] is None:
+            self._settle(self._below(i))
+        return self._cost[i]
+
+    def _below(self, i: int) -> list[int]:
+        """The unresolved ids ``i`` reaches, ``i`` included, in post-order:
+        each after its children, met in position order.  Computes the
+        alternatives of each group that lacks them; a group with none raises
+        ``InfeasibleQuery``."""
         u = self.universe
-        if len(self._cost) < len(u.group_keys):
-            self._grow()
-        alts = u.group_alts[i]
-        if alts is None:
-            alts = u.group_alts[u.group_id(u.group_keys[i])]
-            self._grow()
-        if not alts:
-            g = u.group_keys[i]
-            raise InfeasibleQuery(f"group {g[0]}|{g[1]} has no alternatives")
         cost = self._cost
-        kids = u.group_kids[i]
-        for c in kids:
-            if cost[c] is None:
-                self._solve(c)
-        costs = group_sum_cost(self.local_table(i), kids, cost)
-        # position order is key order, so the first position holding the
-        # minimum is the smallest (cost, index, phy_op)
-        best = cost[i] = min(costs)
-        self._pos[i] = costs.index(best)
-        self._order.append(i)
-        return best
+
+        def kids(g: int):
+            if u.group_alts[g] is None:
+                u.group_id(u.group_keys[g])
+                self._grow()
+            if not u.group_alts[g]:
+                e, p = u.group_keys[g]
+                raise InfeasibleQuery(f"group {e}|{p} has no alternatives")
+            return iter(u.group_kids[g])
+
+        order: list[int] = []
+        seen = {i}
+        stack = [(i, kids(i))]
+        while stack:
+            g, rest = stack[-1]
+            for c in rest:
+                if c not in seen and cost[c] is None:
+                    seen.add(c)
+                    stack.append((c, kids(c)))
+                    break
+            else:
+                stack.pop()
+                order.append(g)
+        return order
+
+    def _settle(self, order: list[int]) -> None:
+        """Resolve the ids of ``order`` in turn; each id's children must be
+        resolved or come before it, so the cardinalities its table fill
+        reads are held."""
+        kids_of = self.universe.group_kids
+        cost, pos, card, local = self._cost, self._pos, self._card, self._local
+        for i in order:
+            if card[i] is None:
+                self._hold(i)
+            table = local[i]
+            if table is None:
+                table = local[i] = self._fill(i)
+            costs = group_sum_cost(table, kids_of[i], cost)
+            # position order is key order, so the first position holding the
+            # minimum is the smallest (cost, index, phy_op)
+            best = cost[i] = min(costs)
+            pos[i] = costs.index(best)
+        self._order += order
+        if len(self._order) > 2 * len(cost):
+            self._order = self._resolved()
+
+    def _resolved(self) -> list[int]:
+        """Each resolved id once, in resolution order: the settle log with
+        every id kept only at its last settle, which a resolved group's
+        value came from.  A group settles after its children, and an
+        update that drops a child drops its parents too, so each id still
+        follows its children."""
+        cost, seen, out = self._cost, set(), []
+        for i in reversed(self._order):
+            if i not in seen:
+                seen.add(i)
+                if cost[i] is not None:
+                    out.append(i)
+        out.reverse()
+        return out
+
+    def _reached(self, t: int) -> list[int]:
+        """The ids whose relation bitmask holds target mask ``t``, in settle
+        order: fewest relations first, then id, so each follows its
+        children."""
+        reach = self._reach.get(t)
+        if reach is None:
+            reach = self._reach[t] = sorted(
+                (i for i, m in enumerate(self.universe.group_masks) if m & t == t),
+                key=self._settle_key)
+        return reach
+
+    def _settle_key(self, i: int) -> tuple[int, int]:
+        return self.universe.group_masks[i].bit_count(), i
 
     def invalidate(self, updates: Iterable[StatUpdate],
                    ctx: CostContext) -> None:
@@ -401,26 +514,35 @@ class BestCost:
         what some update reaches: an update reaches a group whose relation
         bitmask holds all of its target relations.
 
-        A reached group loses its best cost.  A join-selectivity update also
-        drops its cardinality and local costs, since they read the summaries
-        it moves; a scan-cost update drops only the local costs of its
-        relation's leaf groups, since join local costs read only summaries
-        and summaries do not read ``scan_cost_factor``.  No other value can
-        move.
+        A reached group loses its best cost, and if it was resolved it joins
+        the pending list, which the next miss settles.  A join-selectivity
+        update also drops its cardinality, probe factor and local costs,
+        since they read the summaries it moves; a scan-cost update drops
+        only the local costs of its relation's leaf groups, since join local
+        costs read only summaries and summaries do not read
+        ``scan_cost_factor``.  No other value can move.
         """
         self.ctx = ctx
-        cost, card, local = self._cost, self._card, self._local
-        masks = self.universe.group_masks[:len(cost)]
-        for u in updates:
-            t = target_mask(u, self.universe.catalog)
+        u = self.universe
+        if len(self._cost) < len(u.group_keys):
+            self._grow()
+        cost, card, probe, local = self._cost, self._card, self._probe, self._local
+        masks = u.group_masks
+        pending = self._pending
+        for upd in updates:
+            t = target_mask(upd, u.catalog)
             if not t:
                 continue
-            keep_joins = u.kind == SCAN_COST
-            for i, m in enumerate(masks):
-                if m & t == t:
+            keep_joins = upd.kind == SCAN_COST
+            dropped = []
+            for i in self._reached(t):
+                if cost[i] is not None:
                     cost[i] = None
-                    if not keep_joins:
-                        card[i] = local[i] = None
-                    elif m == t:
-                        local[i] = None
-        self._order = [i for i in self._order if cost[i] is not None]
+                    dropped.append(i)
+                if not keep_joins:
+                    card[i] = probe[i] = local[i] = None
+                elif masks[i] == t:
+                    local[i] = None
+            if dropped:
+                pending = sorted(pending + dropped, key=self._settle_key) if pending else dropped
+        self._pending = pending

@@ -350,18 +350,6 @@ class DeclarativeOptimizer:
             out.append(("bound", INSERT, i))
         return out
 
-    # -- cost composition --------------------------------------------------
-
-    def _child_cost(self, i: int) -> float:
-        """A child's best cost: an alive group's maintained minimum, else
-        the fallback DP's."""
-        gs = self.groups[i]
-        if gs.alive:
-            m = gs.mins.min_of()
-            if m is not None:
-                return m[0]
-        return self._dp.cost_id(i)
-
     # -- handlers ----------------------------------------------------------
 
     def _h_expr(self, d: DeltaTuple) -> list[DeltaTuple]:
@@ -394,27 +382,33 @@ class DeclarativeOptimizer:
     def _h_recost(self, d: DeltaTuple) -> list[DeltaTuple]:
         """Recost the rows ``(group id, positions)`` of one alive group in
         one pass: each distinct child's cost is read once, and the costs
-        that changed are written together."""
+        that changed are written together.  A child's cost is an alive
+        group's maintained minimum, else the fallback DP's best, which a
+        miss settles."""
         i, positions = d[2]
         gs = self.groups[i]
         if not gs.alive:
             return []
-        local = self._dp.local_table(i)
+        dp = self._dp
+        local = dp.local_table(i)
         kids = self._kids[i]
         held = gs.mins.cost_of
         changes: dict[int, float] = {}
         if kids:
-            child: dict[int, float] = {}
-            read = self._child_cost
+            child: dict[int, float | None] = {}
             for pos in positions:
-                l, r = kids[2 * pos], kids[2 * pos + 1]
-                lc = child.get(l)
-                if lc is None:
-                    lc = child[l] = read(l)
-                rc = child.get(r)
-                if rc is None:
-                    rc = child[r] = read(r)
-                cost = sum_cost(lc, rc, local[pos])
+                child[kids[2 * pos]] = child[kids[2 * pos + 1]] = None
+            groups, best = self.groups, dp.costs
+            for c in child:
+                cgs = groups[c]
+                m = cgs.mins.min_of() if cgs.alive else None
+                if m is not None:
+                    child[c] = m[0]
+                else:
+                    got = best[c]
+                    child[c] = dp.cost_id(c) if got is None else got
+            for pos in positions:
+                cost = sum_cost(child[kids[2 * pos]], child[kids[2 * pos + 1]], local[pos])
                 if cost != held(pos):
                     changes[pos] = cost
         else:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from incropt.cli import SCHEMA_VERSION, main
+from incropt.costmodel import BestCost
 from incropt.fixtures import write_fixture_files
 from incropt.optimizer import DeclarativeOptimizer
 from incropt.workload import make_workload
@@ -508,15 +509,33 @@ def test_verify_clean_run():
     assert run("verify", "--trials", "6", "--seed", "0") == 0
 
 
+def test_verify_checks_the_whole_state_after_a_batch(monkeypatch, tmp_path, capsys):
+    """An invalidation that skips one reached group leaves a stale value
+    that the plan check alone does not see on chain/3 seed 0; the check of
+    ``state_sha256`` against ``install()`` names the first differing group
+    and exits 3."""
+    reached = BestCost._reached
+    monkeypatch.setattr(BestCost, "_reached", lambda dp, t: reached(dp, t)[1:])
+    repro = tmp_path / "repro.json"
+    assert run("verify", "--trials", "1", "--seed", "0",
+               "--reproducer-out", str(repro)) == 3
+    problems = json.loads(repro.read_text())["problems"]
+    assert len(problems) == 1
+    assert problems[0].startswith("incremental state differs from install()")
+    assert "snapshot group (R0,R1,R2)|none has rows[0]" in problems[0]
+    assert "MISMATCH on chain/3 seed=0" in capsys.readouterr().err
+
+
 def test_verify_zero_trials_warns(capsys):
     assert run("verify", "--trials", "0") == 0
     assert "warning" in capsys.readouterr().err
 
 
-def test_verify_detects_injected_fault(tmp_path):
+@pytest.mark.parametrize("engine", ["declarative", "volcano", "systemr", "oracle"])
+def test_verify_detects_injected_fault(engine, tmp_path):
     repro = tmp_path / "repro.json"
     code = run("verify", "--trials", "3", "--seed", "0",
-               "--inject-fault", "volcano", "--reproducer-out", str(repro))
+               "--inject-fault", engine, "--reproducer-out", str(repro))
     assert code == 3
     dump = json.loads(repro.read_text())
     assert dump["problems"]

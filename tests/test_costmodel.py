@@ -339,7 +339,11 @@ def _assert_tables_equal_local_cost(dp: BestCost, cat, q, step) -> int:
 def test_local_tables_equal_local_cost_bit_for_bit(name):
     """The kernel's tables, filled from group ids and the bitmask-keyed
     memo, hold exactly what ``CostContext.local_cost`` computes: cold, and
-    after each of 20 seeded updates that rebase and invalidate."""
+    after each of 20 seeded updates that rebase and invalidate.  A join
+    entry is filled by the group form, ``group_local_cost``, and
+    ``local_cost`` calls the scalar form through ``nonscan_cost``; every
+    workload holds index nested-loop joins, whose probe factors the group
+    form reads from the DP's per-id table."""
     cat, q = _KERNEL_WORKLOADS[name]()
     universe = SearchUniverse(cat, q)
     dp = BestCost(universe, CostContext(cat, q))
@@ -350,8 +354,7 @@ def test_local_tables_equal_local_cost_bit_for_bit(name):
         dp.invalidate([u], dp.ctx.rebased(cat, [u]))
         dp.best(universe.root)
         _assert_tables_equal_local_cost(dp, cat, q, step)
-    if name in ("q5s", "q8joins"):
-        assert inlj
+    assert inlj
 
 
 def _string_path_summary(cat, q, e: ExprSig, memo: dict) -> float:
@@ -431,3 +434,81 @@ def test_group_sum_cost_equals_sum_cost_bit_for_bit(name):
         got = group_sum_cost(local, kids, dp.costs)
         assert [x.hex() for x in got] == [x.hex() for x in want], g
     assert joins
+
+
+_RESOLVE_WORKLOADS = {
+    "clique-6": lambda: make_workload("clique", 6, 3),
+    "star-7": lambda: make_workload("star", 7, 5),
+    "chain-9": lambda: make_workload("chain", 9, 2),
+    "q8joins": q8joins,
+}
+
+
+def _batches(stream, seed):
+    """``stream`` cut into single updates and batches of 2 to 5, at random."""
+    rng = random.Random(seed)
+    k = 0
+    while k < len(stream):
+        size = rng.choice([1, 1, 2, 3, 4, 5])
+        yield stream[k:k + size]
+        k += size
+
+
+def _assert_memo_is_children_first(dp: BestCost) -> None:
+    """``memo`` lists every resolved group once, each after its children."""
+    u = dp.universe
+    listed = [u.group_id(g) for g in dp.memo]
+    assert sorted(listed) == [i for i, c in enumerate(dp.costs) if c is not None]
+    rank = {i: k for k, i in enumerate(listed)}
+    for i in listed:
+        assert all(rank[c] < rank[i] for c in u.group_kids[i]), u.group_keys[i]
+
+
+@pytest.mark.parametrize("name", sorted(_RESOLVE_WORKLOADS))
+def test_dp_re_resolves_exactly(name):
+    """Along a stream of single updates and batches of 2 to 5, of both
+    kinds, a DP that invalidates and re-settles holds, after every step,
+    exactly what a fresh DP over the folded catalog holds: every id's best
+    cost and position, cardinality, probe factor and local table.  Between
+    an invalidation and the next read, a probe factor is held exactly where
+    its cardinality is, and ``memo`` lists each resolved group once, after
+    its children."""
+    cat, q = _RESOLVE_WORKLOADS[name]()
+    universe = SearchUniverse(cat, q)
+    dp = BestCost(universe, CostContext(cat, q))
+    root = universe.group_id(universe.root)
+    dp.best_id(root)
+    kinds, steps = set(), 0
+    for batch in _batches(make_update_batch(cat, 120, 17), 5):
+        for u in batch:
+            cat = apply_update(cat, u)
+        dp.invalidate(batch, dp.ctx.rebased(cat, batch))
+        assert [c is None for c in dp._card] == [p is None for p in dp._probe]
+        _assert_memo_is_children_first(dp)
+        dp.best_id(root)
+        fresh = BestCost(universe, CostContext(cat, q))
+        fresh.best_id(root)
+        for table in ("_cost", "_pos", "_card", "_probe", "_local"):
+            assert getattr(dp, table) == getattr(fresh, table), (name, steps, table)
+        _assert_memo_is_children_first(dp)
+        kinds.update(u.kind for u in batch)
+        steps += 1
+    assert kinds == {"scan_cost", "join_selectivity"}
+
+
+def test_memo_stays_bounded_over_a_long_session():
+    """The log behind ``memo`` holds at most twice the universe after 500
+    updates, and ``memo`` still lists each resolved group once."""
+    cat, q = make_workload("clique", 6, 3)
+    universe = SearchUniverse(cat, q)
+    dp = BestCost(universe, CostContext(cat, q))
+    root = universe.group_id(universe.root)
+    dp.best_id(root)
+    for u in make_update_batch(cat, 500, 19):
+        cat = apply_update(cat, u)
+        dp.invalidate([u], dp.ctx.rebased(cat, [u]))
+        dp.best_id(root)
+    n = len(universe.group_keys)
+    assert len(dp._order) <= 2 * n
+    assert len(dp.memo) == n
+    _assert_memo_is_children_first(dp)
