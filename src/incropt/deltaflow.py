@@ -187,11 +187,12 @@ class WeakRule:
 
 # K: an optimizer's drain may process the deltas pushed before it started plus
 # K per alternative of its universe before it counts as a wiring bug.  K is
-# over six times the largest drain measured per alternative, net of its pushed
-# deltas: 156, a cold chain-16 build in shuffled order (131,245 deltas over 843
-# alternatives).  Shuffled cold chain-16 builds read 49 in the median.  A cold
-# build in tier order reads at most 5.5 on chain-16, clique-8 and star-10 at
-# seed 7: 4,531 deltas over 833 alternatives, chain-16 with no strategy.
+# over fifty times the largest drain measured per alternative, net of its
+# pushed deltas: 18.3, a shuffled cold chain-16 build under all strategies
+# (15,468 deltas over 843 alternatives; catalog seed 2, shuffle seed 6), whose
+# median over catalog seeds 1-3 and 7 and shuffle seeds 1-10 is 11.1.  A cold
+# build in tier order reads at most 4.3 on chain-16, clique-8 and star-10 at
+# seed 7: 3,543 deltas over 833 alternatives, chain-16 with no strategy.
 DELTAS_PER_ALTERNATIVE = 1000
 
 # the per-drain budget of an engine that is not told its universe's size

@@ -45,16 +45,16 @@ drops a non-minimal row as it is derived, before it propagates.  Under
 bounding, tiering also settles a group's bound before its rows are
 filtered against it, which saves 3-11% of a cold build's deltas.
 
-A cost write queues ``refilterrow`` only for a row that can flip on it.
-Without aggregate selection that is every written row.  Under it, only a
-row visible at the write: a hidden row can be shown only as its group's
-minimum, and a write that makes it the minimum moves the minimum, whose
-``bestcost`` queues the group's ``refilter``, which checks that row.
-Under bounding a cost write queues ``pbound`` only for a row visible at
-the write; a hidden row contributes no bound until showing it queues its
-own.  A ``refilterrow`` checks its group's minimum too, and a check shows
-rows before it hides any, so a child that the old and the new minimum
-share keeps its reference instead of dying and reviving.
+``refilter`` is the one visibility rule, queued at most once per group
+while one is pending (datalog's set semantics).  A cost write queues it
+only where a row can flip: never without aggregate selection, where an
+alive group shows every row; under it, through ``bestcost`` when the
+minimum moves, else only if a written row was visible, since a hidden row
+can be shown only as the minimum.  Under bounding a cost write queues
+``pbound`` only for a row visible at the write; a hidden row contributes
+no bound until showing it queues its own.  A check shows rows before it
+hides any, so a child that the old and the new minimum share keeps its
+reference instead of dying and reviving.
 
 The fixpoint being unique, ``install()`` writes the state ``run()`` drains
 to in closed form, from the best-cost DP.  Loading installs the state a saved
@@ -150,10 +150,9 @@ class GroupState:
 DRAIN_TIERS = {
     "recost": 0, "bestcost": 0,
     "pbound": 1, "maxbound": 1, "bound": 1,
-    "refilter": 2, "refilterrow": 2, "refcount": 2, "expr": 2,
+    "refilter": 2, "refcount": 2, "expr": 2,
 }
 
-_AND_PAYLOAD = {"refilterrow", "pbound"}
 _OR_PAYLOAD = {"expr", "bestcost", "refilter", "maxbound", "bound"}
 
 
@@ -218,6 +217,8 @@ class DeclarativeOptimizer:
         self.touched_and: set[Row] = set()
         self.touched_or: set[int] = set()
         self._tracking = False
+        # the groups with a ``refilter`` queued, which queue no second one
+        self._refiltering: set[int] = set()
         # weak rules: an engine holding bound methods would keep its
         # optimizer, and the universe, alive in a reference cycle
         self.engine = FixpointEngine(
@@ -227,7 +228,6 @@ class DeclarativeOptimizer:
                 "bestcost": WeakRule(self._h_bestcost),
                 "refcount": WeakRule(self._h_refcount),
                 "refilter": WeakRule(self._h_refilter),
-                "refilterrow": WeakRule(self._h_refilterrow),
                 "pbound": WeakRule(self._h_pbound),
                 "maxbound": WeakRule(self._h_maxbound),
                 "bound": WeakRule(self._h_bound),
@@ -301,7 +301,7 @@ class DeclarativeOptimizer:
         if rel == "recost":
             i, positions = d[2]
             self.touched_and.update([(i, pos) for pos in positions])
-        elif rel in _AND_PAYLOAD:
+        elif rel == "pbound":
             self.touched_and.add(d[2])
         elif rel in _OR_PAYLOAD:
             self.touched_or.add(d[2])
@@ -337,15 +337,14 @@ class DeclarativeOptimizer:
         if self._tracking:
             self.touched_and.update([(i, pos) for pos in retract])
         out = self._set_row_costs(i, gs, retract) if retract else []
-        out.append(("refilter", INSERT, i))
-        return out
+        return out + self._refilter(i)
 
     def _revive_group(self, i: int) -> list[DeltaTuple]:
         gs = self.groups[i]
         gs.alive = True
         gs.contribs.clear()
         gs.maxbound = gs.bound = None
-        out = [("recost", INSERT, (i, range(len(self._alts[i])))), ("refilter", INSERT, i)]
+        out = [("recost", INSERT, (i, range(len(self._alts[i])))), *self._refilter(i)]
         if self.strategies.bounding:
             out.append(("bound", INSERT, i))
         return out
@@ -424,22 +423,20 @@ class DeclarativeOptimizer:
         group-min effect atomically, so a shuffled drain never puts an older
         value over a newer one; the minimum is rescanned at most once.
 
-        A written row that may flip gets a ``refilterrow``.  Without
-        aggregate selection that is every one.  Under it, only a row visible
-        at its write: a hidden row can be shown only as its group's minimum,
-        and a row that becomes the minimum moves it, so the ``bestcost``
-        emitted here queues the group's ``refilter``, which checks it.  A row
-        visible at its write also gets a ``pbound``; a hidden row contributes
-        no bound, and showing it queues its own."""
+        Under aggregate selection a write that moves the minimum queues the
+        group's ``refilter`` through ``bestcost``, and one that leaves it in
+        place queues it if a written row was visible: that row may now lose
+        to the minimum or the bound.  A row visible at its write also gets a
+        ``pbound``."""
         mins, strategies = gs.mins, self.strategies
         visible = (sorted(pos for pos in mins.visible() if pos in changes)
-                   if strategies.aggsel or strategies.bounding else [])
-        flips = visible if strategies.aggsel else changes
-        out: list[DeltaTuple] = [("refilterrow", INSERT, (i, pos)) for pos in flips]
-        if strategies.bounding:
-            out.extend(("pbound", INSERT, (i, pos)) for pos in visible)
+                   if strategies.aggsel else [])
+        out: list[DeltaTuple] = ([("pbound", INSERT, (i, pos)) for pos in visible]
+                                 if strategies.bounding else [])
         if mins.update(changes):
             out.append(("bestcost", INSERT, i))
+        elif visible:
+            out.extend(self._refilter(i))
         return out
 
     def _h_bestcost(self, d: DeltaTuple) -> list[DeltaTuple]:
@@ -460,7 +457,7 @@ class DeclarativeOptimizer:
             if bounding:
                 pbounds.extend(("pbound", INSERT, (p, pos))
                                for pos in positions if pgs.mins.is_visible(pos))
-        out.append(("refilter", INSERT, i))
+        out.extend(self._refilter(i))
         if bounding:
             out.append(("bound", INSERT, i))
         return out + pbounds
@@ -500,11 +497,20 @@ class DeclarativeOptimizer:
         return ([d for pos in shown for d in self._apply_row_visibility((i, pos), INSERT)]
                 + [d for pos in hidden for d in self._apply_row_visibility((i, pos), DELETE)])
 
+    def _refilter(self, i: int) -> list[DeltaTuple]:
+        """Group ``i``'s ``refilter``, or none while one is pending.  The
+        set is only tested, never iterated, so no count reads its order."""
+        if i in self._refiltering:
+            return []
+        self._refiltering.add(i)
+        return [("refilter", INSERT, i)]
+
     def _h_refilter(self, d: DeltaTuple) -> list[DeltaTuple]:
         """Re-check a group's rows.  A dead group hides every row, so only
         visible ones can flip; under aggregate selection a fully costed group
         hides every row but its minimum, so only those and the minimum can."""
         i = d[2]
+        self._refiltering.discard(i)
         gs = self.groups[i]
         mins, n = gs.mins, len(self._alts[i])
         if not gs.alive:
@@ -514,17 +520,6 @@ class DeclarativeOptimizer:
         else:
             positions = range(n)
         return self._flips(i, gs, positions)
-
-    def _h_refilterrow(self, d: DeltaTuple) -> list[DeltaTuple]:
-        """Re-check one row.  Under aggregate selection the group's minimum,
-        the one row that can be shown, is checked with it, so a replacement
-        is shown before the row it replaces is hidden."""
-        i, pos = d[2]
-        gs = self.groups[i]
-        m = gs.mins.min_of()
-        if self.strategies.aggsel and m is not None and m[1] != pos:
-            return self._flips(i, gs, sorted((pos, m[1])))
-        return self._flips(i, gs, (pos,))
 
     def _h_pbound(self, d: DeltaTuple) -> list[DeltaTuple]:
         row = d[2]
@@ -578,7 +573,7 @@ class DeclarativeOptimizer:
         if b == gs.bound:
             return []
         gs.bound = b
-        out = [("refilter", INSERT, i)]
+        out = self._refilter(i)
         if self._kids[i]:
             out.extend(("pbound", INSERT, (i, pos)) for pos in sorted(gs.mins.visible()))
         return out

@@ -504,8 +504,8 @@ def test_universe_totals_are_kept_and_stay_exact():
 
 @pytest.mark.parametrize("name", ["q5s", "clique-5"])
 def test_warm_state_equals_install_after_every_update(name):
-    """Group-at-a-time recosts, bulk minimum writes and the aggregate-
-    selection ``refilterrow`` rule leave the same state as the closed form:
+    """Group-at-a-time recosts, bulk minimum writes and the one
+    ``refilter`` per pending group leave the same state as the closed form:
     after each of 60 single updates, the warm ``state_sha256`` equals
     ``install()``'s on the folded catalog, under every strategy subset, in
     FIFO order and three shuffled orders."""

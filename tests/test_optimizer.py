@@ -673,27 +673,83 @@ def test_read_side_calls_leave_no_cyclic_garbage(q8joins_fixture, call):
 
 
 @pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
-def test_cost_writes_queue_refilterrow_only_where_a_row_can_flip(label, q5s_fixture):
-    """Without aggregate selection every written row gets a ``refilterrow``.
-    Under it only the rows visible at the write do: a hidden row can be
-    shown only as its group's minimum, and a write that makes it the
-    minimum moves the minimum, which queues ``bestcost`` and through it the
-    group's ``refilter``.  Under bounding only the visible rows get a
-    ``pbound``: a hidden row contributes no bound."""
+def test_cost_writes_queue_refilter_only_where_a_row_can_flip(label, q5s_fixture):
+    """A write that moves the group's minimum emits ``bestcost`` and no
+    ``refilter``: the ``bestcost`` queues it.  Under aggregate selection a
+    write that leaves the minimum in place queues one ``refilter`` when a
+    written row was visible at the write, and none while one is pending.
+    Without it no write queues one, since every row of an alive group is
+    shown.  Under bounding only the visible rows get a ``pbound``: a hidden
+    row contributes no bound."""
     cat, q = q5s_fixture
     strategies = STRATEGY_SUBSETS[label]
-    opt = DeclarativeOptimizer(cat, q, strategies=strategies).run()
-    i = opt.root_id
-    gs, n = opt.groups[i], len(opt.universe.group_alts[i])
-    # the root shows only its minimum under aggregate selection, else all
-    assert len(list(gs.mins.visible())) == (1 if strategies.aggsel else n) and n > 1
-    if not strategies.aggsel:
-        # hide one row, so the written rows hold a hidden one either way
-        gs.mins.set_visible(n - 1, False)
+
+    def root():
+        opt = DeclarativeOptimizer(cat, q, strategies=strategies).run()
+        i = opt.root_id
+        gs, n = opt.groups[i], len(opt.universe.group_alts[i])
+        # the root shows only its minimum under aggregate selection, else all
+        assert sorted(gs.mins.visible()) == ([gs.mins.min_of()[1]] if strategies.aggsel
+                                             else list(range(n))) and n > 1
+        return opt, i, gs, n
+
+    def emitted(out, rel):
+        return [d[2] for d in out if d[0] == rel]
+
+    # every row raised: the minimum moves
+    opt, i, gs, n = root()
     visible = sorted(gs.mins.visible())
     out = opt._set_row_costs(i, gs, {pos: gs.mins.cost_of(pos) * 2 for pos in range(n)})
-    rows = [d[2][1] for d in out if d[0] == "refilterrow"]
-    assert rows == (visible if strategies.aggsel else list(range(n)))
-    pbounds = [d[2][1] for d in out if d[0] == "pbound"]
-    assert pbounds == (visible if strategies.bounding else [])
-    assert out.count(("bestcost", "+", i)) == 1
+    assert emitted(out, "bestcost") == [i] and emitted(out, "refilter") == []
+    assert emitted(out, "pbound") == ([(i, pos) for pos in visible]
+                                      if strategies.bounding else [])
+
+    # every row but the minimum raised, the minimum rewritten with its cost
+    opt, i, gs, n = root()
+    cost, low = gs.mins.min_of()
+    changes = {pos: gs.mins.cost_of(pos) * 2 for pos in range(n)}
+    changes[low] = cost
+    out = opt._set_row_costs(i, gs, changes)
+    assert gs.mins.min_of() == (cost, low) and emitted(out, "bestcost") == []
+    assert emitted(out, "refilter") == ([i] if strategies.aggsel else [])
+    assert emitted(out, "pbound") == ([(i, low)] if strategies.bounding else [])
+    # the group's refilter is still queued, so the same write queues none
+    assert emitted(opt._set_row_costs(i, gs, changes), "refilter") == []
+
+    # hidden rows only, the minimum in place: no row can flip
+    opt, i, gs, n = root()
+    low = gs.mins.min_of()[1]
+    out = opt._set_row_costs(i, gs, {pos: gs.mins.cost_of(pos) * 2
+                                     for pos in range(n) if pos != low})
+    assert out == []
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+def test_a_group_has_at_most_one_refilter_pending(label):
+    """Over the drains ``test_narrowed_refilter_flips_what_a_full_rescan_flips``
+    checks (cold builds and 20 re-optimizations each of clique-5 and star-6,
+    seeds 1 and 2, FIFO and shuffled), every processed ``refilter`` is one
+    the optimizer marked pending, and no mark is left at quiescence."""
+    strategies = STRATEGY_SUBSETS[label]
+    processed = 0
+    for (shape, n), seed, order in product((("clique", 5), ("star", 6)), (1, 2),
+                                           ("fifo", "random")):
+        cat, q = make_workload(shape, n, seed)
+        opt = DeclarativeOptimizer(cat, q, strategies=strategies,
+                                   drain_order=order, drain_seed=seed)
+        handler = opt.engine.handlers["refilter"]
+
+        def refilter(d, handler=handler, pending=opt._refiltering):
+            nonlocal processed
+            assert d[2] in pending, (shape, n, seed, order, d)
+            processed += 1
+            return handler(d)
+
+        opt.engine.handlers["refilter"] = refilter
+        session = ReoptSession(opt.run())
+        assert not opt._refiltering
+        for u in make_update_batch(cat, 20, seed):
+            session.add_updates([u])
+            session.reoptimize()
+            assert not opt._refiltering, (shape, n, seed, order, u)
+    assert processed
