@@ -41,10 +41,11 @@ Conventions baked in here:
   them to ``split`` for every property of that expression; a sort-order
   property emits only from the partitions whose crossing mask meets the
   predicates on its attribute, one AND per partition.  The partition
-  tables are scratch: they are dropped once the universe has been walked;
-* ``SearchUniverse`` numbers its groups densely, in the order enumeration
-  first meets them; each id carries its expression's relation bitmask and
-  its alternatives' child ids, the tables ``costmodel.BestCost`` runs on.
+  tables are scratch: they are dropped once the universe is enumerated;
+* ``SearchUniverse`` enumerates every group at construction and numbers
+  them densely, in the order enumeration first meets them; each id
+  carries its expression's relation bitmask and its alternatives' child
+  ids, the tables ``costmodel.BestCost`` runs on.
   Partition sides are interned by relation mask, so one expression has one
   signature object across the universe;
 * symmetric operators (hash, merge) are emitted once in canonical side
@@ -316,7 +317,8 @@ class _Neighbours(dict):
         return out
 
 
-def _grow(s: int, excluded: int, mask: int, near: _Neighbours, out: list[int]) -> None:
+def _enumerate_csg_rec(s: int, excluded: int, mask: int, near: _Neighbours,
+                       out: list[int]) -> None:
     """EnumerateCsgRec: every connected subset of ``mask`` that strictly
     contains ``s`` and reaches no relation in ``excluded``, once each.
 
@@ -333,7 +335,7 @@ def _grow(s: int, excluded: int, mask: int, near: _Neighbours, out: list[int]) -
     out.extend(grown)
     excluded |= frontier
     for t in grown:
-        _grow(t, excluded, mask, near, out)
+        _enumerate_csg_rec(t, excluded, mask, near, out)
 
 
 def _connected_subsets(mask: int, near: _Neighbours) -> list[int]:
@@ -347,7 +349,7 @@ def _connected_subsets(mask: int, near: _Neighbours) -> list[int]:
     while rest:
         low = rest & -rest
         out.append(low)
-        _grow(low, (low << 1) - 1, mask, near, out)
+        _enumerate_csg_rec(low, (low << 1) - 1, mask, near, out)
         rest ^= low
     return out
 
@@ -374,7 +376,7 @@ def csg_cmp_pairs(mask: int, adj: tuple[int, ...]) -> dict[int, list[tuple[int, 
             v = 1 << (near.bit_length() - 1)  # neighbours in descending order
             near ^= v
             cmps.append(v)
-            _grow(v, excluded | near | v, mask, neighbours, cmps)
+            _enumerate_csg_rec(v, excluded | near | v, mask, neighbours, cmps)
             for s2 in cmps:
                 union = s1 | s2
                 bucket = buckets.get(union)
@@ -671,28 +673,30 @@ def split(e: ExprSig, p: PropertySpec, cat: Catalog,
 class SearchUniverse:
     """The reachable (expr, prop) group universe for one (catalog, query) pair.
 
-    Enumerates bottom-up, with no speculative ``split``: on first use a
-    kernel (``_Kernel.universe``) lists every csg-cmp pair of the query
+    Construction enumerates the whole universe and fixes it; nothing grows
+    it afterwards.  Enumeration is bottom-up, with no speculative ``split``:
+    a kernel (``_Kernel.universe``) lists every csg-cmp pair of the query
     once and builds every connected subset's partitions, smaller subsets
     first, each with its crossing and buildable merge predicate masks and
     the subset's own sort orders.  A group is buildable when it is a leaf
     with a scan, a composite with no required order and a partition, or a
     composite whose sort orders hold its order.  ``split`` is called only
     for buildable groups, once each, on the kernel, so what it emits is
-    exactly the group's alternatives; no raw split output is kept.  Once
-    ``groups()`` has walked the universe the kernel is dropped, and
-    ``buildable`` answers from the filled group tables; a later question
-    about a group outside them builds the kernel again.  The universe also
-    exposes the full-space totals used as pruning/update-ratio denominators.
+    exactly the group's alternatives; no raw split output is kept.  The
+    kernel is dropped once the universe is enumerated: ``buildable``
+    answers from the group tables, and a question about a group outside
+    them, or about ``sortable``, builds the kernel again.  The universe
+    also holds the full-space totals used as pruning/update-ratio
+    denominators.
 
-    Groups get dense ids in the order ``alternatives`` first meets them (a
-    group, then its alternatives' children).  Per id: ``group_keys`` is its
-    key, ``group_masks`` its expression's relation bitmask, ``group_alts``
-    its alternatives (None until computed) and ``group_kids`` the ids of
-    their children, left then right, two per join alternative.  Within a
-    group, alternative indexes rise with position, so position order is
-    ``(index, phy_op)`` order.  ``parents()`` is the reverse of
-    ``group_kids`` over the whole universe.
+    Groups get dense ids breadth-first from the root: a group, then its
+    alternatives' children as they are first met.  Per id: ``group_keys``
+    is its key, ``group_masks`` its expression's relation bitmask,
+    ``group_alts`` its alternatives and ``group_kids`` the ids of their
+    children, left then right, two per join alternative.  Every group but
+    an infeasible root has alternatives.  Within a group, alternative
+    indexes rise with position, so position order is ``(index, phy_op)``
+    order.  ``parents()`` is the reverse of ``group_kids``.
     """
 
     def __init__(self, cat: Catalog, query: Query):
@@ -704,12 +708,32 @@ class SearchUniverse:
         self._ids: dict[tuple, int] = {}
         self.group_keys: list[GroupKey] = []
         self.group_masks: list[int] = []
-        self.group_alts: list[tuple[Alternative, ...] | None] = []
-        self.group_kids: list[list[int] | None] = []
+        self.group_alts: list[tuple[Alternative, ...]] = []
+        self.group_kids: list[list[int]] = []
         self._kernel: _Kernel | None = None
-        self._groups: list[GroupKey] | None = None
         self._parents: list[list[tuple[int, int]]] | None = None
-        self._totals: tuple[int, int] | None = None
+        self._number(*self.root)
+        ids, number = self._ids, self._number
+        for i, (e, p) in enumerate(self.group_keys):  # grows as children are numbered
+            # a list holds the id objects ``_ids`` already holds; iterating an
+            # array would box a new int per read
+            kids: list[int] = []
+            if e.is_leaf:
+                got = tuple(leaf_alternatives(e, p, cat))
+            elif self._built_kernel().buildable(self.group_masks[i], p):
+                got = tuple(split(e, p, cat, kernel=self._kernel))
+                for a in got:
+                    left, right = a.l_prop, a.r_prop
+                    c = ids.get((a.l_expr.rels, left.kind, left.attr))
+                    kids.append(number(a.l_expr, left) if c is None else c)
+                    c = ids.get((a.r_expr.rels, right.kind, right.attr))
+                    kids.append(number(a.r_expr, right) if c is None else c)
+            else:
+                got = ()
+            self.group_alts.append(got)
+            self.group_kids.append(kids)
+        self._kernel = None
+        self._totals = len(self.group_keys), sum(map(len, self.group_alts))
 
     def _built_kernel(self) -> _Kernel:
         """The enumeration kernel over the query, built when not held."""
@@ -726,92 +750,45 @@ class SearchUniverse:
         """True when ``group`` has at least one plan."""
         e, p = group
         i = self._ids.get((e.rels, p.kind, p.attr))
-        if i is not None and self.group_alts[i] is not None:
+        if i is not None:
             return bool(self.group_alts[i])
         if e.is_leaf:
             return bool(leaf_alternatives(e, p, self.catalog))
         return self._built_kernel().buildable(expr_mask(e, self.catalog), p)
 
     def alternatives(self, group: GroupKey) -> tuple[Alternative, ...]:
-        """``group``'s buildable alternatives (none when it is unbuildable)."""
+        """``group``'s buildable alternatives (none for an infeasible root)."""
         return self.group_alts[self.group_id(group)]
 
     def group_id(self, group: GroupKey) -> int:
-        """``group``'s dense id, with its alternatives and their child ids
-        computed."""
-        i = self._number(*group)
-        if self.group_alts[i] is None:
-            self._fill(i)
-        return i
-
-    def _fill(self, i: int) -> None:
-        """Compute group ``i``'s alternatives and number their children."""
-        e, p = self.group_keys[i]
-        # a list holds the id objects ``_ids`` already holds; iterating an
-        # array would box a new int per read
-        kids: list[int] = []
-        if e.is_leaf:
-            got = tuple(leaf_alternatives(e, p, self.catalog))
-        elif self._built_kernel().buildable(self.group_masks[i], p):
-            got = tuple(split(e, p, self.catalog, kernel=self._kernel))
-            ids, number = self._ids, self._number
-            for a in got:
-                left, right = a.l_prop, a.r_prop
-                c = ids.get((a.l_expr.rels, left.kind, left.attr))
-                kids.append(number(a.l_expr, left) if c is None else c)
-                c = ids.get((a.r_expr.rels, right.kind, right.attr))
-                kids.append(number(a.r_expr, right) if c is None else c)
-        else:
-            got = ()
-        self.group_alts[i] = got
-        self.group_kids[i] = kids
+        """``group``'s dense id; a group outside the universe raises
+        ``KeyError``."""
+        e, p = group
+        return self._ids[(e.rels, p.kind, p.attr)]
 
     def _number(self, e: ExprSig, p: PropertySpec) -> int:
-        key = (e.rels, p.kind, p.attr)
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.group_keys)
-            self.group_keys.append((e, p))
-            self.group_masks.append(expr_mask(e, self.catalog))
-            self.group_alts.append(None)
-            self.group_kids.append(None)
+        i = self._ids[(e.rels, p.kind, p.attr)] = len(self.group_keys)
+        self.group_keys.append((e, p))
+        self.group_masks.append(expr_mask(e, self.catalog))
         return i
 
     @property
     def feasible(self) -> bool:
-        return self.buildable(self.root)
+        return bool(self.group_alts[0])
 
     def groups(self) -> list[GroupKey]:
-        """Buildable groups reachable from the root, root first, BFS order.
-        The first walk fills every group and then drops the kernel."""
-        if self._groups is None:
-            order = [self.group_id(self.root)]
-            seen = set(order)
-            alts, kids = self.group_alts, self.group_kids
-            for i in order:  # grows as the walk meets new groups
-                if alts[i] is None:
-                    self._fill(i)
-                for c in kids[i]:
-                    if c not in seen:
-                        seen.add(c)
-                        order.append(c)
-            self._groups = [self.group_keys[i] for i in order]
-            self._totals = len(order), sum(len(alts[i]) for i in order)
-            self._kernel = None
-        return self._groups
+        """Every group of the universe, in id order: root first, then
+        breadth-first."""
+        return self.group_keys
 
     def parents(self) -> list[list[tuple[int, int]]]:
         """Per group id, the ``(parent id, position)`` of every alternative
-        with that group as a child, in parent id then position order.
-
-        Enumerates every group reachable from the root, once; a universe
-        enumerated breadth-first from its root numbers groups in the order
-        a cold build creates them."""
+        with that group as a child, in parent id then position order; ids
+        number groups in the order a cold build creates them."""
         if self._parents is None:
-            self.groups()
             parents: list[list[tuple[int, int]]] = [[] for _ in self.group_keys]
             for p, kids in enumerate(self.group_kids):
-                for pos in range(len(kids or ()) >> 1):
+                for pos in range(len(kids) >> 1):
                     row = (p, pos)  # one tuple for both children
                     parents[kids[2 * pos]].append(row)
                     parents[kids[2 * pos + 1]].append(row)
@@ -819,7 +796,5 @@ class SearchUniverse:
         return self._parents
 
     def totals(self) -> tuple[int, int]:
-        """(number of groups, number of alternatives) over the full space,
-        counted once, by the walk of ``groups()``."""
-        self.groups()
+        """(number of groups, number of alternatives) over the full space."""
         return self._totals

@@ -12,8 +12,9 @@ bug, never a modelling artifact.
   increasing subset-size order, so each group is resolved from children
   already resolved; no pruning.
 * ``volcano_optimize``     -- top-down recursion with memoization and
-  branch-and-bound cost limits passed into child exploration; it reads its
-  local costs from ``BestCost``'s tables, as the other engines do.
+  branch-and-bound cost limits passed into child exploration over the
+  enumerated universe; it reads its local costs from ``BestCost``'s tables,
+  as the other engines do, filling only the groups it explores.
 
 The oracle and System-R share their DP with the declarative engine's
 pruned-group fallback; the test suite checks them against an enumerator of
@@ -110,7 +111,8 @@ def systemr_optimize(query: Query, cat: Catalog, *,
     larger subsets; each group visited exactly once, no branch-and-bound."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    order = [universe.group_id(g) for g in sorted(universe.groups(), key=_group_sort_key)]
+    keys = universe.group_keys
+    order = sorted(range(len(keys)), key=lambda i: _group_sort_key(keys[i]))
     return _resolve(ctx, universe, BestCost(universe, ctx, order), start)
 
 
@@ -132,9 +134,10 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     already resolved.  Initial upper bound is infinity, so pruning is
     conservative and the returned cost equals the oracle's exactly.
 
-    Groups are explored by dense id; a group's local costs are read from
-    ``BestCost``'s table, filled once when the group is first explored.  A
-    best is ``(cost, position)``; position order is the shared tie-break."""
+    Groups are explored by dense id over the enumerated universe; a group's
+    local costs are read from ``BestCost``'s table, filled once when the
+    group is first explored.  A best is ``(cost, position)``; position
+    order is the shared tie-break."""
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
     tables = BestCost(universe, ctx)
@@ -142,16 +145,13 @@ def volcano_optimize(query: Query, cat: Catalog, *,
     memo: dict[int, _VolcanoMemo] = {}
     completed: set[tuple[int, int]] = set()
     pruned_alts: set[tuple[int, int]] = set()
-    keys, alts_of, kids_of = universe.group_keys, universe.group_alts, universe.group_kids
+    keys, kids_of = universe.group_keys, universe.group_kids
 
     def explore(i: int, limit: float) -> tuple[float, int] | None:
         entry = memo.get(i)
         if entry is None:
             entry = memo[i] = _VolcanoMemo()
             metrics.visit_log.append(keys[i])
-            if alts_of[i] is None:
-                # numbered as a child, alternatives not computed yet
-                universe.group_id(keys[i])
         if entry.exact is not None:
             return entry.exact if entry.exact[0] <= limit else None
         if limit <= entry.fail_limit:

@@ -17,7 +17,9 @@ import sys
 import time
 
 from .algebra import Query, load_query
-from .baselines import brute_force_optimize, systemr_optimize, volcano_optimize
+from .baselines import (
+    BRUTE_FORCE_MAX_RELATIONS, brute_force_optimize, systemr_optimize, volcano_optimize,
+)
 from .catalog import Catalog, apply_update, load_catalog, load_updates
 from .costmodel import CostConfig
 from .errors import (
@@ -173,6 +175,10 @@ def _bench_plan(args) -> tuple[list[str], list[int], list[str], Strategies]:
     if not all(t.isdigit() and int(t) >= 1 for t in sizes):
         raise ValidationError(
             f"--sizes must be integers of at least 1, got {args.sizes!r}")
+    if "oracle" in engines and any(int(t) > BRUTE_FORCE_MAX_RELATIONS for t in sizes):
+        raise ValidationError(
+            f"--sizes above {BRUTE_FORCE_MAX_RELATIONS} exceed the exhaustive budget "
+            f"of the oracle in --engines; drop it or the larger sizes")
     try:
         strategies = (Strategies.parse(args.strategies)
                       if args.strategies else Strategies.all())

@@ -294,13 +294,14 @@ class BestCost:
     engine's cost composition through groups whose maintained entries are
     pruned away.
 
-    The tables are flat lists indexed by ``SearchUniverse`` group id: per
-    id, the best cost and its position, the output cardinality and its
-    probe factor, and the local cost of each alternative.  ``_settle`` is
-    the one resolution path: it resolves a list of ids in order, each after
-    its children, filling a local table when none is held and adding the
-    children's best costs with ``group_sum_cost``, as ``install()`` does;
-    ``recost``, Volcano and ``alternative_cost`` cost one alternative with
+    The tables are flat lists indexed by ``SearchUniverse`` group id, sized
+    once, since construction fixed the universe: per id, the best cost and
+    its position, the output cardinality and its probe factor, and the
+    local cost of each alternative.  ``_settle`` is the one resolution
+    path: it resolves a list of ids in order, each after its children,
+    filling a local table when none is held and adding the children's best
+    costs with ``group_sum_cost``, as ``install()`` does; ``recost``,
+    Volcano and ``alternative_cost`` cost one alternative with
     ``sum_cost``.  A read that misses settles the pending list: the ids
     updates dropped since the last settle, or a fresh DP's ``order``.  If
     the group is still unresolved, it then settles the unresolved groups
@@ -309,10 +310,12 @@ class BestCost:
 
     ``invalidate`` drops what an update reaches, read from a per-target
     list of the ids whose relation bitmask holds the target, in settle
-    order (fewest relations first, then id), built on first use, and keeps
-    every value an update cannot reach.  ``memo`` lists the resolved groups
-    in resolution order, each after its children, from a log of settled
-    ids that is compacted once it outgrows twice the universe.
+    order (fewest relations first, then id): each list filters the one
+    list of every id in that order, sorted on the first ``invalidate``.
+    It keeps every value an update cannot reach.  ``memo`` lists the
+    resolved groups in resolution order, each after its children, from a
+    log of settled ids that is compacted once it outgrows twice the
+    universe.
     """
 
     def __init__(self, universe: SearchUniverse, ctx: CostContext,
@@ -321,30 +324,29 @@ class BestCost:
         after its children: System-R's size order."""
         self.universe = universe
         self.ctx = ctx
+        n = len(universe.group_keys)
         # per id: best cost (None until resolved) and its position
-        self._cost: list[float | None] = []
-        self._pos: list[int] = []
+        self._cost: list[float | None] = [None] * n
+        self._pos: list[int] = [0] * n
         # per id: output cardinality and its probe factor, held together,
         # and each alternative's local cost
-        self._card: list[float | None] = []
-        self._probe: list[float | None] = []
-        self._local: list[list[float] | None] = []
+        self._card: list[float | None] = [None] * n
+        self._probe: list[float | None] = [None] * n
+        self._local: list[list[float] | None] = [None] * n
         # per id, which alternatives are index nested-loop joins: structure,
         # so kept across invalidation
-        self._inlj: list[list[bool] | None] = []
+        self._inlj: list[list[bool] | None] = [None] * n
         # the ids the next miss settles first, in settle order
         self._pending: list[int] = list(order)
         # every settled id, in resolution order
         self._order: list[int] = []
-        # target mask -> the ids it reaches, in settle order; rebuilt when
-        # the universe grows
+        # every id in settle order, then per target mask the ids it reaches
+        self._settle_order: list[int] | None = None
         self._reach: dict[int, list[int]] = {}
 
     @property
     def costs(self) -> list[float | None]:
         """The best cost per group id, None while unresolved."""
-        if len(self._cost) < len(self.universe.group_keys):
-            self._grow()
         return self._cost
 
     @property
@@ -362,19 +364,12 @@ class BestCost:
 
     def cost_id(self, i: int) -> float:
         """The best cost of group id ``i``: one list read once resolved."""
-        cost = self._cost
-        if i < len(cost):
-            got = cost[i]
-            if got is not None:
-                return got
-        return self._miss(i)
+        got = self._cost[i]
+        return self._miss(i) if got is None else got
 
     def local_table(self, i: int) -> list[float]:
         """The local cost of each alternative of group id ``i``, in their
-        order: the retained table, filled first when there is none.  The
-        group's alternatives must be computed."""
-        if len(self._local) < len(self.universe.group_keys):
-            self._grow()
+        order: the retained table, filled first when there is none."""
         local = self._local[i]
         if local is None:
             # read outside a settle (``recost``, Volcano), a group may have
@@ -407,18 +402,9 @@ class BestCost:
             inlj = self._inlj[i] = [a.phy_op == INDEX_NL_JOIN for a in alts]
         return group_local_cost(self._card[i], inlj, kids, self._card, self._probe)
 
-    def _grow(self) -> None:
-        missing = len(self.universe.group_keys) - len(self._cost)
-        for table in (self._cost, self._card, self._probe, self._local, self._inlj):
-            table.extend([None] * missing)
-        self._pos.extend([0] * missing)
-        self._reach = {}
-
     def _miss(self, i: int) -> float:
         """Resolve group id ``i``: settle the pending list, then, if ``i`` is
         still unresolved, the unresolved groups below it."""
-        if len(self._cost) < len(self.universe.group_keys):
-            self._grow()
         if self._pending:
             pending, self._pending = self._pending, []
             self._settle(pending)
@@ -428,30 +414,22 @@ class BestCost:
 
     def _below(self, i: int) -> list[int]:
         """The unresolved ids ``i`` reaches, ``i`` included, in post-order:
-        each after its children, met in position order.  Computes the
-        alternatives of each group that lacks them; a group with none raises
-        ``InfeasibleQuery``."""
+        each after its children, met in position order.  Only an infeasible
+        root has no alternatives; it raises ``InfeasibleQuery``."""
         u = self.universe
-        cost = self._cost
-
-        def kids(g: int):
-            if u.group_alts[g] is None:
-                u.group_id(u.group_keys[g])
-                self._grow()
-            if not u.group_alts[g]:
-                e, p = u.group_keys[g]
-                raise InfeasibleQuery(f"group {e}|{p} has no alternatives")
-            return iter(u.group_kids[g])
-
+        if not u.group_alts[i]:
+            e, p = u.group_keys[i]
+            raise InfeasibleQuery(f"group {e}|{p} has no alternatives")
+        cost, kids = self._cost, u.group_kids
         order: list[int] = []
         seen = {i}
-        stack = [(i, kids(i))]
+        stack = [(i, iter(kids[i]))]
         while stack:
             g, rest = stack[-1]
             for c in rest:
                 if c not in seen and cost[c] is None:
                     seen.add(c)
-                    stack.append((c, kids(c)))
+                    stack.append((c, iter(kids[c])))
                     break
             else:
                 stack.pop()
@@ -497,12 +475,17 @@ class BestCost:
     def _reached(self, t: int) -> list[int]:
         """The ids whose relation bitmask holds target mask ``t``, in settle
         order: fewest relations first, then id, so each follows its
-        children."""
+        children.  A filter of the universe's ids in that order, which is
+        sorted once."""
         reach = self._reach.get(t)
         if reach is None:
-            reach = self._reach[t] = sorted(
-                (i for i, m in enumerate(self.universe.group_masks) if m & t == t),
-                key=self._settle_key)
+            masks = self.universe.group_masks
+            order = self._settle_order
+            if order is None:
+                # a stable sort by relation count keeps ids ascending within a count
+                order = self._settle_order = sorted(
+                    range(len(masks)), key=[m.bit_count() for m in masks].__getitem__)
+            reach = self._reach[t] = [i for i in order if masks[i] & t == t]
         return reach
 
     def _settle_key(self, i: int) -> tuple[int, int]:
@@ -524,8 +507,6 @@ class BestCost:
         """
         self.ctx = ctx
         u = self.universe
-        if len(self._cost) < len(u.group_keys):
-            self._grow()
         cost, card, probe, local = self._cost, self._card, self._probe, self._local
         masks = u.group_masks
         pending = self._pending

@@ -208,7 +208,6 @@ class DeclarativeOptimizer:
         self._dp = BestCost(u, self.ctx)
         self.root: GroupKey = u.root
         self.root_id = u.group_id(u.root)
-        # enumerates the whole universe, as every cold build does anyway
         self.parent_index: list[list[Row]] = u.parents()
         self._alts = u.group_alts
         self._kids = u.group_kids
@@ -326,8 +325,8 @@ class DeclarativeOptimizer:
     def _create_groups(self) -> dict[int, GroupState]:
         """Replace the groups held with every universe group, dead and
         empty, in id order; the root holds the synthetic reference."""
-        ids = sorted(map(self.universe.group_id, self.universe.groups()))
-        self.groups = {i: GroupState(int(i == self.root_id)) for i in ids}
+        self.groups = {i: GroupState(int(i == self.root_id))
+                       for i in range(len(self.universe.group_keys))}
         return self.groups
 
     def _kill_group(self, i: int) -> list[DeltaTuple]:

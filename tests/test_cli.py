@@ -579,6 +579,17 @@ def test_bench_rejects_bad_sweep_flags(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_rejects_an_oracle_sweep_past_its_budget(tmp_path, capsys):
+    # the default engines include the oracle, whose budget is 8 relations;
+    # the sweep is refused before the CSV is opened, not after its first rows
+    out = tmp_path / "b.csv"
+    assert run("bench", "--shapes", "chain", "--sizes", "9", "--trials", "1",
+               "--updates-per-trial", "0", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sizes") and "--engines" in err
+    assert not out.exists()
+
+
 def test_module_entry_point_smoke(fixture_files, tmp_path):
     """``python -m incropt`` end to end in a child process: optimize and save,
     reoptimize the saved state and save again, reoptimize that state; a

@@ -173,6 +173,12 @@ def test_update_invalidates_exactly_what_it_reaches(make):
         new_cat = apply_update(cat, u)
         rebased = ctx.rebased(new_cat, [u])
         dp.invalidate([u], rebased)
+        # each reach list is the reached ids, fewest relations first, then id
+        masks = universe.group_masks
+        assert dp._reach
+        for t, reach in dp._reach.items():
+            assert reach == sorted((i for i, m in enumerate(masks) if m & t == t),
+                                   key=lambda i: (masks[i].bit_count(), i))
         fresh = BestCost(universe, CostContext(new_cat, q))
         ends = u.target_relations()
         assert set(dp.memo) == {g for g in before if not ends <= set(g[0].rels)}

@@ -16,16 +16,18 @@ from itertools import combinations
 
 import pytest
 
-from incropt import algebra
+from incropt import algebra, baselines, optimizer
 from incropt.algebra import (
     HASH_JOIN, INDEX_NL_JOIN, LOG_JOIN, MERGE_JOIN, PROP_SORTED, Alternative,
     ExprSig, GroupKey, PropertySpec, Query, SearchUniverse, connected_subexprs,
     expr_mask, leaf_alternatives,
 )
 from incropt.catalog import Catalog, JoinPredicate, RelationMeta, validate_catalog
+from incropt.costmodel import BestCost
 from incropt.errors import NoAlternatives, ValidationError
 from incropt.fixtures import q3s, q5s, q8joins
-from incropt.workload import make_workload
+from incropt.incremental import ReoptSession
+from incropt.workload import make_update_batch, make_workload
 
 
 def _adjacency(cat: Catalog) -> dict[str, set[str]]:
@@ -383,12 +385,12 @@ def test_pair_buckets_match_subset_scan(build):
 BUILDABILITY_CASES = [_seeded(*case) for case in SEEDED] + [
     q3s, q5s, q8joins, cycle_catalog, double_edge_catalog, chain4_catalog,
     hub_catalog, sorted_chain_catalog, disconnected_catalog]
+BUILDABILITY_IDS = [f"{s}-{n}-{seed}" for s, n, seed in SEEDED] + [
+    "q3s", "q5s", "q8joins", "cycle", "double_edge", "chain4", "hub", "sorted_chain",
+    "disconnected"]
 
 
-@pytest.mark.parametrize("build", BUILDABILITY_CASES,
-                         ids=[f"{s}-{n}-{seed}" for s, n, seed in SEEDED]
-                         + ["q3s", "q5s", "q8joins", "cycle", "double_edge", "chain4",
-                            "hub", "sorted_chain", "disconnected"])
+@pytest.mark.parametrize("build", BUILDABILITY_CASES, ids=BUILDABILITY_IDS)
 def test_mask_buildability_matches_recursive_rule(build):
     cat, query = build()
     ref = ReferenceUniverse(cat, query)
@@ -398,6 +400,60 @@ def test_mask_buildability_matches_recursive_rule(build):
     for g, want in ref.probed.items():
         assert u.buildable(g) == want, g
     assert u.feasible == ref.probed[ref.root]
+
+
+@pytest.mark.parametrize("build", BUILDABILITY_CASES, ids=BUILDABILITY_IDS)
+def test_universe_is_closed_at_construction(build, monkeypatch):
+    """Construction enumerates the whole universe: every child id is
+    numbered, every group but an infeasible root has alternatives,
+    ``groups()`` is id order and a group outside is a ``KeyError``.  No
+    engine, and no warm update, grows a universe or its DP's tables."""
+    cat, query = build()
+    u = SearchUniverse(cat, query)
+    n = len(u.group_keys)
+    assert all(c < n for kids in u.group_kids for c in kids)
+    assert all(alts or (i == 0 and not u.feasible) for i, alts in enumerate(u.group_alts))
+    assert [u.group_id(g) for g in u.groups()] == list(range(n))
+    ref = ReferenceUniverse(cat, query)
+    ref.buildable(ref.root)
+    outside = [g for g in ref.probed if g not in set(u.group_keys)]
+    outside.append((query.sig, PropertySpec.sorted_on("absent.attr")))
+    for g in outside:
+        with pytest.raises(KeyError):
+            u.group_id(g)
+    if not u.feasible:
+        return
+
+    universes, dps = [], []
+
+    class Universe(SearchUniverse):
+        def __init__(self, *args):
+            super().__init__(*args)
+            universes.append(self)
+
+    class DP(BestCost):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            dps.append(self)
+
+    for module in (baselines, optimizer):
+        monkeypatch.setattr(module, "SearchUniverse", Universe)
+        monkeypatch.setattr(module, "BestCost", DP)
+    if len(query.relations) <= baselines.BRUTE_FORCE_MAX_RELATIONS:
+        baselines.brute_force_optimize(query, cat)
+    baselines.systemr_optimize(query, cat)
+    baselines.volcano_optimize(query, cat)
+    session = ReoptSession(optimizer.DeclarativeOptimizer(cat, query).run())
+    session.add_updates(make_update_batch(cat, 4, 1))
+    session.reoptimize()
+    assert universes and len(dps) == len(universes)
+    for v in universes:
+        assert v.totals()[0] == n
+        assert {len(v.group_keys), len(v.group_masks), len(v.group_alts),
+                len(v.group_kids)} == {n}
+    for dp in dps:
+        assert {len(t) for t in (dp.costs, dp._pos, dp._card, dp._probe, dp._local,
+                                 dp._inlj)} == {n}
 
 
 @pytest.mark.parametrize("build", [cycle_catalog, hub_catalog, sorted_chain_catalog, q8joins,
