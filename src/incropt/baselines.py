@@ -6,8 +6,8 @@ path, so any cost difference against the declarative engine is a search
 bug, never a modelling artifact.
 
 * ``brute_force_optimize`` -- exhaustive ground-truth oracle, no pruning:
-  the memoized best-cost DP (``costmodel.BestCost``) resolved from the root,
-  in the post-order a recursion from the root resolves groups in.
+  the memoized best-cost DP (``costmodel.BestCost``) handed every group in
+  the post-order a recursion from the root resolves them in.
 * ``systemr_optimize``     -- the same DP handed every group in strictly
   increasing subset-size order, so each group is resolved from children
   already resolved; no pruning.
@@ -19,9 +19,9 @@ bug, never a modelling artifact.
 The oracle and System-R share their DP with the declarative engine's
 pruned-group fallback; the test suite checks them against an enumerator of
 whole plan trees built straight from the catalog.  The DP runs over the
-universe's dense group ids, each group's local costs held in one list; its
-``memo`` still reads as GroupKey -> best in resolution order, which is what
-the visit counts and ``visit_log`` report.
+universe's dense group ids, each group's local costs held in one list.
+Both engines write their order here and hand it to the DP as its pending
+list, so the visit counts and ``visit_log`` report that order.
 
 No engine leaves cyclic garbage.  Volcano's recursive ``explore`` reaches
 itself through its closure cell, so ``volcano_optimize`` empties that cell
@@ -71,20 +71,42 @@ def _group_sort_key(g: GroupKey):
     return (len(g[0]), g[0].rels, str(g[1]))
 
 
-def _resolve(ctx: CostContext, universe: SearchUniverse, dp: BestCost, start: float
-             ) -> tuple[PlanNode, BaselineMetrics]:
-    """Resolve the root through ``dp``, then extract its plan.
-
-    Every resolved group counts as visited with all its alternatives;
-    ``visit_log`` is the resolution order.
-    """
+def _post_order(universe: SearchUniverse) -> list[int]:
+    """Every group id in post-order from the root: each after its
+    children, met in position order, the order a recursion from the root
+    resolves them in."""
+    kids = universe.group_kids
     root = universe.group_id(universe.root)
-    dp.best_id(root)
-    memo = dp.memo
+    order: list[int] = []
+    seen = {root}
+    stack = [(root, iter(kids[root]))]
+    while stack:
+        g, rest = stack[-1]
+        for c in rest:
+            if c not in seen:
+                seen.add(c)
+                stack.append((c, iter(kids[c])))
+                break
+        else:
+            stack.pop()
+            order.append(g)
+    return order
+
+
+def _resolve(ctx: CostContext, universe: SearchUniverse, order: list[int], start: float
+             ) -> tuple[PlanNode, BaselineMetrics]:
+    """Resolve every group through a DP handed ``order``, then extract the
+    root's plan.
+
+    Every group counts as visited with all its alternatives; ``visit_log``
+    is ``order``.
+    """
+    keys, alts = universe.group_keys, universe.group_alts
     metrics = BaselineMetrics(
-        visited_and=sum(len(universe.alternatives(g)) for g in memo),
-        visited_or=len(memo), visit_log=list(memo))
-    plan = build_plan(universe, ctx, dp.best_id, root)
+        visited_and=sum(len(alts[i]) for i in order),
+        visited_or=len(order), visit_log=[keys[i] for i in order])
+    dp = BestCost(universe, ctx, order)
+    plan = build_plan(universe, ctx, dp.best_id, universe.group_id(universe.root))
     metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return plan, metrics
 
@@ -101,7 +123,7 @@ def brute_force_optimize(query: Query, cat: Catalog, *,
             f"budget of {BRUTE_FORCE_MAX_RELATIONS}")
     start = time.perf_counter()
     ctx, universe = _setup(query, cat, config)
-    return _resolve(ctx, universe, BestCost(universe, ctx), start)
+    return _resolve(ctx, universe, _post_order(universe), start)
 
 
 def systemr_optimize(query: Query, cat: Catalog, *,
@@ -113,7 +135,7 @@ def systemr_optimize(query: Query, cat: Catalog, *,
     ctx, universe = _setup(query, cat, config)
     keys = universe.group_keys
     order = sorted(range(len(keys)), key=lambda i: _group_sort_key(keys[i]))
-    return _resolve(ctx, universe, BestCost(universe, ctx, order), start)
+    return _resolve(ctx, universe, order, start)
 
 
 class _VolcanoMemo:

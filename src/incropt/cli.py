@@ -116,7 +116,8 @@ def _run_engine(engine: str, cat: Catalog, query: Query, config: CostConfig,
 
 def cmd_optimize(args) -> int:
     cat, query, config = _load_inputs(args)
-    strategies = Strategies.parse(args.strategies) if args.strategies else Strategies.all()
+    strategies = (Strategies.parse(args.strategies)
+                  if args.strategies is not None else Strategies.all())
     plan, metrics, opt = _run_engine(args.engine, cat, query, config, strategies)
     require_finite(plan)  # before any plan or state is written
     if args.emit_plan:
@@ -181,7 +182,7 @@ def _bench_plan(args) -> tuple[list[str], list[int], list[str], Strategies]:
             f"of the oracle in --engines; drop it or the larger sizes")
     try:
         strategies = (Strategies.parse(args.strategies)
-                      if args.strategies else Strategies.all())
+                      if args.strategies is not None else Strategies.all())
     except ValidationError as exc:
         raise ValidationError(f"--strategies: {exc}") from exc
     return shapes, [int(t) for t in sizes], engines, strategies
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--engine", default="declarative", choices=ENGINES)
     p.add_argument("--strategies", default=None,
-                   help="comma list from {aggsel,refcount,bounding}; bounding requires aggsel")
+                   help="comma list from {aggsel,refcount,bounding}, or none; "
+                        "bounding requires aggsel")
     p.add_argument("--cost-config", default=None)
     p.add_argument("--emit-plan", default=None)
     p.add_argument("--metrics", default=None)

@@ -28,28 +28,30 @@ name-based recursion it replaced used, so every summary is the same float.
 group ids, in flat lists indexed by id: the best cost and its position, the
 output cardinality and its probe factor, and the local costs, the one
 local-cost table, which the declarative engine's ``recost`` rule and Volcano
-read too.  It resolves groups in one loop, ``_settle``, over a list of ids
-that puts every group after its children, the order System-R asks in: a
-fresh DP settles the post-order its first miss reaches, System-R its own
-size order, and an update the groups it dropped.  Each settled group adds
-its children's best costs to its local costs with ``group_sum_cost``; a
-table is filled, when none is held, by ``group_local_cost``, the group form
-of ``join_local_cost``, from the cardinalities and probe factors by id.
+read too.  Every unresolved id is pending, in a list that puts each group
+after its children, and a miss settles the whole list in one loop,
+``_settle``.  A fresh DP's list is every id in settle order (fewest
+relations first, then id), or the order it is handed: System-R's size
+order or the oracle's post-order from the root.  An update adds the
+resolved groups it drops.  Each settled group adds its children's best
+costs to its local costs with ``group_sum_cost``; a table is filled, when
+none is held, by ``group_local_cost``, the group form of
+``join_local_cost``, from the cardinalities and probe factors by id.
 ``nonscan_cost`` calls the scalar form, and both do the same operations in
 the same order.  A probe factor, ``1 + log_b(1 + rows)``, is held and
 dropped with its cardinality.
 
 An update reaches a group whose relation bitmask holds all of its targets.
-Per target mask the DP keeps the ids it reaches, in settle order (fewest
-relations first, then id), so an update drops what it reaches and lists it
-for the next settle without a pass over the universe.  A value an update
-cannot reach is kept: a scan-cost update moves no cardinality and only its
-relation's leaf scans' local costs, since join local costs read summaries
-and no summary reads ``scan_cost_factor``.  A group's best is a flat
-``min`` over its candidates' costs, then ``index`` of it: alternatives sit
-in ``(index, phy_op)`` order, so the first position holding the minimum is
-the smallest ``(cost, index, phy_op)`` tuple, the tie-break every engine
-shares.
+Per target mask the DP keeps the ids it reaches, in settle order, so an
+update drops what it reaches and lists it for the next settle without a
+pass over the universe; ``incremental.stat_to_deltas`` seeds the
+maintained state from the same lists.  A value an update cannot reach is
+kept: a scan-cost update moves no cardinality and only its relation's leaf
+scans' local costs, since join local costs read summaries and no summary
+reads ``scan_cost_factor``.  A group's best is a flat ``min`` over its
+candidates' costs, then ``index`` of it: alternatives sit in
+``(index, phy_op)`` order, so the first position holding the minimum is the
+smallest ``(cost, index, phy_op)`` tuple, the tie-break every engine shares.
 """
 from __future__ import annotations
 
@@ -302,26 +304,26 @@ class BestCost:
     filling a local table when none is held and adding the children's best
     costs with ``group_sum_cost``, as ``install()`` does; ``recost``,
     Volcano and ``alternative_cost`` cost one alternative with
-    ``sum_cost``.  A read that misses settles the pending list: the ids
-    updates dropped since the last settle, or a fresh DP's ``order``.  If
-    the group is still unresolved, it then settles the unresolved groups
-    below it in post-order, children in position order, the order a
-    recursion from the group would resolve them in.
+    ``sum_cost``.
 
-    ``invalidate`` drops what an update reaches, read from a per-target
-    list of the ids whose relation bitmask holds the target, in settle
-    order (fewest relations first, then id): each list filters the one
-    list of every id in that order, sorted on the first ``invalidate``.
+    Every unresolved id is pending.  A fresh DP's pending list is the
+    ``order`` it is handed, or else every id in settle order: fewest
+    relations first, then id, so each follows its children.  An update
+    adds the resolved ids it drops, and a read that misses settles the
+    whole list, so one read resolves every group.
+
+    ``invalidate`` drops what an update reaches, read from ``reached``, a
+    per-target list of the ids whose relation bitmask holds the target, in
+    settle order: each list filters the one settle-order list of every id.
     It keeps every value an update cannot reach.  ``memo`` lists the
-    resolved groups in resolution order, each after its children, from a
-    log of settled ids that is compacted once it outgrows twice the
-    universe.
+    resolved groups in settle order.
     """
 
     def __init__(self, universe: SearchUniverse, ctx: CostContext,
-                 order: Iterable[int] = ()):
-        """``order``, when given, is the ids the first miss settles, each
-        after its children: System-R's size order."""
+                 order: Iterable[int] | None = None):
+        """``order``, when given, is a fresh DP's pending list, every id
+        once, each after its children: System-R's size order or the
+        oracle's post-order from the root."""
         self.universe = universe
         self.ctx = ctx
         n = len(universe.group_keys)
@@ -336,12 +338,14 @@ class BestCost:
         # per id, which alternatives are index nested-loop joins: structure,
         # so kept across invalidation
         self._inlj: list[list[bool] | None] = [None] * n
-        # the ids the next miss settles first, in settle order
-        self._pending: list[int] = list(order)
-        # every settled id, in resolution order
-        self._order: list[int] = []
-        # every id in settle order, then per target mask the ids it reaches
-        self._settle_order: list[int] | None = None
+        # every id in settle order: a stable sort by relation count keeps
+        # ids ascending within a count
+        masks = universe.group_masks
+        self._settle_order: list[int] = sorted(
+            range(n), key=[m.bit_count() for m in masks].__getitem__)
+        # every unresolved id, each after its children: the next miss settles them
+        self._pending: list[int] = list(self._settle_order if order is None else order)
+        # per target mask, the ids it reaches, in settle order
         self._reach: dict[int, list[int]] = {}
 
     @property
@@ -352,7 +356,9 @@ class BestCost:
     @property
     def memo(self) -> dict[GroupKey, tuple[float, AltKey]]:
         keys, alts, pos = self.universe.group_keys, self.universe.group_alts, self._pos
-        return {keys[i]: (self._cost[i], alts[i][pos[i]].key) for i in self._resolved()}
+        cost = self._cost
+        return {keys[i]: (cost[i], alts[i][pos[i]].key)
+                for i in self._settle_order if cost[i] is not None}
 
     def best(self, g: GroupKey) -> tuple[float, AltKey]:
         i = self.universe.group_id(g)
@@ -403,38 +409,16 @@ class BestCost:
         return group_local_cost(self._card[i], inlj, kids, self._card, self._probe)
 
     def _miss(self, i: int) -> float:
-        """Resolve group id ``i``: settle the pending list, then, if ``i`` is
-        still unresolved, the unresolved groups below it."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self._settle(pending)
-        if self._cost[i] is None:
-            self._settle(self._below(i))
-        return self._cost[i]
-
-    def _below(self, i: int) -> list[int]:
-        """The unresolved ids ``i`` reaches, ``i`` included, in post-order:
-        each after its children, met in position order.  Only an infeasible
-        root has no alternatives; it raises ``InfeasibleQuery``."""
+        """Resolve group id ``i`` by settling the pending list, which holds
+        every unresolved id.  An infeasible universe, a root without
+        alternatives, raises ``InfeasibleQuery``."""
         u = self.universe
-        if not u.group_alts[i]:
-            e, p = u.group_keys[i]
+        if not u.feasible:
+            e, p = u.root
             raise InfeasibleQuery(f"group {e}|{p} has no alternatives")
-        cost, kids = self._cost, u.group_kids
-        order: list[int] = []
-        seen = {i}
-        stack = [(i, iter(kids[i]))]
-        while stack:
-            g, rest = stack[-1]
-            for c in rest:
-                if c not in seen and cost[c] is None:
-                    seen.add(c)
-                    stack.append((c, iter(kids[c])))
-                    break
-            else:
-                stack.pop()
-                order.append(g)
-        return order
+        pending, self._pending = self._pending, []
+        self._settle(pending)
+        return self._cost[i]
 
     def _settle(self, order: list[int]) -> None:
         """Resolve the ids of ``order`` in turn; each id's children must be
@@ -453,39 +437,15 @@ class BestCost:
             # minimum is the smallest (cost, index, phy_op)
             best = cost[i] = min(costs)
             pos[i] = costs.index(best)
-        self._order += order
-        if len(self._order) > 2 * len(cost):
-            self._order = self._resolved()
 
-    def _resolved(self) -> list[int]:
-        """Each resolved id once, in resolution order: the settle log with
-        every id kept only at its last settle, which a resolved group's
-        value came from.  A group settles after its children, and an
-        update that drops a child drops its parents too, so each id still
-        follows its children."""
-        cost, seen, out = self._cost, set(), []
-        for i in reversed(self._order):
-            if i not in seen:
-                seen.add(i)
-                if cost[i] is not None:
-                    out.append(i)
-        out.reverse()
-        return out
-
-    def _reached(self, t: int) -> list[int]:
+    def reached(self, t: int) -> list[int]:
         """The ids whose relation bitmask holds target mask ``t``, in settle
-        order: fewest relations first, then id, so each follows its
-        children.  A filter of the universe's ids in that order, which is
-        sorted once."""
+        order, so each follows its children: the groups an update with
+        that target reaches."""
         reach = self._reach.get(t)
         if reach is None:
             masks = self.universe.group_masks
-            order = self._settle_order
-            if order is None:
-                # a stable sort by relation count keeps ids ascending within a count
-                order = self._settle_order = sorted(
-                    range(len(masks)), key=[m.bit_count() for m in masks].__getitem__)
-            reach = self._reach[t] = [i for i in order if masks[i] & t == t]
+            reach = self._reach[t] = [i for i in self._settle_order if masks[i] & t == t]
         return reach
 
     def _settle_key(self, i: int) -> tuple[int, int]:
@@ -497,13 +457,13 @@ class BestCost:
         what some update reaches: an update reaches a group whose relation
         bitmask holds all of its target relations.
 
-        A reached group loses its best cost, and if it was resolved it joins
-        the pending list, which the next miss settles.  A join-selectivity
-        update also drops its cardinality, probe factor and local costs,
-        since they read the summaries it moves; a scan-cost update drops
-        only the local costs of its relation's leaf groups, since join local
-        costs read only summaries and summaries do not read
-        ``scan_cost_factor``.  No other value can move.
+        A reached group loses its best cost and joins the pending list,
+        which the next miss settles, unless it was pending already.  A
+        join-selectivity update also drops its cardinality, probe factor
+        and local costs, since they read the summaries it moves; a
+        scan-cost update drops only the local costs of its relation's leaf
+        groups, since join local costs read only summaries and summaries do
+        not read ``scan_cost_factor``.  No other value can move.
         """
         self.ctx = ctx
         u = self.universe
@@ -516,7 +476,7 @@ class BestCost:
                 continue
             keep_joins = upd.kind == SCAN_COST
             dropped = []
-            for i in self._reached(t):
+            for i in self.reached(t):
                 if cost[i] is not None:
                     cost[i] = None
                     dropped.append(i)

@@ -11,13 +11,15 @@ recost deltas aimed at exactly the state the changed numbers can reach:
   whose expression contains both endpoint relations, since their output or
   input summaries change.
 
-Both tests run on the universe's relation bitmasks (``group_masks``), one
-per group id.  The seeds are grouped: one ``recost`` per reached group,
-whose payload ``(group id, positions)`` lists the reached rows, so the
-group's rule costs them in one pass and moves its minimum at most once.
-Everything else is reached through ordinary fixpoint propagation, and the
-result provably equals a from-scratch optimization over the updated
-catalog.
+Both read the groups an update reaches from the fallback DP's reach list
+for its target mask (``BestCost.reached``): the ids whose relation bitmask
+holds every target relation, the rule that drops the DP's own values.  The
+alive ones are seeded in id order.  The seeds are grouped: one ``recost``
+per reached group, whose payload ``(group id, positions)`` lists the
+reached rows, so the group's rule costs them in one pass and moves its
+minimum at most once.  Everything else is reached through ordinary fixpoint
+propagation, and the result provably equals a from-scratch optimization
+over the updated catalog.
 
 The catalog swap drops cached summaries and fallback best costs by the same
 subset rule: an update reaches an expression only when the expression holds
@@ -68,7 +70,8 @@ def _check_target(u: StatUpdate, cat: Catalog) -> None:
 
 def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]:
     """Convert one statistics update into recost deltas over the live state,
-    one ``(group id, positions)`` seed per reached group.
+    one ``(group id, positions)`` seed per reached alive group, in id order,
+    read from the DP's reach list for the update's target.
 
     The optimizer's catalog must already reflect the update.  A factor of
     1.0 is an identity and produces no deltas.
@@ -80,24 +83,14 @@ def stat_to_deltas(u: StatUpdate, opt: DeclarativeOptimizer) -> list[DeltaTuple]
     masks, alts, kids = opt.universe.group_masks, opt.universe.group_alts, opt.universe.group_kids
     groups = opt.groups
     out: list[DeltaTuple] = []
-    for i, gs in groups.items():
-        if not gs.alive:
-            continue
-        m = masks[i]
-        if u.kind == JOIN_SELECTIVITY:
-            if m & t == t:
-                out.append(("recost", INSERT, (i, range(len(alts[i])))))
-            continue
-        # scan-cost update: leaf rows over the relation, plus rows whose
-        # affected child is currently pruned and hence unreachable by
-        # propagation
-        if not m & t:
-            continue
+    for i in sorted(i for i in opt.dp.reached(t) if groups[i].alive):
         k = kids[i]
-        if not k:
+        if u.kind == JOIN_SELECTIVITY or not k:
             out.append(("recost", INSERT, (i, range(len(alts[i])))))
             continue
-        # the children split the relations, so exactly one holds the target
+        # scan-cost update on a join group: the rows whose affected child is
+        # currently pruned, hence unreachable by propagation; the children
+        # split the relations, so exactly one holds the target
         positions = tuple(pos for pos, (l, r) in enumerate(zip(k[::2], k[1::2]))
                           if not groups[l if masks[l] & t else r].alive)
         if positions:

@@ -109,7 +109,10 @@ class Strategies:
 
     @classmethod
     def parse(cls, text: str) -> "Strategies":
+        """A comma list of strategy names; ``none`` alone is the empty subset."""
         names = [t for t in (s.strip() for s in text.split(",")) if t]
+        if names == ["none"]:
+            return cls.none()
         unknown = set(names) - set(STRATEGY_NAMES)
         if unknown:
             raise ValidationError(f"unknown strategies {sorted(unknown)}")
@@ -205,7 +208,8 @@ class DeclarativeOptimizer:
         self.strategies = strategies or Strategies.all()
         self.ctx = CostContext(cat, query, config)
         self.universe = u = SearchUniverse(cat, query)
-        self._dp = BestCost(u, self.ctx)
+        # the fallback best-cost DP; its reach lists also seed updates
+        self.dp = BestCost(u, self.ctx)
         self.root: GroupKey = u.root
         self.root_id = u.group_id(u.root)
         self.parent_index: list[list[Row]] = u.parents()
@@ -254,9 +258,10 @@ class DeclarativeOptimizer:
         cold build creates them and swept parents first (a child holds fewer
         relations): a group's refcount and contributions are then settled,
         and the rules' own formulas give the rest."""
-        dp, u, strategies = self._dp, self.universe, self.strategies
-        dp.best_id(self.root_id)  # an infeasible root raises InfeasibleQuery
-        best = dp.costs  # resolving the root resolved every group below it
+        dp, u, strategies = self.dp, self.universe, self.strategies
+        # a read settles every unresolved id, and an infeasible universe raises
+        dp.best_id(self.root_id)
+        best = dp.costs
         groups = self._create_groups()
         for i in sorted(groups, key=lambda i: -len(u.group_keys[i][0])):
             gs = groups[i]
@@ -387,7 +392,7 @@ class DeclarativeOptimizer:
         gs = self.groups[i]
         if not gs.alive:
             return []
-        dp = self._dp
+        dp = self.dp
         local = dp.local_table(i)
         kids = self._kids[i]
         held = gs.mins.cost_of
@@ -838,4 +843,4 @@ class DeclarativeOptimizer:
         updates = list(updates)
         self.catalog = new_cat
         self.ctx = self.ctx.rebased(new_cat, updates)
-        self._dp.invalidate(updates, self.ctx)
+        self.dp.invalidate(updates, self.ctx)

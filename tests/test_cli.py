@@ -88,6 +88,18 @@ def test_bounding_without_aggsel_is_refused(fixture_files):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["none", ""])
+def test_optimize_selects_the_empty_strategy_subset(fixture_files, tmp_path, text):
+    metrics = tmp_path / "metrics.json"
+    assert run("optimize",
+               "--catalog", str(fixture_files / "q3s.catalog.json"),
+               "--query", str(fixture_files / "q3s.query.json"),
+               "--strategies", text, "--metrics", str(metrics)) == 0
+    m = json.loads(metrics.read_text())
+    assert m["strategies"] == []
+    assert m["visible_and"] == m["total_and"] and m["pruning_ratio_and"] == 0.0
+
+
 def test_infeasible_query_exit_code(tmp_path):
     (tmp_path / "cat.json").write_text(json.dumps({
         "relations": [{"name": "A", "cardinality": 10, "attributes": ["x"]},
@@ -478,6 +490,19 @@ def test_bench_oracle_rows_have_zero_pruning(tmp_path):
         assert float(row[i_or]) == 0.0 and float(row[i_and]) == 0.0
 
 
+@pytest.mark.parametrize("text", ["none", ""])
+def test_bench_selects_the_empty_strategy_subset(tmp_path, text):
+    out = tmp_path / "d.csv"
+    assert run("bench", "--shapes", "chain", "--sizes", "5", "--trials", "2",
+               "--engines", "declarative", "--strategies", text, "--seed", "1",
+               "--out", str(out)) == 0
+    header, *rows = out.read_text().splitlines()[1:]
+    i_and = header.split(",").index("pruning_ratio_and")
+    assert rows
+    for row in rows:
+        assert float(row.split(",")[i_and]) == 0.0
+
+
 def test_bench_declarative_prunes_on_chain_sweep(tmp_path):
     out = tmp_path / "d.csv"
     assert run("bench", "--shapes", "chain", "--sizes", "5", "--trials", "3",
@@ -514,8 +539,8 @@ def test_verify_checks_the_whole_state_after_a_batch(monkeypatch, tmp_path, caps
     that the plan check alone does not see on chain/3 seed 0; the check of
     ``state_sha256`` against ``install()`` names the first differing group
     and exits 3."""
-    reached = BestCost._reached
-    monkeypatch.setattr(BestCost, "_reached", lambda dp, t: reached(dp, t)[1:])
+    reached = BestCost.reached
+    monkeypatch.setattr(BestCost, "reached", lambda dp, t: reached(dp, t)[1:])
     repro = tmp_path / "repro.json"
     assert run("verify", "--trials", "1", "--seed", "0",
                "--reproducer-out", str(repro)) == 3

@@ -248,7 +248,7 @@ def test_dp_after_mixed_updates_equals_a_fresh_dp(name):
         session.add_updates([u])
         session.reoptimize()
     fresh = BestCost(opt.universe, CostContext(opt.catalog, q))
-    _assert_dp_equals_fresh(opt._dp, fresh, "engine")
+    _assert_dp_equals_fresh(opt.dp, fresh, "engine")
 
 
 @pytest.mark.parametrize("make", [q5s, lambda: make_workload("clique", 5, 4)],
@@ -502,19 +502,40 @@ def test_dp_re_resolves_exactly(name):
     assert kinds == {"scan_cost", "join_selectivity"}
 
 
-def test_memo_stays_bounded_over_a_long_session():
-    """The log behind ``memo`` holds at most twice the universe after 500
-    updates, and ``memo`` still lists each resolved group once."""
+def _assert_every_unresolved_group_is_pending(dp: BestCost) -> None:
+    """Every id whose cost is None is pending, and the pending list puts
+    each id after its children: a child is resolved or listed earlier."""
+    pending, cost, kids = dp._pending, dp.costs, dp.universe.group_kids
+    assert {i for i, c in enumerate(cost) if c is None} <= set(pending)
+    rank = {i: k for k, i in enumerate(pending)}
+    for i in pending:
+        assert all(cost[c] is not None or rank[c] < rank[i] for c in kids[i]), i
+
+
+def test_every_unresolved_group_is_pending():
+    """A fresh DP, default or handed System-R's size order, holds every id
+    pending, and so does a DP after each of 500 mixed updates on clique-6;
+    after a read, ``memo`` lists all groups once, each after its
+    children."""
     cat, q = make_workload("clique", 6, 3)
     universe = SearchUniverse(cat, q)
-    dp = BestCost(universe, CostContext(cat, q))
+    keys, n = universe.group_keys, len(universe.group_keys)
     root = universe.group_id(universe.root)
-    dp.best_id(root)
+    size_order = sorted(range(n), key=lambda i: (len(keys[i][0]), keys[i][0].rels,
+                                                 str(keys[i][1])))
+    for order in (size_order, None):  # the updates run on the default DP
+        dp = BestCost(universe, CostContext(cat, q), order)
+        _assert_every_unresolved_group_is_pending(dp)
+        dp.best_id(root)
+        assert len(dp.memo) == n
+        _assert_memo_is_children_first(dp)
+    kinds = set()
     for u in make_update_batch(cat, 500, 19):
         cat = apply_update(cat, u)
         dp.invalidate([u], dp.ctx.rebased(cat, [u]))
+        _assert_every_unresolved_group_is_pending(dp)
         dp.best_id(root)
-    n = len(universe.group_keys)
-    assert len(dp._order) <= 2 * n
-    assert len(dp.memo) == n
-    _assert_memo_is_children_first(dp)
+        assert len(dp.memo) == n
+        _assert_memo_is_children_first(dp)
+        kinds.add(u.kind)
+    assert kinds == {"scan_cost", "join_selectivity"}

@@ -11,8 +11,10 @@ import pytest
 
 from incropt.algebra import ExprSig
 from incropt.baselines import brute_force_optimize
+from incropt import incremental
 from incropt.catalog import StatUpdate, apply_update
 from incropt.costmodel import BestCost, CostContext, alternative_cost
+from incropt.deltaflow import INSERT
 from incropt.fixtures import q3s, q5s, q8joins
 from incropt.errors import UnknownTarget, ValidationError
 from incropt.incremental import ReoptSession, stat_to_deltas
@@ -458,6 +460,61 @@ def test_retained_costs_equal_a_fresh_dp(name, label):
                     assert cost == alternative_cost(dp.ctx, g, alt, dp.best), (g, alt, step)
                     checked += 1
         assert checked
+
+
+def _reference_seeds(u: StatUpdate, opt: DeclarativeOptimizer) -> list[tuple]:
+    """The seed rule as a walk over every alive group in id order, as
+    ``(group id, positions)``: a join-selectivity update seeds every row of
+    a group whose mask holds both ends; a scan-cost update every row of a
+    leaf over the relation and, in a join group, the rows whose child
+    holding the relation is dead."""
+    u_ = opt.universe
+    masks, alts, kids, groups = u_.group_masks, u_.group_alts, u_.group_kids, opt.groups
+    t = 0
+    for r in u.target_relations():
+        t |= opt.catalog.relation_bits[r]
+    seeds = []
+    for i in sorted(groups):
+        m, k = masks[i], kids[i]
+        if not groups[i].alive:
+            continue
+        if u.kind == "join_selectivity":
+            rows = range(len(alts[i])) if m & t == t else ()
+        elif not k:
+            rows = range(len(alts[i])) if m == t else ()
+        elif m & t:
+            rows = [pos for pos in range(len(k) // 2)
+                    if not groups[k[2 * pos] if masks[k[2 * pos]] & t else k[2 * pos + 1]].alive]
+        else:
+            rows = ()
+        if rows:
+            seeds.append((i, tuple(rows)))
+    return seeds
+
+
+@pytest.mark.parametrize("label", sorted(STRATEGY_SUBSETS))
+@pytest.mark.parametrize("name", sorted(_COST_WORKLOADS))
+def test_seeds_equal_a_walk_over_every_group(name, label, monkeypatch):
+    """At each update of a 40-update mixed stream, under every strategy
+    subset, the seeds ``stat_to_deltas`` reads from the DP's reach lists
+    equal, in order, the walk over every alive group."""
+    cat, q = _COST_WORKLOADS[name]()
+    opt, session = fresh_session(cat, q, strategies=STRATEGY_SUBSETS[label])
+    seeded: dict[str, int] = {}
+
+    def checked(u, o):
+        got = stat_to_deltas(u, o)
+        assert all(d[:2] == ("recost", INSERT) for d in got)
+        assert [(i, tuple(rows)) for i, rows in (d[2] for d in got)] == \
+            _reference_seeds(u, o), (u, sum(seeded.values()))
+        seeded[u.kind] = seeded.get(u.kind, 0) + len(got)
+        return got
+
+    monkeypatch.setattr(incremental, "stat_to_deltas", checked)
+    for u in make_update_batch(cat, 40, 31):
+        session.add_updates([u])
+        session.reoptimize()
+    assert seeded.keys() == {"scan_cost", "join_selectivity"} and all(seeded.values())
 
 
 _SETTLE_WORKLOADS = (("clique", 6), ("star", 7), ("chain", 8))
